@@ -20,8 +20,12 @@ Streams are counter-based (Philox) and keyed by
 (seed, domain, component, block), where a block covers BLOCK consecutive
 path indices.  A path's Gaussians are row (path mod BLOCK) of the
 C-order (BLOCK, M) draw matrix of its block, so any scheduling of blocks
-across workers reproduces identical paths.  Uniforms map to normals by
-the fixed-consumption inverse CDF
+across workers reproduces identical paths.  One path is reached without
+drawing the rows before it: Philox emits four 64-bit words per counter
+step and each normal takes one word, so row r starts floor(r M / 4)
+counter steps and (r M) mod 4 discarded words into its block's stream,
+and one path costs O(M) draws and O(M) memory.  Uniforms map to normals
+by the fixed-consumption inverse CDF
 
     k ~ uniform{0, ..., 2^53 - 1},   u = (k + 1/2) 2^-53,   z = ndtri(u),
 
@@ -37,8 +41,10 @@ two are independent.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -60,6 +66,12 @@ _U_MAX = 1.0 - 2.0**-53
 # e^(2 lam t) must stay representable for the deformed clock
 _CLOCK_LIMIT = 700.0
 
+# entries in each grid-constant cache of the per-path samplers; a grid is (lam, m, horizon)
+_GRID_CACHE_SIZE = 32
+
+# 64-bit words Philox emits per counter step
+_PHILOX_WORDS = 4
+
 
 def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)):
@@ -72,6 +84,8 @@ def _check_seed(seed):
 def stream_key(seed, component, block, domain=DOMAIN_PATH) -> np.ndarray:
     """128-bit Philox key: word0 = seed, word1 packs (domain, component, block)."""
     seed = _check_seed(seed)
+    # Python ints, so a narrow numpy integer cannot wrap in the shifts below
+    component, block, domain = operator.index(component), operator.index(block), operator.index(domain)
     if not 0 <= component < 2**24:
         raise DomainError("component index must fit in 24 bits")
     if not 0 <= block < 2**32:
@@ -110,6 +124,9 @@ class PathStream:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        for name in ("path", "component"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(f"{name} index must be an integer")
         if self.path < 0:
             raise DomainError("path index must be nonnegative")
 
@@ -123,9 +140,17 @@ class PathStream:
 
 
 def path_normals(stream: PathStream, m, domain=DOMAIN_PATH) -> np.ndarray:
-    """One path's m Gaussians (a row of its block matrix)."""
-    gen = substream(stream.seed, stream.component, stream.block, domain)
-    return standard_normal(gen, (stream.row + 1, m))[stream.row]
+    """One path's m Gaussians (a row of its block matrix), in O(m) draws.
+
+    The rows before it are skipped by advancing the Philox counter, not
+    drawn; the result is bitwise the row of block_normals.
+    """
+    start = int(stream.row) * int(m)
+    bitgen = Philox(key=stream_key(stream.seed, stream.component, stream.block, domain))
+    bitgen.advance(start // _PHILOX_WORDS)
+    if start % _PHILOX_WORDS:
+        bitgen.random_raw(start % _PHILOX_WORDS, output=False)
+    return standard_normal(Generator(bitgen), m)
 
 
 # ----------------------------------------------------------------------
@@ -190,13 +215,17 @@ class PathGrid:
         return float(self.times[-1])
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
 def _grid(m, horizon):
+    """The read-only uniform grid 0 = t_0 < ... < t_m = horizon."""
     if m < 2:
         raise DomainError("need at least 2 steps")
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0:
         raise DomainError("horizon must be positive")
-    return np.linspace(0.0, horizon, m + 1)
+    times = np.linspace(0.0, horizon, m + 1)
+    times.setflags(write=False)
+    return times
 
 
 def _recursion_paths(lam, m, normals, horizon):
@@ -244,6 +273,24 @@ def deformed_clock(lam, t):
     return np.expm1(2.0 * lam * t_arr)
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
+def _clock_grid(lam, m, horizon):
+    """Read-only (times, sqrt(tau_{k+1} - tau_k), e^(-lam t)) of the time-change sampler.
+
+    lam must already be validated; m, horizon and the clock's range are checked here.
+    """
+    times = _grid(m, horizon)
+    deformed_clock(lam, times)  # raises where e^(2 lam t) overflows
+    # stable increment: tau_{k+1} - tau_k = e^(2 lam t_k) (e^(2 lam dt) - 1)
+    dt = float(times[-1]) / m
+    dtau = np.exp(2.0 * lam * times[:-1]) * math.expm1(2.0 * lam * dt)
+    sqrt_dtau = np.sqrt(dtau)
+    decay = np.exp(-lam * times)
+    sqrt_dtau.setflags(write=False)
+    decay.setflags(write=False)
+    return times, sqrt_dtau, decay
+
+
 def sample_path_timechange(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
     """Same law as sample_path_1d via Brownian motion on the deformed clock.
 
@@ -251,14 +298,10 @@ def sample_path_timechange(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
     is independent.
     """
     lam = _check_rate(lam)
-    times = _grid(m, horizon)
-    tau = deformed_clock(lam, times)
-    # stable increment: tau_{k+1} - tau_k = e^(2 lam t_k) (e^(2 lam dt) - 1)
-    dt = float(times[-1]) / m
-    dtau = np.exp(2.0 * lam * times[:-1]) * math.expm1(2.0 * lam * dt)
+    times, sqrt_dtau, decay = _clock_grid(lam, m, horizon)
     normals = path_normals(stream, m, domain=DOMAIN_CLOCK)
-    brownian = np.concatenate(([0.0], np.cumsum(np.sqrt(dtau) * normals)))
-    values = np.exp(-lam * times) * brownian / math.sqrt(2.0 * lam)
+    brownian = np.concatenate(([0.0], np.cumsum(sqrt_dtau * normals)))
+    values = decay * brownian / math.sqrt(2.0 * lam)
     values[0] = 0.0
     return PathGrid(lam=lam, times=times, values=values, seed_info=(stream.seed, stream.path, stream.component))
 
@@ -291,14 +334,12 @@ class HilbertPath:
     """Independent OU components on a common grid.
 
     component_paths[n] uses rate eigenvalues[n] and the substream
-    (seed, path, component=n); norm_cache, when present, holds the
-    per-time l2 norms of the truncated state.
+    (seed, path, component=n).
     """
 
     spectrum: DriftSpectrum
     truncation: int
     component_paths: tuple
-    norm_cache: object = None
 
     @property
     def times(self) -> np.ndarray:
@@ -312,12 +353,7 @@ class HilbertPath:
         return np.stack([p.values for p in self.component_paths], axis=1)
 
     def norms(self) -> np.ndarray:
-        if self.norm_cache is not None:
-            return self.norm_cache
         return np.sqrt(np.sum(self.state_matrix() ** 2, axis=1))
-
-    def with_norms(self) -> "HilbertPath":
-        return replace(self, norm_cache=self.norms())
 
 
 def sample_hilbert(spectrum, truncation, m, seed, path=0, horizon=1.0) -> HilbertPath:

@@ -63,6 +63,11 @@ class TestStreamKeys:
         assert S.PathStream(seed=1, path=255).block == 0
         with pytest.raises(DomainError):
             S.PathStream(seed=1, path=-1)
+        for bad in ({"path": 1.5}, {"path": "3"}, {"path": None}, {"path": 2, "component": 0.5}):
+            with pytest.raises(DomainError):
+                S.PathStream(seed=1, **bad)
+        ps = S.PathStream(seed=1, path=np.int64(517), component=np.uint8(3))
+        np.testing.assert_array_equal(S.path_normals(ps, 5), S.block_normals(1, 3, 2, 5)[5])
 
 
 class TestStandardNormal:
@@ -183,6 +188,17 @@ class TestRecursionSampler:
             pg = S.sample_path_1d(0.7, 32, S.PathStream(seed=13, path=path))
             block_rows = S.block_paths_1d(0.7, 32, 13, 0, path // S.BLOCK)
             np.testing.assert_array_equal(pg.values, block_rows[path % S.BLOCK])
+        # row * m mod 4 takes every value, so the skip-ahead's discarded words are exercised
+        for m in (2, 3, 5, 7, 32, 64):
+            for component in (0, 3):
+                for domain in (S.DOMAIN_PATH, S.DOMAIN_CLOCK):
+                    blocks = {}
+                    for path in (0, 1, 2, 3, 255, 256, 257, 1000):
+                        block = path // S.BLOCK
+                        if block not in blocks:
+                            blocks[block] = S.block_normals(13, component, block, m, domain)
+                        row = S.path_normals(S.PathStream(seed=13, path=path, component=component), m, domain)
+                        np.testing.assert_array_equal(row, blocks[block][path % S.BLOCK])
 
     def test_domains_are_independent_streams(self):
         a = _last_column(1.0, 10_000, seed=3, domain=S.DOMAIN_PATH)
@@ -221,6 +237,36 @@ class TestTimechangeSampler:
         a = S.sample_path_timechange(1.0, 8, S.PathStream(seed=4, path=0)).values
         b = S.sample_path_1d(1.0, 8, S.PathStream(seed=4, path=0)).values
         assert np.any(a[1:] != b[1:])
+
+
+class TestGridCache:
+    SAMPLERS = (S.sample_path_1d, S.sample_path_timechange)
+
+    def test_writes_into_a_path_do_not_reach_later_samples(self):
+        for sampler in self.SAMPLERS:
+            stream = S.PathStream(seed=21, path=300)
+            first = sampler(0.9, 16, stream)
+            expected = first.values.copy()
+            first.values[:] = np.nan
+            with pytest.raises(ValueError):
+                first.times[1] = 5.0
+            again = sampler(0.9, 16, stream)
+            np.testing.assert_array_equal(again.values, expected)
+            np.testing.assert_array_equal(again.times, np.linspace(0.0, 1.0, 17))
+
+    def test_bad_grids_raise_after_a_valid_call(self):
+        for sampler in self.SAMPLERS:
+            stream = S.PathStream(seed=21, path=0)
+            sampler(2.0, 8, stream)
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    sampler(2.0, 1, stream)
+                with pytest.raises(DomainError):
+                    sampler(2.0, 8, stream, horizon=0.0)
+        S.sample_path_timechange(2.0, 8, S.PathStream(seed=21, path=0), horizon=100.0)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                S.sample_path_timechange(2.0, 8, S.PathStream(seed=21, path=0), horizon=176.0)
 
 
 class TestMarginalDensity:
