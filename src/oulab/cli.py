@@ -17,11 +17,17 @@ fallback, runs are reproducible or they do not start.
 Results go to --out as JSON (schema 1) or CSV; a one-line PASS/FAIL
 verdict per check is printed either way, naming the inequality it
 tested.  Exit status: 0 all checks passed, 1 a bound was violated,
-2 the configuration did not parse.
+2 the configuration did not parse or an output could not be written.
 
 The payload is a pure function of the canonical config and seed; worker
 count and output destinations never enter it, and the timing block is
 informational only.
+
+COMMANDS is the one place that defines a command: its flags with their
+defaults and help, its check function and its CSV columns.  The parser,
+the defaults and the accepted config keys are generated from it, and one
+runner does the steps every command shares.  To add a command, write its
+check and add an entry there.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ import math
 import re
 import sys
 import time
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,12 +138,17 @@ class RunConfig:
                 return v
         return default
 
-    def get_int(self, key, default=None, minimum=1):
+    def require(self, key):
+        """The text of a setting that has no default."""
         raw = self.get(key)
         if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required setting {key!r}")
+            raise ConfigError(f"missing required setting {key!r}")
+        return raw
+
+    def get_int(self, key, default=None, minimum=1):
+        if default is not None and self.get(key) is None:
             return default
+        raw = self.require(key)
         try:
             val = int(raw)
         except ValueError:
@@ -144,11 +158,9 @@ class RunConfig:
         return val
 
     def get_float(self, key, default=None, positive=False):
-        raw = self.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required setting {key!r}")
+        if default is not None and self.get(key) is None:
             return default
+        raw = self.require(key)
         try:
             val = float(raw)
         except ValueError:
@@ -157,19 +169,18 @@ class RunConfig:
             raise ConfigError(f"{key} must be {'positive and ' if positive else ''}finite, got {raw!r}")
         return val
 
-    def get_floats(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required setting {key!r}")
-            raw = default
+    def get_floats(self, key):
+        raw = self.require(key)
         try:
-            return [float(v) for v in str(raw).split(",") if v.strip() != ""]
+            vals = [float(v) for v in raw.split(",") if v.strip() != ""]
         except ValueError:
             raise ConfigError(f"{key} must be a comma list of numbers, got {raw!r}") from None
+        if not vals:
+            raise ConfigError(f"{key} must list at least one number, got {raw!r}")
+        return vals
 
-    def get_ints(self, key, default=None):
-        vals = self.get_floats(key, default)
+    def get_ints(self, key):
+        vals = self.get_floats(key)
         out = []
         for v in vals:
             if v != int(v):
@@ -256,41 +267,38 @@ def parse_vector(text, truncation, name):
 
 
 def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+@contextmanager
+def _open_out(path, **kwargs):
+    """open(path, "w"); failing to create or write the file is a config error."""
+    try:
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(cfg: RunConfig, payload, rows, fieldnames):
     """Write JSON (whole payload) or CSV (just the rows) to --out/stdout."""
-    fmt = cfg.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {fmt!r}")
-    if fmt == "json":
+    if cfg.get("format") == "json":
         text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, extrasaction="ignore")
+        writer = csv.DictWriter(buf, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in fieldnames})
+            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
         text = buf.getvalue()
     out = cfg.get("out")
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def _payload(cfg: RunConfig, results, passed, seconds, seed=None, extra=None):
@@ -311,27 +319,26 @@ def _payload(cfg: RunConfig, results, passed, seconds, seed=None, extra=None):
     return doc
 
 
-def _verdict(passed, command, statement, detail):
-    # stdout is reserved for the JSON/CSV payload; humans read stderr
-    status = "PASS" if passed else "FAIL"
-    print(f"{status} {command}: {statement} [{detail}]", file=sys.stderr)
-
-
-def _maybe_dump(cfg: RunConfig, rate, m, seed, component, horizon=1.0, t_offset=0.0, x0_dir=0.0):
-    """Optional CSV of the state values the run consumed, first K paths."""
-    path = cfg.get("dump")
-    if path is None:
-        return
-    k = cfg.get_int("dump_paths", 8)
+def _dump_paths(cfg: RunConfig) -> int:
+    """Paths to dump (0 without --dump), validated before any sampling."""
+    if cfg.get("dump") is None:
+        return 0
+    k = cfg.get_int("dump_paths")
     if k > 256:
         raise ConfigError("dump_paths is capped at 256 (one block)")
+    m = cfg.get_int("m", minimum=2)
     if k * (m + 1) > MAX_DUMP_ROWS:
         raise ConfigError(f"dump of {k * (m + 1)} rows exceeds the {MAX_DUMP_ROWS} row cap; lower dump_paths or m")
+    return k
+
+
+def _write_dump(path, k, seed, rate, m, component, horizon=1.0, t_offset=0.0, x0_dir=0.0):
+    """CSV of the state values the run consumed, first k paths."""
     tau = np.linspace(0.0, horizon, m + 1)
     values = block_paths_1d(rate, m, seed, component, 0, horizon=horizon)[:k]
     if x0_dir != 0.0:
         values = values + np.exp(-rate * tau) * x0_dir
-    with open(path, "w", newline="") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "component", "t", "value"])
         for pid in range(k):
@@ -340,321 +347,301 @@ def _maybe_dump(cfg: RunConfig, rate, m, seed, component, horizon=1.0, t_offset=
 
 
 # ----------------------------------------------------------------------
-# command handlers
+# checks: each reads its settings, runs one library check and returns
+# an Outcome.  Library functions are looked up in this module's globals
+# at call time, so tests and tracers can patch them here.
 # ----------------------------------------------------------------------
 
-CONSTANTS_COLUMNS = ["lambda", "d_lambda", "alpha1", "alpha2", "alpha3", "alpha", "h"]
+
+class Outcome(NamedTuple):
+    """What a check hands to the runner."""
+
+    rows: list  # one value sequence per row, in the command's column order
+    verdicts: list  # (passed, statement, detail), one stderr line each; none for a table
+    extra: dict = None  # payload fields placed before the results
+    dump: tuple = None  # block_paths_1d rate, m, component [, horizon, t_offset, x0_dir] of the dump
 
 
-def _cmd_constants(cfg: RunConfig):
-    t0 = time.perf_counter()
-    grid = parse_grid(cfg.get("lambda_grid", "log:1e-4:1e2:400"))
+def _sampling(cfg: RunConfig, seed):
+    """Seed and sizes of a Monte Carlo check, as keyword arguments."""
+    n_paths = cfg.get_int("n", minimum=2)
+    return dict(seed=seed, n_paths=n_paths, m=cfg.get_int("m", minimum=2), workers=cfg.get_int("workers"))
+
+
+def _hilbert(cfg: RunConfig):
+    """(spectrum, truncation, live rates, drift b) of a Hilbert-space command."""
+    spectrum, family_n = parse_spectrum(cfg.get("spectrum"))
+    truncation = cfg.get_int("truncation", family_n)
+    if truncation > len(spectrum):
+        raise ConfigError(f"truncation {truncation} exceeds the listed spectrum ({len(spectrum)})")
+    live = spectrum.eigenvalues[:truncation]
+    return spectrum, truncation, live, resolve_b(cfg.get("b"), live)
+
+
+def _window(cfg: RunConfig, truncation):
+    """Start value and window [r, u] of the window commands, as keyword arguments."""
+    return dict(x0=parse_vector(cfg.get("x0"), truncation, "x0"), r=cfg.get_float("r"), u=cfg.get_float("u"))
+
+
+def _window_dump(spec: ExperimentSpec):
+    d = spec.b.direction
+    return spec.spectrum.eigenvalues[d], spec.m, d, spec.window, spec.r, spec.start_component(d)
+
+
+def _constants(cfg: RunConfig, seed):
+    grid = parse_grid(cfg.get("lambda_grid"))
     if np.any(grid <= 0):
         raise ConfigError("lambda grid must be positive")
-    parts = alpha_components(grid)
-    h = exp_weighted_alpha(grid)
-    rows = [
-        {
-            "lambda": float(parts.lam[i]),
-            "d_lambda": float(parts.d_lambda[i]),
-            "alpha1": float(parts.alpha1),
-            "alpha2": float(parts.alpha2[i]),
-            "alpha3": float(parts.alpha3[i]),
-            "alpha": float(parts.alpha[i]),
-            "h": float(h[i]),
-        }
-        for i in range(grid.size)
-    ]
-    payload = _payload(cfg, rows, None, time.perf_counter() - t0)
-    _emit(cfg, payload, rows, CONSTANTS_COLUMNS)
-    print(f"constants: {len(rows)} rows", file=sys.stderr)
-    return True
+    p = alpha_components(grid)
+    cols = np.broadcast_arrays(p.lam, p.d_lambda, p.alpha1, p.alpha2, p.alpha3, p.alpha, exp_weighted_alpha(grid))
+    return Outcome(np.column_stack(cols).tolist(), [])
 
 
-def _cmd_prop21(cfg: RunConfig):
-    t0 = time.perf_counter()
-    seed = cfg.get_seed()
+def _prop21(cfg: RunConfig, seed):
     lam = cfg.get_float("lambda", positive=True)
-    n = cfg.get_int("n", minimum=2)
-    m = cfg.get_int("m", minimum=2)
-    workers = cfg.get_int("workers", 1)
-    b = resolve_b(cfg.get("b", "weighted:sin"), [lam])
-    res = check_prop21(lam, b, m=m, n_paths=n, seed=seed, workers=workers)
-    est = res.estimate
-    row = {
-        "statement": res.statement,
-        "lambda": lam,
-        "alpha": res.alpha,
-        "b": b.name,
-        "n": est.n,
-        "m": m,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "upper999": est.upper(0.999),
-        "bound": res.bound,
-        "max_summand": est.max_summand,
-        "pass": res.passed,
-    }
-    _maybe_dump(cfg, lam, m, seed, b.direction)
-    payload = _payload(cfg, [row], res.passed, time.perf_counter() - t0, seed=seed)
-    _emit(cfg, payload, [row], list(row.keys()))
-    _verdict(res.passed, cfg.command, res.statement,
-             f"lambda={lam:g} upper999={row['upper999']:.6g} bound={res.bound:g}")
-    return res.passed
+    sizes = _sampling(cfg, seed)
+    b = resolve_b(cfg.get("b"), [lam])
+    res = check_prop21(lam, b, **sizes)
+    est, m = res.estimate, sizes["m"]
+    upper = est.upper(0.999)
+    row = (res.statement, lam, res.alpha, b.name, est.n, m, est.mean, est.stderr, upper, res.bound,
+           est.max_summand, res.passed)
+    detail = f"lambda={lam:g} upper999={upper:.6g} bound={res.bound:g}"
+    return Outcome([row], [(res.passed, res.statement, detail)], dump=(lam, m, b.direction))
 
 
-def _thm23_spec(cfg: RunConfig, need_h=True):
-    seed = cfg.get_seed()
-    spectrum, family_n = parse_spectrum(cfg.get("spectrum", "n^2:16"))
-    truncation = cfg.get_int("truncation", family_n)
-    if truncation > len(spectrum):
-        raise ConfigError(f"truncation {truncation} exceeds the listed spectrum ({len(spectrum)})")
-    live = spectrum.eigenvalues[:truncation]
-    b = resolve_b(cfg.get("b", "weighted:sin"), live)
-    kwargs = dict(
-        spectrum=spectrum,
-        truncation=truncation,
-        b=b,
-        seed=seed,
-        m=cfg.get_int("m", minimum=2),
-        n_paths=cfg.get_int("n", minimum=2),
-        workers=cfg.get_int("workers", 1),
-    )
-    if need_h:
-        kwargs["h"] = resolve_h(cfg.get("h", "e1:sin_pi_t"), live)
-        kwargs["ell"] = cfg.get_float("ell", 1.0, positive=True)
-    return kwargs
-
-
-def _cmd_thm23(cfg: RunConfig):
-    t0 = time.perf_counter()
-    try:
-        spec = ExperimentSpec(**_thm23_spec(cfg))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+def _thm23(cfg: RunConfig, seed):
+    spectrum, truncation, live, b = _hilbert(cfg)
+    h = resolve_h(cfg.get("h"), live)
+    ell = cfg.get_float("ell", positive=True)
+    spec = ExperimentSpec(spectrum, truncation, b, h=h, ell=ell, **_sampling(cfg, seed))
     res = check_thm23(spec)
     est = res.estimate
-    row = {
-        "statement": res.statement,
-        "spectrum": cfg.get("spectrum", "n^2:16"),
-        "truncation": spec.truncation,
-        "b": spec.b.name,
-        "h": spec.h.name,
-        "ell": res.ell,
-        "beta": res.beta,
-        "rate": res.rate,
-        "h_sup": res.h_sup,
-        "n": est.n,
-        "m": spec.m,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "upper999": est.upper(0.999),
-        "bound": res.bound,
-        "max_summand": est.max_summand,
-        "pass": res.passed,
-    }
-    _maybe_dump(cfg, res.ell * spec.spectrum.eigenvalues[spec.b.direction], spec.m, spec.seed, spec.b.direction)
-    payload = _payload(cfg, [row], res.passed, time.perf_counter() - t0, seed=spec.seed)
-    _emit(cfg, payload, [row], list(row.keys()))
-    _verdict(res.passed, cfg.command, res.statement,
-             f"b={spec.b.name} upper999={row['upper999']:.6g} bound={res.bound:g}")
-    return res.passed
+    upper = est.upper(0.999)
+    row = (res.statement, cfg.get("spectrum"), spec.truncation, b.name, spec.h.name, res.ell, res.beta, res.rate,
+           res.h_sup, est.n, spec.m, est.mean, est.stderr, upper, res.bound, est.max_summand, res.passed)
+    detail = f"b={b.name} upper999={upper:.6g} bound={res.bound:g}"
+    dump = (res.ell * spectrum.eigenvalues[b.direction], spec.m, b.direction)
+    return Outcome([row], [(res.passed, res.statement, detail)], dump=dump)
 
 
-def _window_spec(cfg: RunConfig):
-    seed = cfg.get_seed()
-    spectrum, family_n = parse_spectrum(cfg.get("spectrum", "1,4"))
-    truncation = cfg.get_int("truncation", family_n)
-    if truncation > len(spectrum):
-        raise ConfigError(f"truncation {truncation} exceeds the listed spectrum ({len(spectrum)})")
-    live = spectrum.eigenvalues[:truncation]
-    return spectrum, truncation, live, dict(
-        seed=seed,
-        m=cfg.get_int("m", minimum=2),
-        n_paths=cfg.get_int("n", minimum=2),
-        workers=cfg.get_int("workers", 1),
-        r=cfg.get_float("r", 0.0),
-        u=cfg.get_float("u", 1.0),
-    )
+def _concentration(cfg: RunConfig, seed):
+    etas = cfg.get_floats("etas")
+    h1 = cfg.require("h1")
+    spectrum, truncation, live, b = _hilbert(cfg)
+    h1, h2 = resolve_h(h1, live), resolve_h(cfg.get("h2"), live)
+    spec = ExperimentSpec(spectrum, truncation, b, h1=h1, h2=h2, **_window(cfg, truncation), **_sampling(cfg, seed))
+    res = concentration_tail(spec, etas)
+    rows = [(res.statement, r.eta, r.threshold, r.empirical, r.stderr, r.bound, r.passed) for r in res.rows]
+    extra = dict(beta=res.beta, ell=res.ell, diff_sup=res.diff_sup, degenerate=res.degenerate, note=res.note,
+                 n=spec.n_paths, m=spec.m)
+    worst = max(r.empirical - r.bound for r in res.rows)
+    detail = f"etas={','.join(f'{e:g}' for e in etas)} worst_excess={worst:.3g}"
+    return Outcome(rows, [(res.passed, res.statement, detail)], extra, _window_dump(spec))
 
 
-def _cmd_concentration(cfg: RunConfig):
-    t0 = time.perf_counter()
-    spectrum, truncation, live, common = _window_spec(cfg)
-    etas = cfg.get_floats("etas", "0.5,1,2,4")
-    h1_name = cfg.get("h1")
-    if h1_name is None:
-        raise ConfigError("missing required setting 'h1'")
-    try:
-        spec = ExperimentSpec(
-            spectrum=spectrum,
-            truncation=truncation,
-            b=resolve_b(cfg.get("b", "weighted:sin"), live),
-            h1=resolve_h(h1_name, live),
-            h2=resolve_h(cfg.get("h2", "zero"), live),
-            x0=parse_vector(cfg.get("x0"), truncation, "x0"),
-            **common,
-        )
-        res = concentration_tail(spec, etas)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [
-        {
-            "statement": res.statement,
-            "eta": r.eta,
-            "threshold": r.threshold,
-            "empirical": r.empirical,
-            "stderr": r.stderr,
-            "bound": r.bound,
-            "pass": r.passed,
-        }
-        for r in res.rows
-    ]
-    extra = {
-        "beta": res.beta,
-        "ell": res.ell,
-        "diff_sup": res.diff_sup,
-        "degenerate": res.degenerate,
-        "note": res.note,
-        "n": spec.n_paths,
-        "m": spec.m,
-    }
-    _maybe_dump(cfg, live[spec.b.direction], spec.m, spec.seed, spec.b.direction,
-                horizon=spec.window, t_offset=spec.r, x0_dir=spec.start_component(spec.b.direction))
-    payload = _payload(cfg, rows, res.passed, time.perf_counter() - t0, seed=spec.seed, extra=extra)
-    _emit(cfg, payload, rows, ["statement", "eta", "threshold", "empirical", "stderr", "bound", "pass"])
-    worst = max((r.empirical - r.bound for r in res.rows), default=0.0)
-    _verdict(res.passed, cfg.command, res.statement,
-             f"etas={','.join(f'{e:g}' for e in etas)} worst_excess={worst:.3g}")
-    return res.passed
-
-
-def _cmd_moments(cfg: RunConfig):
-    t0 = time.perf_counter()
-    spectrum, truncation, live, common = _window_spec(cfg)
-    ps = cfg.get_ints("ps", "1,2,4")
-    x_text, y_text = cfg.get("x"), cfg.get("y")
-    if x_text is None or y_text is None:
+def _moments(cfg: RunConfig, seed):
+    ps = cfg.get_ints("ps")
+    x, y = cfg.get("x"), cfg.get("y")
+    if x is None or y is None:
         raise ConfigError("moments needs both constant shifts: x=<list> and y=<list>")
-    try:
-        spec = ExperimentSpec(
-            spectrum=spectrum,
-            truncation=truncation,
-            b=resolve_b(cfg.get("b", "weighted:sin"), live),
-            x=parse_vector(x_text, truncation, "x"),
-            y=parse_vector(y_text, truncation, "y"),
-            x0=parse_vector(cfg.get("x0"), truncation, "x0"),
-            **common,
-        )
-        res = moment_bound(spec, ps)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [
-        {
-            "statement": res.statement,
-            "p": r.p,
-            "moment": r.moment,
-            "stderr": r.stderr,
-            "upper999": r.upper999,
-            "bound_derived": r.bound_derived,
-            "bound_stated": r.bound_stated,
-            "pass": r.passed,
-        }
-        for r in res.rows
-    ]
-    gamma_rows = [
-        {"statement": STATEMENT_GAMMA, "p": p, "lhs": lhs, "rhs": rhs, "pass": ok}
-        for p, lhs, rhs, ok in gamma_step_check(20)
-    ]
-    gamma_ok = all(r["pass"] for r in gamma_rows)
-    passed = res.passed and gamma_ok
-    extra = {
-        "beta": res.beta,
-        "ell": res.ell,
-        "separation": res.separation,
-        "degenerate": res.degenerate,
-        "note": res.note,
-        "n": spec.n_paths,
-        "m": spec.m,
-        "gamma_results": gamma_rows,
-    }
-    _maybe_dump(cfg, live[spec.b.direction], spec.m, spec.seed, spec.b.direction,
-                horizon=spec.window, t_offset=spec.r, x0_dir=spec.start_component(spec.b.direction))
-    payload = _payload(cfg, rows, passed, time.perf_counter() - t0, seed=spec.seed, extra=extra)
-    _emit(cfg, payload, rows, ["statement", "p", "moment", "stderr", "upper999", "bound_derived", "bound_stated", "pass"])
-    _verdict(res.passed, cfg.command, res.statement, f"ps={','.join(map(str, ps))} sep={res.separation:g}")
-    _verdict(gamma_ok, cfg.command, STATEMENT_GAMMA, "p=1..20")
-    return passed
+    spectrum, truncation, live, b = _hilbert(cfg)
+    x, y = parse_vector(x, truncation, "x"), parse_vector(y, truncation, "y")
+    spec = ExperimentSpec(spectrum, truncation, b, x=x, y=y, **_window(cfg, truncation), **_sampling(cfg, seed))
+    res = moment_bound(spec, ps)
+    rows = [(res.statement, r.p, r.moment, r.stderr, r.upper999, r.bound_derived, r.bound_stated, r.passed)
+            for r in res.rows]
+    gamma_rows = [{"statement": STATEMENT_GAMMA, "p": p, "lhs": lhs, "rhs": rhs, "pass": ok}
+                  for p, lhs, rhs, ok in gamma_step_check(20)]
+    extra = dict(beta=res.beta, ell=res.ell, separation=res.separation, degenerate=res.degenerate, note=res.note,
+                 n=spec.n_paths, m=spec.m, gamma_results=gamma_rows)
+    verdicts = [(res.passed, res.statement, f"ps={','.join(map(str, ps))} sep={res.separation:g}"),
+                (all(r["pass"] for r in gamma_rows), STATEMENT_GAMMA, "p=1..20")]
+    return Outcome(rows, verdicts, extra, _window_dump(spec))
 
 
-def _cmd_decomposition(cfg: RunConfig):
-    t0 = time.perf_counter()
-    seed = cfg.get_seed()
+def _decomposition(cfg: RunConfig, seed):
     lam = cfg.get_float("lambda", positive=True)
-    m_list = cfg.get_ints("m_list", "256,1024,4096")
-    n = cfg.get_int("n", minimum=2)
-    workers = cfg.get_int("workers", 1)
-    b = resolve_b(cfg.get("b", "weighted:sin"), [lam])
-    try:
-        reports = covariation_check(b, lam, m_list, n_paths=n, seed=seed, workers=workers)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    m_list = cfg.get_ints("m_list")
+    n, workers = cfg.get_int("n", minimum=2), cfg.get_int("workers")
+    b = resolve_b(cfg.get("b"), [lam])
+    reports = covariation_check(b, lam, m_list, n_paths=n, seed=seed, workers=workers)
+    rows = [(STATEMENT_DECOMPOSITION, r.m, r.n_paths, r.lhs, r.covariation, r.i1, r.i2, r.i3, r.residual,
+             r.cov_residual, r.i2_head_mass) for r in reports]
     # the verdict quantity is mean |backward - forward - int b' dt|
     residuals = [r.cov_residual for r in reports]
     passed = trend_decreasing(residuals, allowed_violations=1)
-    rows = [
-        {
-            "statement": STATEMENT_DECOMPOSITION,
-            "m": r.m,
-            "n": r.n_paths,
-            "lhs_mean": r.lhs,
-            "covariation_mean": r.covariation,
-            "i1_mean": r.i1,
-            "i2_mean": r.i2,
-            "i3_mean": r.i3,
-            "residual_mean": r.residual,
-            "cov_residual_mean": r.cov_residual,
-            "i2_head_mass": r.i2_head_mass,
-        }
-        for r in reports
-    ]
-    payload = _payload(cfg, rows, passed, time.perf_counter() - t0, seed=seed)
-    _emit(cfg, payload, rows, list(rows[0].keys()))
-    trend = " -> ".join(f"{v:.3e}" for v in residuals)
-    _verdict(passed, cfg.command, STATEMENT_DECOMPOSITION, f"lambda={lam:g} residuals {trend}")
+    detail = f"lambda={lam:g} residuals {' -> '.join(f'{v:.3e}' for v in residuals)}"
+    return Outcome(rows, [(passed, STATEMENT_DECOMPOSITION, detail)])
+
+
+# ----------------------------------------------------------------------
+# the command table: a command is its flags, its check and its columns
+# ----------------------------------------------------------------------
+
+
+class Flag(NamedTuple):
+    """A command-line flag and its default; the config key is the flag name, normalized."""
+
+    flag: str
+    default: str | None
+    help: str
+    choices: tuple = None
+
+    @property
+    def key(self) -> str:
+        return _normalize_key(self.flag.lstrip("-"))
+
+
+class Command(NamedTuple):
+    """A subcommand: its help line, flags, check and the columns of its result rows."""
+
+    help: str
+    flags: tuple
+    check: Callable  # (cfg, seed) -> Outcome; seed is None for a command without --seed
+    columns: tuple
+    dumps: bool = True  # --dump writes the paths the check sampled; False: the flag is ignored
+
+    @property
+    def keys(self) -> set:
+        return {f.key for f in self.flags}
+
+    @property
+    def defaults(self) -> dict:
+        return {f.key: f.default for f in self.flags if f.default is not None}
+
+
+_OUT = Flag("--out", None, "write results here instead of stdout")
+_M = Flag("--M", "4096", "time grid steps")
+_LAMBDA = Flag("--lambda", None, "drift rate of the scalar process")
+_WINDOW = (
+    Flag("--x0", None, "start value at r, comma list (default 0)"),
+    Flag("--r", "0", "window start in [0,1)"),
+    Flag("--u", "1", "window end in (r,1]"),
+)
+
+
+def _format(default):
+    return Flag("--format", default, "output format", ("json", "csv"))
+
+
+def _b(help):
+    return Flag("--b", "weighted:sin", help)
+
+
+def _sampling_flags(n="100000"):
+    return (
+        _OUT,
+        _format("json"),
+        Flag("--seed", None, "RNG seed (required, 64-bit)"),
+        Flag("--n", n, "number of Monte Carlo paths"),
+        Flag("--workers", "1", "worker processes; never changes results"),
+        Flag("--dump", None, "also write sampled state values as CSV (path_id, component, t, value)"),
+        Flag("--dump-paths", "8", "paths in the dump (default 8, max 256)"),
+    )
+
+
+def _hilbert_flags(spectrum, truncation_help="live components"):
+    return _sampling_flags() + (
+        _M,
+        Flag("--spectrum", spectrum, "comma list or n^2:<N>"),
+        Flag("--truncation", None, truncation_help),
+        _b("drift function name"),
+    )
+
+
+COMMANDS = {
+    "constants": Command(
+        "deterministic constants table",
+        (_OUT, _format("csv"), Flag("--lambda-grid", "log:1e-4:1e2:400", "log:lo:hi:n, lin:lo:hi:n, or comma list")),
+        _constants,
+        ("lambda", "d_lambda", "alpha1", "alpha2", "alpha3", "alpha", "h"),
+        dumps=False,
+    ),
+    "verify-prop21": Command(
+        "exponential moment of int b' dt, scalar process",
+        _sampling_flags() + (_LAMBDA, _M, _b("drift function name, e.g. weighted:sin")),
+        _prop21,
+        ("statement", "lambda", "alpha", "b", "n", "m", "mean", "stderr", "upper999", "bound", "max_summand", "pass"),
+    ),
+    "verify-thm23": Command(
+        "exponential moment of the shift functional",
+        _hilbert_flags("n^2:16", "live components (default: all listed)") + (
+            Flag("--h", "e1:sin_pi_t", "shift name, e.g. e1:sin_pi_t"),
+            Flag("--ell", "1", "window length scaling the rates"),
+        ),
+        _thm23,
+        ("statement", "spectrum", "truncation", "b", "h", "ell", "beta", "rate", "h_sup", "n", "m", "mean",
+         "stderr", "upper999", "bound", "max_summand", "pass"),
+    ),
+    "concentration": Command(
+        "window tail probabilities",
+        _hilbert_flags("1,4") + (
+            Flag("--h1", None, "first shift name"),
+            Flag("--h2", "zero", "second shift name (default zero)"),
+            *_WINDOW,
+            Flag("--etas", "0.5,1,2,4", "comma list of tail levels"),
+        ),
+        _concentration,
+        ("statement", "eta", "threshold", "empirical", "stderr", "bound", "pass"),
+    ),
+    "moments": Command(
+        "p-th moment bounds for constant shifts",
+        _hilbert_flags("1,4") + (
+            Flag("--x", None, "first constant shift, comma list"),
+            Flag("--y", None, "second constant shift, comma list"),
+            *_WINDOW,
+            Flag("--ps", "1,2,4", "comma list of moment orders"),
+        ),
+        _moments,
+        ("statement", "p", "moment", "stderr", "upper999", "bound_derived", "bound_stated", "pass"),
+    ),
+    "decomposition": Command(
+        "forward/backward residual vs grid refinement",
+        _sampling_flags(n="20000") + (
+            _LAMBDA,
+            Flag("--m-list", "256,1024,4096", "comma list of grid sizes, increasing"),
+            _b("smooth drift function name"),
+        ),
+        _decomposition,
+        ("statement", "m", "n", "lhs_mean", "covariation_mean", "i1_mean", "i2_mean", "i3_mean", "residual_mean",
+         "cov_residual_mean", "i2_head_mass"),
+        dumps=False,
+    ),
+}
+
+CONSTANTS_COLUMNS = list(COMMANDS["constants"].columns)
+
+
+def _run(cfg: RunConfig) -> bool:
+    """Run cfg's command; True when every verdict passed.
+
+    Settings the command does not read, a bad format and an oversized
+    dump are rejected before the check, so they cost no Monte Carlo run.
+    """
+    t0 = time.perf_counter()
+    cmd = COMMANDS[cfg.command]
+    unknown = sorted({k for k, _ in cfg.entries} - cmd.keys)
+    if unknown:
+        raise ConfigError(f"{cfg.command} has no setting {', '.join(map(repr, unknown))}")
+    seed = cfg.get_seed() if "seed" in cmd.keys else None
+    for f in cmd.flags:
+        if f.choices and cfg.get(f.key) not in f.choices:
+            raise ConfigError(f"{f.key} must be {' or '.join(f.choices)}, got {cfg.get(f.key)!r}")
+    dump_paths = _dump_paths(cfg) if cmd.dumps else 0
+    out = cmd.check(cfg, seed)
+    rows = [dict(zip(cmd.columns, row, strict=True)) for row in out.rows]
+    if dump_paths:
+        _write_dump(cfg.get("dump"), dump_paths, seed, *out.dump)
+    passed = all(ok for ok, _, _ in out.verdicts)
+    payload = _payload(cfg, rows, passed if out.verdicts else None, time.perf_counter() - t0, seed, out.extra)
+    _emit(cfg, payload, rows, cmd.columns)
+    # stdout is reserved for the JSON/CSV payload; humans read stderr
+    for ok, statement, detail in out.verdicts:
+        print(f"{'PASS' if ok else 'FAIL'} {cfg.command}: {statement} [{detail}]", file=sys.stderr)
+    if not out.verdicts:
+        print(f"{cfg.command}: {len(rows)} rows", file=sys.stderr)
     return passed
-
-
-_COMMANDS = {
-    "constants": _cmd_constants,
-    "verify-prop21": _cmd_prop21,
-    "verify-thm23": _cmd_thm23,
-    "concentration": _cmd_concentration,
-    "moments": _cmd_moments,
-    "decomposition": _cmd_decomposition,
-}
-
-_DEFAULTS = {
-    "constants": {"lambda_grid": "log:1e-4:1e2:400", "format": "csv"},
-    "verify-prop21": {"n": "100000", "m": "4096", "workers": "1", "b": "weighted:sin", "format": "json"},
-    "verify-thm23": {
-        "n": "100000", "m": "4096", "workers": "1", "format": "json",
-        "spectrum": "n^2:16", "b": "weighted:sin", "h": "e1:sin_pi_t", "ell": "1",
-    },
-    "concentration": {
-        "n": "100000", "m": "4096", "workers": "1", "format": "json",
-        "spectrum": "1,4", "b": "weighted:sin", "h2": "zero",
-        "etas": "0.5,1,2,4", "r": "0", "u": "1",
-    },
-    "moments": {
-        "n": "100000", "m": "4096", "workers": "1", "format": "json",
-        "spectrum": "1,4", "b": "weighted:sin", "ps": "1,2,4", "r": "0", "u": "1",
-    },
-    "decomposition": {
-        "n": "20000", "m_list": "256,1024,4096", "workers": "1",
-        "b": "weighted:sin", "format": "json",
-    },
-}
 
 
 def _build_parser():
@@ -662,69 +649,11 @@ def _build_parser():
 
     top = argparse.ArgumentParser(prog="oulab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, seed=True):
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--out", help="write results here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], help="output format")
-        if seed:
-            p.add_argument("--seed", help="RNG seed (required, 64-bit)")
-            p.add_argument("--n", help="number of Monte Carlo paths")
-            p.add_argument("--workers", help="worker processes; never changes results")
-            p.add_argument("--dump", help="also write sampled state values as CSV (path_id, component, t, value)")
-            p.add_argument("--dump-paths", help="paths in the dump (default 8, max 256)")
-
-    p = sub.add_parser("constants", help="deterministic constants table")
-    common(p, seed=False)
-    p.add_argument("--lambda-grid", help="log:lo:hi:n, lin:lo:hi:n, or comma list")
-
-    p = sub.add_parser("verify-prop21", help="exponential moment of int b' dt, scalar process")
-    common(p)
-    p.add_argument("--lambda", help="drift rate of the scalar process")
-    p.add_argument("--M", help="time grid steps")
-    p.add_argument("--b", help="drift function name, e.g. weighted:sin")
-
-    p = sub.add_parser("verify-thm23", help="exponential moment of the shift functional")
-    common(p)
-    p.add_argument("--M", help="time grid steps")
-    p.add_argument("--spectrum", help="comma list or n^2:<N>")
-    p.add_argument("--truncation", help="live components (default: all listed)")
-    p.add_argument("--b", help="drift function name")
-    p.add_argument("--h", help="shift name, e.g. e1:sin_pi_t")
-    p.add_argument("--ell", help="window length scaling the rates")
-
-    p = sub.add_parser("concentration", help="window tail probabilities")
-    common(p)
-    p.add_argument("--M", help="time grid steps")
-    p.add_argument("--spectrum", help="comma list or n^2:<N>")
-    p.add_argument("--truncation", help="live components")
-    p.add_argument("--b", help="drift function name")
-    p.add_argument("--h1", help="first shift name")
-    p.add_argument("--h2", help="second shift name (default zero)")
-    p.add_argument("--x0", help="start value at r, comma list (default 0)")
-    p.add_argument("--r", help="window start in [0,1)")
-    p.add_argument("--u", help="window end in (r,1]")
-    p.add_argument("--etas", help="comma list of tail levels")
-
-    p = sub.add_parser("moments", help="p-th moment bounds for constant shifts")
-    common(p)
-    p.add_argument("--M", help="time grid steps")
-    p.add_argument("--spectrum", help="comma list or n^2:<N>")
-    p.add_argument("--truncation", help="live components")
-    p.add_argument("--b", help="drift function name")
-    p.add_argument("--x", help="first constant shift, comma list")
-    p.add_argument("--y", help="second constant shift, comma list")
-    p.add_argument("--x0", help="start value at r, comma list (default 0)")
-    p.add_argument("--r", help="window start in [0,1)")
-    p.add_argument("--u", help="window end in (r,1]")
-    p.add_argument("--ps", help="comma list of moment orders")
-
-    p = sub.add_parser("decomposition", help="forward/backward residual vs grid refinement")
-    common(p)
-    p.add_argument("--lambda", help="drift rate of the scalar process")
-    p.add_argument("--m-list", help="comma list of grid sizes, increasing")
-    p.add_argument("--b", help="smooth drift function name")
-
+        for f in cmd.flags:
+            p.add_argument(f.flag, help=f.help, choices=f.choices)
     return top
 
 
@@ -743,12 +672,8 @@ def main(argv=None) -> int:
             return 2
     overrides = {k: v for k, v in raw.items() if v is not None}
     try:
-        cfg = RunConfig.build(command, _DEFAULTS[command], file_text, overrides)
-        passed = _COMMANDS[command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+        passed = _run(RunConfig.build(command, COMMANDS[command].defaults, file_text, overrides))
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if passed else 1

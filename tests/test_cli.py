@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +208,49 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL verify-prop21:" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--dump"])
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path, flag):
+        target = tmp_path / "missing" / "x.out"
+        code, _, err = _run(
+            capsys, "verify-prop21", "--seed", "5", "--lambda", "1", "--n", "512", "--M", "64", flag, str(target)
+        )
+        assert code == 2
+        assert f"cannot write {target}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["concentration", "--M", "32", "--h1", "e1:sin_pi_t", "--etas", ","],
+        ["moments", "--M", "32", "--x", "0.5", "--y", "-0.5", "--ps", ","],
+        ["decomposition", "--lambda", "1", "--m-list", ","],
+    ])
+    def test_empty_list_is_config_error(self, capsys, argv):
+        code, _, err = _run(capsys, *argv, "--seed", "1", "--n", "64")
+        assert code == 2
+        assert "at least one number" in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("format=xml", "format must be json or csv"),
+        ("dump=d.csv\ndump_paths=300", "capped at 256"),
+        ("dump=d.csv\ndump_paths=256\nm=8000", "row cap"),
+    ])
+    def test_plumbing_rejected_before_the_check(self, capsys, monkeypatch, tmp_path, setting, message):
+        def never(*a, **kw):
+            raise AssertionError("check ran before plumbing was validated")
+
+        monkeypatch.setattr(cli, "check_prop21", never)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"seed=5\nlambda=1\nn=512\nm=64\n{setting.replace('d.csv', str(tmp_path / 'd.csv'))}\n")
+        code, _, err = _run(capsys, "verify-prop21", "--config", str(conf))
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_unknown_config_key_is_named(self, capsys, tmp_path):
+        conf = tmp_path / "typo.conf"
+        conf.write_text("seed=5\nlamda=2\n")
+        code, _, err = _run(capsys, "verify-prop21", "--config", str(conf), "--lambda", "1")
+        assert code == 2
+        assert "'lamda'" in err
+
 
 class TestPayload:
     def test_json_shape(self, capsys, tmp_path):
@@ -357,3 +403,32 @@ class TestDecompositionCommand:
             "--m-list", "1024,64",
         )
         assert code == 2
+
+
+# spec_hash of each command at its table defaults (plus seed 42 where the
+# command takes one); a drift in any default, key or command name shows here
+SPEC_HASHES = {
+    "constants": "23b61b3ff1826cd3d50e64077d9f9f09d927f7dba41436c709c3de698c9ebd3a",
+    "verify-prop21": "162d3a314d6e1bab442b1143e2150aa5e9028b421a1e7a045b0a7c757c00a6b8",
+    "verify-thm23": "2afaecf8057c2c37dfb63fa7c2c4796044d88e80ea9ca169957095679f9099ef",
+    "concentration": "addf6bf7b9ffe73ea949fc8baae50ff290b9e193cd21591202bb875143174e41",
+    "moments": "3c7e04f992a9668b91a6320d190c13206b0832920ae92a5bc5c047cd81344cf8",
+    "decomposition": "2e17dd75bc99407c45821010c6c2f21cea4bfc6edea3113c707bc63e2882f353",
+}
+
+
+class TestCommandTable:
+    def test_spec_hash_pinned_at_defaults(self):
+        assert set(cli.COMMANDS) == set(SPEC_HASHES)
+        for name, cmd in cli.COMMANDS.items():
+            seed = {"seed": "42"} if "seed" in cmd.keys else {}
+            assert RunConfig.build(name, cmd.defaults, None, seed).spec_hash() == SPEC_HASHES[name], name
+
+    def test_readme_examples_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [ln.strip() for ln in readme.read_text().splitlines() if re.match(r"\s*oulab ", ln)]
+        assert len(lines) >= 6
+        parser = cli._build_parser()
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            assert parser.parse_args(argv).command == argv[0]
