@@ -37,6 +37,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -282,6 +283,20 @@ def _open_out(path, **kwargs):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path):
+    """Refuse an output path that cannot be created, before any sampling.
+
+    _open_out still maps a failure at write time to a config error.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise ConfigError(f"cannot write {path}: directory {parent} is not writable")
+
+
 def _emit(cfg: RunConfig, payload, rows, fieldnames):
     """Write JSON (whole payload) or CSV (just the rows) to --out/stdout."""
     if cfg.get("format") == "json":
@@ -335,7 +350,7 @@ def _dump_paths(cfg: RunConfig) -> int:
 def _write_dump(path, k, seed, rate, m, component, horizon=1.0, t_offset=0.0, x0_dir=0.0):
     """CSV of the state values the run consumed, first k paths."""
     tau = np.linspace(0.0, horizon, m + 1)
-    values = block_paths_1d(rate, m, seed, component, 0, horizon=horizon)[:k]
+    values = block_paths_1d(rate, m, seed, component, 0, horizon=horizon, rows=(0, k))
     if x0_dir != 0.0:
         values = values + np.exp(-rate * tau) * x0_dir
     with _open_out(path, newline="") as fh:
@@ -500,7 +515,6 @@ class Command(NamedTuple):
     flags: tuple
     check: Callable  # (cfg, seed) -> Outcome; seed is None for a command without --seed
     columns: tuple
-    dumps: bool = True  # --dump writes the paths the check sampled; False: the flag is ignored
 
     @property
     def keys(self) -> set:
@@ -536,13 +550,18 @@ def _sampling_flags(n="100000"):
         Flag("--seed", None, "RNG seed (required, 64-bit)"),
         Flag("--n", n, "number of Monte Carlo paths"),
         Flag("--workers", "1", "worker processes; never changes results"),
-        Flag("--dump", None, "also write sampled state values as CSV (path_id, component, t, value)"),
-        Flag("--dump-paths", "8", "paths in the dump (default 8, max 256)"),
     )
 
 
+# a command dumps exactly when it has these flags: --dump writes paths its check sampled
+_DUMP = (
+    Flag("--dump", None, "also write sampled state values as CSV (path_id, component, t, value)"),
+    Flag("--dump-paths", "8", "paths in the dump (default 8, max 256)"),
+)
+
+
 def _hilbert_flags(spectrum, truncation_help="live components"):
-    return _sampling_flags() + (
+    return _sampling_flags() + _DUMP + (
         _M,
         Flag("--spectrum", spectrum, "comma list or n^2:<N>"),
         Flag("--truncation", None, truncation_help),
@@ -556,11 +575,10 @@ COMMANDS = {
         (_OUT, _format("csv"), Flag("--lambda-grid", "log:1e-4:1e2:400", "log:lo:hi:n, lin:lo:hi:n, or comma list")),
         _constants,
         ("lambda", "d_lambda", "alpha1", "alpha2", "alpha3", "alpha", "h"),
-        dumps=False,
     ),
     "verify-prop21": Command(
         "exponential moment of int b' dt, scalar process",
-        _sampling_flags() + (_LAMBDA, _M, _b("drift function name, e.g. weighted:sin")),
+        _sampling_flags() + _DUMP + (_LAMBDA, _M, _b("drift function name, e.g. weighted:sin")),
         _prop21,
         ("statement", "lambda", "alpha", "b", "n", "m", "mean", "stderr", "upper999", "bound", "max_summand", "pass"),
     ),
@@ -606,7 +624,6 @@ COMMANDS = {
         _decomposition,
         ("statement", "m", "n", "lhs_mean", "covariation_mean", "i1_mean", "i2_mean", "i3_mean", "residual_mean",
          "cov_residual_mean", "i2_head_mass"),
-        dumps=False,
     ),
 }
 
@@ -616,8 +633,9 @@ CONSTANTS_COLUMNS = list(COMMANDS["constants"].columns)
 def _run(cfg: RunConfig) -> bool:
     """Run cfg's command; True when every verdict passed.
 
-    Settings the command does not read, a bad format and an oversized
-    dump are rejected before the check, so they cost no Monte Carlo run.
+    Settings the command does not read, a bad format, an oversized dump
+    and an output path that cannot be created are rejected before the
+    check, so they cost no Monte Carlo run.
     """
     t0 = time.perf_counter()
     cmd = COMMANDS[cfg.command]
@@ -628,7 +646,10 @@ def _run(cfg: RunConfig) -> bool:
     for f in cmd.flags:
         if f.choices and cfg.get(f.key) not in f.choices:
             raise ConfigError(f"{f.key} must be {' or '.join(f.choices)}, got {cfg.get(f.key)!r}")
-    dump_paths = _dump_paths(cfg) if cmd.dumps else 0
+    dump_paths = _dump_paths(cfg)
+    for path in (cfg.get("out"), cfg.get("dump") if dump_paths else None):
+        if path:
+            _check_writable(path)
     out = cmd.check(cfg, seed)
     rows = [dict(zip(cmd.columns, row, strict=True)) for row in out.rows]
     if dump_paths:

@@ -34,7 +34,7 @@ from scipy.special import ndtri
 from .constants import DriftSpectrum, PROP_C_EXACT, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
 from .fnlib import FunctionDescriptor, ShiftDescriptor, shift_difference_norm
-from .ousim import HilbertPath, block_paths_1d
+from .ousim import HilbertPath, _grid, block_paths_1d, row_chunks
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -206,11 +206,21 @@ def shift_functional(b: FunctionDescriptor, h: ShiftDescriptor, path: HilbertPat
 # ----------------------------------------------------------------------
 
 
+# Each worker samples the first count paths of its block in row chunks
+# (ousim.row_chunks) and writes each chunk's per-path values into one
+# preallocated array.  Every row's recursion, profile evaluation and
+# reduction along the last axis is independent of the rows sharing its
+# array, so the values are bitwise those of one whole-block pass.
+
+
 def _prop21_block(block, count, seed, lam, m, b):
-    times = np.linspace(0.0, 1.0, m + 1)
-    z = block_paths_1d(lam, m, seed, b.direction, block)[:count]
-    dphi = np.asarray(b.profile_dx(times, z), dtype=np.float64)
-    return np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * b.vector_norm
+    times = _grid(m, 1.0)
+    out = np.empty(count)
+    for start, stop in row_chunks(count, m):
+        z = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop))
+        dphi = np.asarray(b.profile_dx(times, z), dtype=np.float64)
+        out[start:stop] = np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * b.vector_norm
+    return out
 
 
 def _shifted_pair_block(block, count, seed, rate, horizon, m, b, h1_vals, h2_vals, x0_dir, t_abs):
@@ -220,14 +230,17 @@ def _shifted_pair_block(block, count, seed, rate, horizon, m, b, h1_vals, h2_val
     the absolute times fed to the profile (the window offset for
     conditional runs, plain [0,1] otherwise).
     """
-    tau = np.linspace(0.0, horizon, m + 1)
-    z = block_paths_1d(rate, m, seed, b.direction, block, horizon=horizon)[:count]
-    if x0_dir != 0.0:
-        z = z + np.exp(-rate * tau) * x0_dir
-    phi1 = np.asarray(b.profile(t_abs, z + h1_vals), dtype=np.float64)
-    phi2 = np.asarray(b.profile(t_abs, z + h2_vals), dtype=np.float64)
-    j = np.trapezoid(phi1 - phi2, dx=horizon / m, axis=-1)
-    return np.abs(j) * b.vector_norm
+    start_decay = np.exp(-rate * _grid(m, horizon)) * x0_dir if x0_dir != 0.0 else None
+    out = np.empty(count)
+    for start, stop in row_chunks(count, m):
+        z = block_paths_1d(rate, m, seed, b.direction, block, horizon=horizon, rows=(start, stop))
+        if start_decay is not None:
+            z += start_decay
+        phi1 = np.asarray(b.profile(t_abs, z + h1_vals), dtype=np.float64)
+        phi2 = np.asarray(b.profile(t_abs, z + h2_vals), dtype=np.float64)
+        j = np.trapezoid(phi1 - phi2, dx=horizon / m, axis=-1)
+        out[start:stop] = np.abs(j) * b.vector_norm
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -20,11 +20,13 @@ Streams are counter-based (Philox) and keyed by
 (seed, domain, component, block), where a block covers BLOCK consecutive
 path indices.  A path's Gaussians are row (path mod BLOCK) of the
 C-order (BLOCK, M) draw matrix of its block, so any scheduling of blocks
-across workers reproduces identical paths.  One path is reached without
-drawing the rows before it: Philox emits four 64-bit words per counter
-step and each normal takes one word, so row r starts floor(r M / 4)
-counter steps and (r M) mod 4 discarded words into its block's stream,
-and one path costs O(M) draws and O(M) memory.  Uniforms map to normals
+across workers reproduces identical paths.  Any row range of a block is
+reached without drawing the rows before it: Philox emits four 64-bit
+words per counter step and each normal takes one word, so row r starts
+floor(r M / 4) counter steps and (r M) mod 4 discarded words into its
+block's stream.  One path costs O(M) draws and O(M) memory, and the
+block kernels draw their blocks in row chunks that consume the stream
+exactly as one whole-block draw does.  Uniforms map to normals
 by the fixed-consumption inverse CDF
 
     k ~ uniform{0, ..., 2^53 - 1},   u = (k + 1/2) 2^-53,   z = ndtri(u),
@@ -102,16 +104,72 @@ def substream(seed, component=0, block=0, domain=DOMAIN_PATH) -> Generator:
 
 
 def standard_normal(gen: Generator, size=None) -> np.ndarray:
-    """Inverse-CDF Gaussians, exactly one 53-bit uniform per value."""
+    """Inverse-CDF Gaussians, exactly one 53-bit uniform per value.
+
+    u = min((k + 1/2) 2^-53, 1 - 2^-53) is formed in place in one float
+    array, which ndtri then overwrites; size=None gives a scalar.
+    """
     k = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    u = np.minimum((np.asarray(k, dtype=np.float64) + 0.5) * _U53, _U_MAX)
-    return ndtri(u)
+    u = np.asarray(k, dtype=np.float64)
+    u += 0.5
+    u *= _U53
+    np.minimum(u, _U_MAX, out=u)
+    return ndtri(u, out=u)[()]
 
 
-def block_normals(seed, component, block, m, domain=DOMAIN_PATH) -> np.ndarray:
-    """The (BLOCK, m) standard normal matrix of one block."""
+def chunk_rows(m) -> int:
+    """Rows of a block that a block kernel processes at once.
+
+    About 2^17 values (1 MB of float64) per intermediate array, so the
+    arrays of one chunk stay in cache: 32 rows at m = 4096, the whole
+    block at m <= 512.
+    """
+    return min(BLOCK, max(1, 2**17 // int(m)))
+
+
+def row_chunks(count, m) -> list:
+    """(start, stop) row ranges of chunk_rows(m) rows covering rows [0, count) of a block."""
+    step = chunk_rows(m)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _row_range(rows) -> tuple:
+    """Validated (start, stop) of a block's rows; None is the whole block."""
+    if rows is None:
+        return 0, BLOCK
+    try:
+        start, stop = rows
+    except (TypeError, ValueError):
+        raise DomainError("rows must be a (start, stop) pair") from None
+    if not all(isinstance(v, (int, np.integer)) for v in (start, stop)):
+        raise DomainError("row range bounds must be integers")
+    if not 0 <= start <= stop <= BLOCK:
+        raise DomainError(f"row range must satisfy 0 <= start <= stop <= {BLOCK}, got ({start}, {stop})")
+    return int(start), int(stop)
+
+
+def _stream_at_row(seed, component, block, m, row, domain) -> Generator:
+    """The block's generator positioned at the first draw of row `row` of its (BLOCK, m) matrix.
+
+    The rows before it are skipped by advancing the Philox counter, not drawn.
+    """
     gen = substream(seed, component, block, domain)
-    return standard_normal(gen, (BLOCK, m))
+    skip = int(row) * int(m)
+    gen.bit_generator.advance(skip // _PHILOX_WORDS)
+    if skip % _PHILOX_WORDS:
+        gen.bit_generator.random_raw(skip % _PHILOX_WORDS, output=False)
+    return gen
+
+
+def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None) -> np.ndarray:
+    """Rows [start, stop) of the (BLOCK, m) standard normal matrix of one block.
+
+    rows=(start, stop) defaults to the whole block; the result is bitwise
+    the same rows of the whole-block draw.
+    """
+    start, stop = _row_range(rows)
+    gen = _stream_at_row(seed, component, block, m, start, domain)
+    return standard_normal(gen, (stop - start, m))
 
 
 @dataclass(frozen=True)
@@ -142,15 +200,10 @@ class PathStream:
 def path_normals(stream: PathStream, m, domain=DOMAIN_PATH) -> np.ndarray:
     """One path's m Gaussians (a row of its block matrix), in O(m) draws.
 
-    The rows before it are skipped by advancing the Philox counter, not
-    drawn; the result is bitwise the row of block_normals.
+    The one-row case of block_normals: the result is bitwise that row.
     """
-    start = int(stream.row) * int(m)
-    bitgen = Philox(key=stream_key(stream.seed, stream.component, stream.block, domain))
-    bitgen.advance(start // _PHILOX_WORDS)
-    if start % _PHILOX_WORDS:
-        bitgen.random_raw(start % _PHILOX_WORDS, output=False)
-    return standard_normal(Generator(bitgen), m)
+    gen = _stream_at_row(stream.seed, stream.component, stream.block, m, stream.row, domain)
+    return standard_normal(gen, m)
 
 
 # ----------------------------------------------------------------------
@@ -244,11 +297,11 @@ def _recursion_paths(lam, m, normals, horizon):
     return out
 
 
-def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PATH) -> np.ndarray:
-    """All BLOCK paths of one block as a (BLOCK, m+1) array."""
+def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PATH, rows=None) -> np.ndarray:
+    """Paths [start, stop) of one block as a (stop - start, m+1) array; rows defaults to all BLOCK paths."""
     lam = _check_rate(lam)
     times = _grid(m, horizon)  # validates m and horizon
-    normals = block_normals(seed, component, block, m, domain)
+    normals = block_normals(seed, component, block, m, domain, rows=rows)
     return _recursion_paths(lam, m, normals, float(times[-1]))
 
 

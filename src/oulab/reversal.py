@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fnlib import FunctionDescriptor
-from .ousim import PathGrid, block_paths_1d
+from .ousim import PathGrid, _grid, block_paths_1d, row_chunks
 from .parallel import run_blocks
 
 EPS_PIN = 1e-9
@@ -136,13 +136,29 @@ def _i2_head_mass(lam, t1):
     return (x1 + math.atan(x1)) / math.sqrt(2.0 * lam)
 
 
-def _split_arrays(b: FunctionDescriptor, lam, times, values):
+def _split_weights(lam, times):
+    """The reversed-drift weights of the split on a grid: (I2's w, I1's c_rev).
+
+    They depend only on (lam, times), so a block computes them once for
+    all its paths.
+    """
+    # I2 in original time: weight c(lam, 1-u) on u in [t_1, 1]
+    u = times[1:]
+    w = reversed_drift_coefficient(lam, 1.0 - u[:-1])
+    w = np.concatenate((w, [lam - 2.0 * lam / (-math.expm1(-2.0 * lam))]))  # u = 1 -> c(lam, 0)
+    # I1 on the reversed path: c(lam, s) at the left ends s_0 = 0, ..., s_{M-1} = 1 - dt
+    s_left = 1.0 - times[::-1][:-1]
+    return w, reversed_drift_coefficient(lam, s_left)
+
+
+def _split_arrays(b: FunctionDescriptor, times, values, weights):
     """Per-path signed amplitudes of (lhs, covariation, i1, i2, i3).
 
-    values: (n, m+1); returns (n, 5).
+    values: (n, m+1); weights: _split_weights(lam, times); returns (n, 5).
     """
     m = times.size - 1
     dt = 1.0 / m
+    w, c_rev = weights
     phi = np.asarray(b.profile(times, values), dtype=np.float64)
     dphi = np.asarray(b.profile_dx(times, values), dtype=np.float64)
     dz = np.diff(values, axis=-1)
@@ -151,18 +167,12 @@ def _split_arrays(b: FunctionDescriptor, lam, times, values):
     cov = np.sum(np.diff(phi, axis=-1) * dz, axis=-1)
     i3 = np.sum(phi[..., :-1] * dz, axis=-1)
 
-    # I2 in original time: weight c(lam, 1-u) on u in [t_1, 1]
-    u = times[1:]
-    w = reversed_drift_coefficient(lam, 1.0 - u[:-1])
-    w = np.concatenate((w, [lam - 2.0 * lam / (-math.expm1(-2.0 * lam))]))  # u = 1 -> c(lam, 0)
     integrand = phi[..., 1:] * values[..., 1:] * w
     i2 = np.trapezoid(integrand, dx=dt, axis=-1)
 
     # I1 on the reversed path: dW-bar_k = dZ-bar_k - c(s_k) Z-bar_k ds
     zbar = values[..., ::-1]
     phibar = phi[..., ::-1]
-    s_left = 1.0 - times[::-1][:-1]  # s_0 = 0, ..., s_{M-1} = 1 - dt
-    c_rev = reversed_drift_coefficient(lam, s_left)
     dwbar = np.diff(zbar, axis=-1) - c_rev * zbar[..., :-1] * dt
     i1 = np.sum(phibar[..., :-1] * dwbar, axis=-1)
 
@@ -176,7 +186,7 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
         raise DomainError(f"descriptor {b.name!r} has no derivative; the split needs b'")
     if abs(path.horizon - 1.0) > 1e-12:
         raise DomainError("the reversal formulas live on the unit interval")
-    vals = _split_arrays(b, path.lam, path.times, path.values[np.newaxis, :])[0]
+    vals = _split_arrays(b, path.times, path.values[np.newaxis, :], _split_weights(path.lam, path.times))[0]
     scale = b.vector_norm
     lhs, cov, i1, i2, i3 = (float(v) * scale for v in vals)
     return DecompositionReport(
@@ -194,9 +204,14 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
 
 
 def _covariation_block(block, count, seed, lam, m, b):
-    times = np.linspace(0.0, 1.0, m + 1)
-    values = block_paths_1d(lam, m, seed, b.direction, block)[:count]
-    return _split_arrays(b, lam, times, values)
+    """The split of the block's first count paths, in row chunks (ousim.row_chunks)."""
+    times = _grid(m, 1.0)
+    weights = _split_weights(lam, times)
+    out = np.empty((count, 5))
+    for start, stop in row_chunks(count, m):
+        values = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop))
+        out[start:stop] = _split_arrays(b, times, values, weights)
+    return out
 
 
 def covariation_check(b: FunctionDescriptor, lam, m_list, n_paths, seed, workers=1):

@@ -244,6 +244,37 @@ class TestExitCodes:
         assert message in err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("flag, target", [
+        ("--out", "missing/x.json"), ("--dump", "missing/d.csv"), ("--out", "."), ("--dump", "."),
+    ])
+    def test_unwritable_output_rejected_before_the_check(self, capsys, monkeypatch, tmp_path, flag, target):
+        def never(*a, **kw):
+            raise AssertionError("check ran before the output path was validated")
+
+        monkeypatch.setattr(cli, "check_prop21", never)
+        path = tmp_path / target
+        code, _, err = _run(capsys, "verify-prop21", "--seed", "5", "--lambda", "1", "--n", "512", "--M", "64",
+                            flag, str(path))
+        assert code == 2
+        assert f"cannot write {path}" in err
+
+    def test_decomposition_has_no_dump_flag(self, capsys, tmp_path):
+        dump = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decomposition", "--seed", "1", "--lambda", "1", "--n", "64", "--dump", str(dump)])
+        assert exc.value.code == 2
+        assert "--dump" in capsys.readouterr().err
+        assert not dump.exists()
+
+    def test_decomposition_dump_key_is_unknown(self, capsys, tmp_path):
+        dump = tmp_path / "d.csv"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"seed=1\nlambda=1\nn=64\ndump={dump}\n")
+        code, _, err = _run(capsys, "decomposition", "--config", str(conf))
+        assert code == 2
+        assert "'dump'" in err
+        assert not dump.exists()
+
     def test_unknown_config_key_is_named(self, capsys, tmp_path):
         conf = tmp_path / "typo.conf"
         conf.write_text("seed=5\nlamda=2\n")

@@ -33,7 +33,7 @@ from oulab.functionals import (
     moment_bound,
     shift_functional,
 )
-from oulab.ousim import sample_hilbert, standard_normal, substream
+from oulab.ousim import block_paths_1d, sample_hilbert, standard_normal, substream
 from oulab.parallel import run_blocks
 
 
@@ -440,3 +440,41 @@ class TestReducedSamplingMatchesFullPaths:
         one = run_blocks(FN._prop21_block, 600, 1, args)
         three = run_blocks(FN._prop21_block, 600, 3, args)
         np.testing.assert_array_equal(one, three)
+
+
+# partial and whole block sizes around the 32-row chunks of M = 4096
+CHUNK_COUNTS = (1, 31, 32, 33, 100, 256)
+
+
+class TestChunkedBlocksMatchWholeBlock:
+    """At M = 4096 (32-row chunks) and M = 1000 (131-row chunks) a block
+    spans several chunks; each worker must equal its whole-block formula
+    (all BLOCK paths sampled, then the first count kept) bitwise."""
+
+    @pytest.mark.parametrize("m", [4096, 1000])
+    def test_prop21_block(self, m):
+        b = make_b_weighted((1.0, 4.0), profile="sin", direction=1)
+        times = np.linspace(0.0, 1.0, m + 1)
+        whole = block_paths_1d(4.0, m, 41, 1, 2)
+        for count in CHUNK_COUNTS:
+            dphi = np.asarray(b.profile_dx(times, whole[:count]), dtype=np.float64)
+            want = np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * b.vector_norm
+            np.testing.assert_array_equal(FN._prop21_block(2, count, 41, 4.0, m, b), want)
+
+    @pytest.mark.parametrize("m", [4096, 1000])
+    @pytest.mark.parametrize("x0_dir, r, horizon", [(0.0, 0.0, 1.0), (0.7, 0.25, 0.5)])
+    def test_shifted_pair_block(self, m, x0_dir, r, horizon):
+        lam = (1.0, 4.0)
+        b = make_b_weighted(lam, profile="sin", direction=0)
+        t_abs = r + np.linspace(0.0, horizon, m + 1)
+        h1 = make_h(lam, {0: "sin_pi_t"}).component(0, t_abs)
+        h2 = np.full(m + 1, -0.3)
+        tau = np.linspace(0.0, horizon, m + 1)
+        whole = block_paths_1d(1.0, m, 43, 0, 1, horizon=horizon)
+        for count in CHUNK_COUNTS:
+            z = whole[:count] + np.exp(-1.0 * tau) * x0_dir if x0_dir != 0.0 else whole[:count]
+            phi1 = np.asarray(b.profile(t_abs, z + h1), dtype=np.float64)
+            phi2 = np.asarray(b.profile(t_abs, z + h2), dtype=np.float64)
+            want = np.abs(np.trapezoid(phi1 - phi2, dx=horizon / m, axis=-1)) * b.vector_norm
+            got = FN._shifted_pair_block(1, count, 43, 1.0, horizon, m, b, h1, h2, x0_dir, t_abs)
+            np.testing.assert_array_equal(got, want)

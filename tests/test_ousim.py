@@ -269,6 +269,38 @@ class TestGridCache:
                 S.sample_path_timechange(2.0, 8, S.PathStream(seed=21, path=0), horizon=176.0)
 
 
+class TestRowRanges:
+    # (start, stop) pairs: empty ranges, starts inside a 4-word Philox step
+    # for odd m and for m = 2, chunk-sized ranges and the block's end
+    RANGES = ((0, 0), (5, 5), (256, 256), (1, 2), (1, 4), (3, 10), (6, 7), (31, 33), (0, 256), (129, 256), (255, 256))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 4096])
+    def test_row_range_is_a_slice_of_the_block(self, m):
+        for domain in (S.DOMAIN_PATH, S.DOMAIN_CLOCK):
+            normals = S.block_normals(17, 2, 3, m, domain)
+            paths = S.block_paths_1d(0.9, m, 17, 2, 3, domain=domain)
+            for start, stop in self.RANGES:
+                got = S.block_normals(17, 2, 3, m, domain, rows=(start, stop))
+                assert got.shape == (stop - start, m)
+                np.testing.assert_array_equal(got, normals[start:stop])
+                got = S.block_paths_1d(0.9, m, 17, 2, 3, domain=domain, rows=(start, stop))
+                assert got.shape == (stop - start, m + 1)
+                np.testing.assert_array_equal(got, paths[start:stop])
+
+    @pytest.mark.parametrize("rows", [(-1, 3), (3, 2), (0, 257), (257, 257), (1.0, 3), (0, "4"), (None, 4), (1,), 5])
+    def test_bad_row_ranges_raise(self, rows):
+        with pytest.raises(DomainError):
+            S.block_normals(1, 0, 0, 8, rows=rows)
+        with pytest.raises(DomainError):
+            S.block_paths_1d(1.0, 8, 1, 0, 0, rows=rows)
+
+    def test_chunks_cover_the_rows(self):
+        assert [S.chunk_rows(m) for m in (2, 512, 513, 1000, 4096, 2**17, 2**18)] == [256, 256, 255, 131, 32, 1, 1]
+        assert S.row_chunks(100, 4096) == [(0, 32), (32, 64), (64, 96), (96, 100)]
+        assert S.row_chunks(256, 512) == [(0, 256)]
+        assert S.row_chunks(1, 4096) == [(0, 1)]
+
+
 class TestMarginalDensity:
     def test_integrates_to_one(self):
         for lam, t in ((0.5, 0.3), (2.0, 1.0)):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import oulab.reversal as R
 from oulab.errors import DomainError
 from oulab.fnlib import make_b_weighted, raw_profile_b
-from oulab.ousim import PathStream, sample_path_1d
+from oulab.ousim import PathStream, block_paths_1d, sample_path_1d
 
 # c(1, 0) = 1 - 2/(1 - e^(-2)), 50-digit evaluation
 C_AT_ORIGIN = -1.3130352854993313
@@ -222,6 +222,22 @@ class TestDecomposition:
         pooled = R.covariation_check(b, 1.0, [64, 128], n_paths=600, seed=9, workers=3)
         for a, c in zip(serial, pooled):
             assert a == c
+
+
+class TestChunkedBlock:
+    @pytest.mark.parametrize("m", [4096, 1000])
+    def test_matches_the_whole_block_split(self, m):
+        # at these M a block spans several row chunks; the split of the
+        # whole block, cut to count rows, must come out bitwise
+        b = make_b_weighted([2.0], profile="sin")
+        times = np.linspace(0.0, 1.0, m + 1)
+        whole = block_paths_1d(2.0, m, 47, 0, 3)
+        weights = R._split_weights(2.0, times)
+        for count in (1, 31, 32, 33, 100, 256):
+            want = R._split_arrays(b, times, whole[:count], weights)
+            got = R._covariation_block(3, count, 47, 2.0, m, b)
+            assert got.shape == (count, 5)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrendHelper:
