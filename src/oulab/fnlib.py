@@ -315,6 +315,14 @@ class ShiftDescriptor:
         return total
 
 
+def _parse_number(token, what, name) -> float:
+    """float(token), or a DomainError naming the token and the descriptor it came from."""
+    try:
+        return float(token)
+    except ValueError:
+        raise DomainError(f"{what} {token!r} in {name!r} is not a number") from None
+
+
 def _build_shift(name, spectrum_values, profiles, allow_zero):
     lam = np.asarray(spectrum_values, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
@@ -331,7 +339,7 @@ def _build_shift(name, spectrum_values, profiles, allow_zero):
             scale = 1.0
             if ":" in str(entry):
                 pname, s = str(entry).split(":", 1)
-                scale = float(s)
+                scale = _parse_number(s, "shift scale", name)
             if pname not in _SHIFT_PROFILES:
                 raise DomainError(f"unknown shift profile {pname!r}; have {sorted(_SHIFT_PROFILES)}")
             fn, label = _SHIFT_PROFILES[pname]
@@ -481,10 +489,10 @@ def resolve_b(name: str, spectrum_values) -> FunctionDescriptor:
             key, _, val = extra.partition("=")
             if key != "omega" or not val:
                 raise DomainError(f"unknown descriptor option {extra!r}")
-            omega = float(val)
+            omega = _parse_number(val, "omega", name)
         return make_b_weighted(spectrum_values, profile=parts[1], omega=omega)
     if family == "const":
-        c = float(parts[1]) if len(parts) > 1 else 1.0
+        c = _parse_number(parts[1], "constant", name) if len(parts) > 1 else 1.0
         if not 0.0 <= abs(c) <= 1.0:
             raise DomainError("constant drift must have |c| <= 1 to stay certified")
         lam = np.asarray(spectrum_values, dtype=np.float64)

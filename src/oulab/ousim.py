@@ -35,6 +35,10 @@ one 53-bit draw per step.  Half-integers above 2^52 round, and the top
 value k = 2^53 - 1 rounds u to exactly 1.0, so u is clamped one ulp
 below 1 to keep ndtri finite; no other value can reach 0 or 1.
 
+Paths are the recursion Z_{k+1} = a Z_k + sigma xi_k evaluated by
+scipy's bundled LAPACK dgttrs (see _recursion_paths), so their bits
+depend on that routine as well as on numpy's Philox and scipy's ndtri.
+
 Stream domains: 0 = path increments (recursion), 1 = auxiliary draws
 (e.g. stationary starts), 2 = time-change increments.  The recursion and
 the time-change sampler read different domains so same-seed runs of the
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgttrs
 from scipy.special import ndtri
 
 from .constants import DriftSpectrum, _coerce_spectrum
@@ -281,19 +285,49 @@ def _grid(m, horizon):
     return times
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
+def _recursion_factors(a, m):
+    """Read-only dgttrs factors (dl, d, du, du2, ipiv) of the recursion matrix.
+
+    The (m+1)x(m+1) matrix has 1 on its diagonal and -a below it: a
+    tridiagonal matrix already in dgttrf's factored form, with a zero
+    upper part and no row swaps (1-based ipiv[k] = k + 1).
+    """
+    dl = np.full(m, -a)
+    d = np.ones(m + 1)
+    du = np.zeros(m)
+    du2 = np.zeros(m - 1)
+    ipiv = np.arange(1, m + 2, dtype=np.int32)
+    for factor in (dl, d, du, du2, ipiv):
+        factor.setflags(write=False)
+    return dl, d, du, du2, ipiv
+
+
 def _recursion_paths(lam, m, normals, horizon):
     """Z_{k+1} = a Z_k + sigma xi_k along the last axis, Z_0 = 0.
 
-    lfilter evaluates the same multiply-add recurrence the scalar
-    transition loop performs, bitwise.
+    The paths solve L Z = (0, sigma xi) with L the unit lower-bidiagonal
+    matrix of _recursion_factors, one path per right-hand side, by
+    LAPACK dgttrs in place in the result.  This is bitwise the scalar
+    transition loop: the forward sweep computes b_{k+1} - (-a) Z_k, which
+    is fl(b_{k+1} + fl(a Z_k)), the loop's two roundings; the back sweep
+    computes (b - 0 Z - 0 Z) / 1, which returns every finite b exactly
+    except -0.0, and the recursion cannot produce -0.0 from its +0.0 start.
     """
     dt = horizon / m
     a = math.exp(-lam * dt)
     sigma = math.sqrt(-math.expm1(-2.0 * lam * dt) / (2.0 * lam))
-    w = sigma * normals
     out = np.empty(normals.shape[:-1] + (m + 1,))
     out[..., 0] = 0.0
-    out[..., 1:] = lfilter([1.0], [1.0, -a], w, axis=-1)
+    np.multiply(sigma, normals, out=out[..., 1:])
+    # no solve without rows: for an empty right-hand side f2py returns a fresh
+    # array, not a view, and with scipy 1.17.1 repeated such calls end in a
+    # segmentation fault
+    if out.size:
+        # Fortran-contiguous (m+1, paths) view of out: LAPACK solves in out itself
+        paths, info = dgttrs(*_recursion_factors(a, m), out.reshape(-1, m + 1).T, overwrite_b=1)
+        if info != 0 or not np.may_share_memory(paths, out):
+            raise RuntimeError(f"dgttrs did not solve the recursion in place (info={info})")
     return out
 
 

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +219,23 @@ class TestExitCodes:
         )
         assert code == 2
         assert f"cannot write {target}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-thm23", "--b", "const:abc"], "constant 'abc' in 'const:abc' is not a number"),
+        (["verify-prop21", "--lambda", "1", "--b", "weighted:sin:omega=abc"],
+         "omega 'abc' in 'weighted:sin:omega=abc' is not a number"),
+        (["verify-thm23", "--h", "e1:sin_pi_t:abc"], "shift scale 'abc' in 'e1:sin_pi_t:abc' is not a number"),
+    ])
+    def test_unparseable_descriptor_number_is_config_error(self, capsys, monkeypatch, argv, message):
+        def never(*a, **kw):
+            raise AssertionError("check ran before the descriptor was parsed")
+
+        monkeypatch.setattr(cli, "check_prop21", never)
+        monkeypatch.setattr(cli, "check_thm23", never)
+        code, _, err = _run(capsys, *argv, "--seed", "1", "--n", "10")
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["concentration", "--M", "32", "--h1", "e1:sin_pi_t", "--etas", ","],
@@ -463,3 +483,14 @@ class TestCommandTable:
         for line in lines:
             argv = shlex.split(line)[1:]
             assert parser.parse_args(argv).command == argv[0]
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal alone took about two thirds of the CLI's import time
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, oulab.cli; print(sorted(n for n in sys.modules if n.startswith('scipy.signal')))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

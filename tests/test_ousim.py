@@ -165,14 +165,15 @@ class TestRecursionSampler:
         se = prod.std(ddof=1) / math.sqrt(n)
         assert abs(prod.mean() - want) < 4.0 * se
 
-    def test_matches_scalar_transition_chain(self):
-        # one lfilter row must equal the literal state recursion driven
-        # by the same normals
-        lam, m, seed = 1.7, 64, 31
-        row = 3
-        z = S.block_paths_1d(lam, m, seed, component=0, block=0)[row]
+    # lam = 256 is the top rate of n^2:16; m = 2 is the smallest grid
+    @pytest.mark.parametrize("lam, m, horizon", [(1.7, 64, 1.0), (256.0, 4096, 1.0), (0.05, 2, 1.0), (9.0, 1000, 0.5)])
+    def test_matches_scalar_transition_chain(self, lam, m, horizon):
+        # a path from the dgttrs solve must equal the literal state
+        # recursion driven by the same normals, bitwise, whether it comes
+        # from the whole block, from a row range or from the one-path sampler
+        seed, row = 31, 40
         w = S.block_normals(seed, 0, 0, m)[row]
-        dt = 1.0 / m
+        dt = horizon / m
         a = math.exp(-lam * dt)
         sig = math.sqrt(-math.expm1(-2.0 * lam * dt) / (2.0 * lam))
         state = 0.0
@@ -180,7 +181,22 @@ class TestRecursionSampler:
         for k in range(m):
             state = a * state + sig * w[k]
             manual.append(state)
-        np.testing.assert_array_equal(z, np.asarray(manual))
+        manual = np.asarray(manual)
+        whole = S.block_paths_1d(lam, m, seed, component=0, block=0, horizon=horizon)[row]
+        np.testing.assert_array_equal(whole, manual)
+        chunk = S.block_paths_1d(lam, m, seed, component=0, block=0, horizon=horizon, rows=(row - 7, row + 3))
+        np.testing.assert_array_equal(chunk[7], manual)
+        one = S.sample_path_1d(lam, m, S.PathStream(seed=seed, path=row), horizon=horizon)
+        np.testing.assert_array_equal(one.values, manual)
+
+    def test_solve_out_of_place_or_failed_raises(self, monkeypatch):
+        real = S.dgttrs
+        monkeypatch.setattr(S, "dgttrs", lambda *args, overwrite_b: real(*args, overwrite_b=0))
+        with pytest.raises(RuntimeError, match="in place"):
+            S.block_paths_1d(1.0, 8, 1, 0, 0)
+        monkeypatch.setattr(S, "dgttrs", lambda *args, overwrite_b: (real(*args, overwrite_b=1)[0], 1))
+        with pytest.raises(RuntimeError, match="info=1"):
+            S.sample_path_1d(1.0, 8, S.PathStream(seed=1, path=0))
 
     def test_row_slice_identity(self):
         # sampling one path must be a row of its block, bitwise
@@ -267,6 +283,34 @@ class TestGridCache:
         for _ in range(2):
             with pytest.raises(DomainError):
                 S.sample_path_timechange(2.0, 8, S.PathStream(seed=21, path=0), horizon=176.0)
+
+    def test_recursion_factors_are_read_only(self):
+        stream = S.PathStream(seed=21, path=300)
+        expected = S.sample_path_1d(0.9, 16, stream).values.copy()
+        a = math.exp(-0.9 * (1.0 / 16))  # the a of lam 0.9 on 16 steps of [0, 1]
+        hits = S._recursion_factors.cache_info().hits
+        factors = S._recursion_factors(a, 16)
+        assert S._recursion_factors.cache_info().hits == hits + 1
+        assert [f.size for f in factors] == [16, 17, 16, 15, 17]
+        for factor in factors:
+            with pytest.raises(ValueError):
+                factor[0] = 5
+        np.testing.assert_array_equal(S.sample_path_1d(0.9, 16, stream).values, expected)
+
+    def test_bad_grids_do_not_reach_the_factor_cache(self):
+        stream = S.PathStream(seed=21, path=0)
+        expected = S.sample_path_1d(2.0, 8, stream).values.copy()
+        S._recursion_factors.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                S.sample_path_1d(2.0, 1, stream)
+            with pytest.raises(DomainError):
+                S.block_paths_1d(2.0, 1, 21, 0, 0)
+            with pytest.raises(DomainError):
+                S.sample_path_1d(2.0, 8, stream, horizon=math.nan)
+        assert S._recursion_factors.cache_info().currsize == 0
+        np.testing.assert_array_equal(S.sample_path_1d(2.0, 8, stream).values, expected)
+        np.testing.assert_array_equal(S.block_paths_1d(2.0, 8, 21, 0, 0)[0], expected)
 
 
 class TestRowRanges:
