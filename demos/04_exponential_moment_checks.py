@@ -43,9 +43,8 @@ for b_name in ("weighted:sin", "weighted:sign"):
         seed=4,
         m=512,
         n_paths=8192,
-        h=resolve_h("e1:sin_pi_t", live),
     )
-    res = check_thm23(spec)
+    res = check_thm23(spec, resolve_h("e1:sin_pi_t", live))
     est = res.estimate
     print(
         f"b={b_name:14s} rate={res.rate:.6e}  mean={est.mean:.6f}  "

@@ -52,6 +52,7 @@ from .constants import DriftSpectrum, alpha_components, exp_weighted_alpha
 from .errors import ConfigError, DomainError
 from .fnlib import resolve_b, resolve_h
 from .functionals import (
+    CONFIDENCE,
     STATEMENT_DECOMPOSITION,
     STATEMENT_GAMMA,
     ExperimentSpec,
@@ -383,14 +384,14 @@ def _sampling(cfg: RunConfig, seed):
     return dict(seed=seed, n_paths=n_paths, m=cfg.get_int("m", minimum=2), workers=cfg.get_int("workers"))
 
 
-def _hilbert(cfg: RunConfig):
-    """(spectrum, truncation, live rates, drift b) of a Hilbert-space command."""
+def _hilbert(cfg: RunConfig, seed):
+    """(ExperimentSpec, live rates) of a Hilbert-space command."""
     spectrum, family_n = parse_spectrum(cfg.get("spectrum"))
     truncation = cfg.get_int("truncation", family_n)
     if truncation > len(spectrum):
         raise ConfigError(f"truncation {truncation} exceeds the listed spectrum ({len(spectrum)})")
     live = spectrum.eigenvalues[:truncation]
-    return spectrum, truncation, live, resolve_b(cfg.get("b"), live)
+    return ExperimentSpec(spectrum, truncation, resolve_b(cfg.get("b"), live), **_sampling(cfg, seed)), live
 
 
 def _window(cfg: RunConfig, truncation):
@@ -398,9 +399,9 @@ def _window(cfg: RunConfig, truncation):
     return dict(x0=parse_vector(cfg.get("x0"), truncation, "x0"), r=cfg.get_float("r"), u=cfg.get_float("u"))
 
 
-def _window_dump(spec: ExperimentSpec):
+def _window_dump(spec: ExperimentSpec, r, u, x0):
     d = spec.b.direction
-    return spec.spectrum.eigenvalues[d], spec.m, d, spec.window, spec.r, spec.start_component(d)
+    return spec.spectrum.eigenvalues[d], spec.m, d, u - r, r, x0[d] if x0 else 0.0
 
 
 def _constants(cfg: RunConfig, seed):
@@ -418,7 +419,7 @@ def _prop21(cfg: RunConfig, seed):
     b = resolve_b(cfg.get("b"), [lam])
     res = check_prop21(lam, b, **sizes)
     est, m = res.estimate, sizes["m"]
-    upper = est.upper(0.999)
+    upper = est.upper(CONFIDENCE)
     row = (res.statement, lam, res.alpha, b.name, est.n, m, est.mean, est.stderr, upper, res.bound,
            est.max_summand, res.passed)
     detail = f"lambda={lam:g} upper999={upper:.6g} bound={res.bound:g}"
@@ -426,33 +427,31 @@ def _prop21(cfg: RunConfig, seed):
 
 
 def _thm23(cfg: RunConfig, seed):
-    spectrum, truncation, live, b = _hilbert(cfg)
+    spec, live = _hilbert(cfg, seed)
     h = resolve_h(cfg.get("h"), live)
-    ell = cfg.get_float("ell", positive=True)
-    spec = ExperimentSpec(spectrum, truncation, b, h=h, ell=ell, **_sampling(cfg, seed))
-    res = check_thm23(spec)
-    est = res.estimate
-    upper = est.upper(0.999)
-    row = (res.statement, cfg.get("spectrum"), spec.truncation, b.name, spec.h.name, res.ell, res.beta, res.rate,
+    res = check_thm23(spec, h, cfg.get_float("ell", positive=True))
+    est, b = res.estimate, spec.b
+    upper = est.upper(CONFIDENCE)
+    row = (res.statement, cfg.get("spectrum"), spec.truncation, b.name, h.name, res.ell, res.beta, res.rate,
            res.h_sup, est.n, spec.m, est.mean, est.stderr, upper, res.bound, est.max_summand, res.passed)
     detail = f"b={b.name} upper999={upper:.6g} bound={res.bound:g}"
-    dump = (res.ell * spectrum.eigenvalues[b.direction], spec.m, b.direction)
+    dump = (res.ell * spec.spectrum.eigenvalues[b.direction], spec.m, b.direction)
     return Outcome([row], [(res.passed, res.statement, detail)], dump=dump)
 
 
 def _concentration(cfg: RunConfig, seed):
     etas = cfg.get_floats("etas")
     h1 = cfg.require("h1")
-    spectrum, truncation, live, b = _hilbert(cfg)
+    spec, live = _hilbert(cfg, seed)
     h1, h2 = resolve_h(h1, live), resolve_h(cfg.get("h2"), live)
-    spec = ExperimentSpec(spectrum, truncation, b, h1=h1, h2=h2, **_window(cfg, truncation), **_sampling(cfg, seed))
-    res = concentration_tail(spec, etas)
+    window = _window(cfg, spec.truncation)
+    res = concentration_tail(spec, h1, h2, etas, **window)
     rows = [(res.statement, r.eta, r.threshold, r.empirical, r.stderr, r.bound, r.passed) for r in res.rows]
     extra = dict(beta=res.beta, ell=res.ell, diff_sup=res.diff_sup, degenerate=res.degenerate, note=res.note,
                  n=spec.n_paths, m=spec.m)
     worst = max(r.empirical - r.bound for r in res.rows)
     detail = f"etas={','.join(f'{e:g}' for e in etas)} worst_excess={worst:.3g}"
-    return Outcome(rows, [(res.passed, res.statement, detail)], extra, _window_dump(spec))
+    return Outcome(rows, [(res.passed, res.statement, detail)], extra, _window_dump(spec, **window))
 
 
 def _moments(cfg: RunConfig, seed):
@@ -460,10 +459,10 @@ def _moments(cfg: RunConfig, seed):
     x, y = cfg.get("x"), cfg.get("y")
     if x is None or y is None:
         raise ConfigError("moments needs both constant shifts: x=<list> and y=<list>")
-    spectrum, truncation, live, b = _hilbert(cfg)
-    x, y = parse_vector(x, truncation, "x"), parse_vector(y, truncation, "y")
-    spec = ExperimentSpec(spectrum, truncation, b, x=x, y=y, **_window(cfg, truncation), **_sampling(cfg, seed))
-    res = moment_bound(spec, ps)
+    spec, live = _hilbert(cfg, seed)
+    x, y = parse_vector(x, spec.truncation, "x"), parse_vector(y, spec.truncation, "y")
+    window = _window(cfg, spec.truncation)
+    res = moment_bound(spec, x, y, ps, **window)
     rows = [(res.statement, r.p, r.moment, r.stderr, r.upper999, r.bound_derived, r.bound_stated, r.passed)
             for r in res.rows]
     gamma_rows = [{"statement": STATEMENT_GAMMA, "p": p, "lhs": lhs, "rhs": rhs, "pass": ok}
@@ -472,7 +471,7 @@ def _moments(cfg: RunConfig, seed):
                  n=spec.n_paths, m=spec.m, gamma_results=gamma_rows)
     verdicts = [(res.passed, res.statement, f"ps={','.join(map(str, ps))} sep={res.separation:g}"),
                 (all(r["pass"] for r in gamma_rows), STATEMENT_GAMMA, "p=1..20")]
-    return Outcome(rows, verdicts, extra, _window_dump(spec))
+    return Outcome(rows, verdicts, extra, _window_dump(spec, **window))
 
 
 def _decomposition(cfg: RunConfig, seed):

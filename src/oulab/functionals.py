@@ -9,11 +9,16 @@ The checks, each a one-sided inequality at 0.999 confidence:
   moments        E |int_r^u b(s,Z+x) - b(s,Z+y) ds|^p
                      <= 3 p^(p/2) beta^(-p/2) l^(p/2) |x-y|^p
 
-Conditioning on the past at time r is realized as a fixed start value
-x0 (the Markov property reduces the conditional statement to exactly
-this), and l = u - r.  The moment bound is checked against the exponent
-the tail-integration step actually yields, beta^(-p/2); the stated
-positive exponent is reported alongside, never verified.
+The last three are statements about one random variable,
+|int_r^u b(s, Z_s + h1(s)) - b(s, Z_s + h2(s)) ds|, and _pair_values
+samples it for all of them: thm23 is the case r = 0, u = 1, x0 = 0,
+h2 = 0 at the rescaled rate ell * lam, and moments takes the constant
+shifts h1 = x, h2 = y.  Conditioning on the past at time r is realized
+as a fixed start value x0 (the Markov property reduces the conditional
+statement to exactly this), and l = u - r.  The moment bound is checked
+against the exponent the tail-integration step actually yields,
+beta^(-p/2); the stated positive exponent is reported alongside, never
+verified.
 
 Everything rank-one + diagonal factorizes: the functionals read a single
 state coordinate (the descriptor's direction), so only that component is
@@ -63,6 +68,17 @@ class McEstimate:
         if not (self.stderr >= 0.0):
             raise DomainError("stderr must be nonnegative")
 
+    @classmethod
+    def from_samples(cls, samples, max_summand=math.nan) -> "McEstimate":
+        """Mean and standard error of a sample vector."""
+        n = samples.size
+        return cls(
+            mean=float(np.mean(samples)),
+            stderr=float(np.std(samples, ddof=1) / math.sqrt(n)),
+            n=n,
+            max_summand=max_summand,
+        )
+
     def upper(self, conf: float) -> float:
         """One-sided upper confidence bound, non-decreasing in conf."""
         if not 0.0 < conf < 1.0:
@@ -93,13 +109,7 @@ def exp_moment(values, alpha, summand_cap=None) -> McEstimate:
             f"summand {top:.6g} exceeds the certified cap {summand_cap:.6g}; "
             "a functional value escaped its hard bound"
         )
-    n = arr.size
-    return McEstimate(
-        mean=float(np.mean(summands)),
-        stderr=float(np.std(summands, ddof=1) / math.sqrt(n)),
-        n=n,
-        max_summand=top,
-    )
+    return McEstimate.from_samples(summands, max_summand=top)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +130,6 @@ def _check_certified(b: FunctionDescriptor, need_a_norm: bool):
 
 
 def _as_vector(v, n, name):
-    if v is None:
-        return None
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape != (n,):
         raise DomainError(f"{name} must have shape ({n},), got {arr.shape}")
@@ -132,12 +140,12 @@ def _as_vector(v, n, name):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a Hilbert-space experiment needs, picklable.
+    """What every Hilbert-space check reads: the process, b and the sampling, picklable.
 
-    The window [r, u] fixes l = u - r for the conditional statements;
-    ell scales the rates for the rescaled process of the shift theorem.
-    b must carry both norm certificates; shifts record their weighted
-    sums by construction.
+    b must carry both norm certificates.  The settings only some checks
+    read (shifts, constant shifts, the window [r, u], the start value x0
+    and ell) are arguments of those checks, validated there before any
+    path is drawn.
     """
 
     spectrum: DriftSpectrum
@@ -147,44 +155,36 @@ class ExperimentSpec:
     m: int = 4096
     n_paths: int = 100_000
     workers: int = 1
-    h: ShiftDescriptor = None
-    h1: ShiftDescriptor = None
-    h2: ShiftDescriptor = None
-    x: tuple = None
-    y: tuple = None
-    x0: tuple = None
-    r: float = 0.0
-    u: float = 1.0
-    ell: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.truncation <= len(self.spectrum):
             raise DomainError(f"truncation {self.truncation} outside the listed spectrum")
-        if not (0.0 <= self.r < self.u <= 1.0):
-            raise DomainError("need 0 <= r < u <= 1")
-        if not 0.0 < self.ell <= 1.0:
-            raise DomainError("ell must be in (0, 1]")
         if self.m < 2 or self.n_paths < 2:
             raise DomainError("need m >= 2 and n_paths >= 2")
         _check_certified(self.b, need_a_norm=True)
         if self.b.direction >= self.truncation:
             raise DomainError("descriptor direction outside the truncation")
-        for name, h in (("h", self.h), ("h1", self.h1), ("h2", self.h2)):
-            if h is not None and h.truncation != self.truncation:
-                raise DomainError(f"{name} is built on truncation {h.truncation}, experiment uses {self.truncation}")
-            if h is not None and h.eigenvalues != self.spectrum.eigenvalues[: self.truncation]:
-                raise DomainError(f"{name} was built on a different spectrum")
-
-    @property
-    def window(self) -> float:
-        return self.u - self.r
 
     def truncated_spectrum(self) -> DriftSpectrum:
         return self.spectrum.truncate(self.truncation)
 
-    def start_component(self, direction: int) -> float:
-        x0 = _as_vector(self.x0, self.truncation, "x0")
-        return float(x0[direction]) if x0 is not None else 0.0
+
+def _check_shifts(spec: ExperimentSpec, **shifts):
+    """Refuse a shift built on another truncation or spectrum than spec's."""
+    for name, h in shifts.items():
+        if h.truncation != spec.truncation:
+            raise DomainError(f"{name} is built on truncation {h.truncation}, experiment uses {spec.truncation}")
+        if h.eigenvalues != spec.spectrum.eigenvalues[: spec.truncation]:
+            raise DomainError(f"{name} was built on a different spectrum")
+
+
+def _start_value(spec: ExperimentSpec, r, u, x0) -> float:
+    """x0 along b's direction (0 without x0), once the window [r, u] and x0 are checked."""
+    if not (0.0 <= r < u <= 1.0):
+        raise DomainError("need 0 <= r < u <= 1")
+    if x0 is None:
+        return 0.0
+    return float(_as_vector(x0, spec.truncation, "x0")[spec.b.direction])
 
 
 def shift_functional(b: FunctionDescriptor, h: ShiftDescriptor, path: HilbertPath) -> np.ndarray:
@@ -243,6 +243,17 @@ def _shifted_pair_block(block, count, seed, rate, horizon, m, b, h1_vals, h2_val
     return out
 
 
+def _pair_values(spec: ExperimentSpec, rate, r, u, x0_dir, h1, h2):
+    """|int_r^u [b(s, xi_s + h1(s)) - b(s, xi_s + h2(s))] ds| per path.
+
+    xi is b's state coordinate at rate `rate`, started at x0_dir at time
+    r; h1 and h2 map absolute times to that coordinate's shift values.
+    """
+    t_abs = r + np.linspace(0.0, u - r, spec.m + 1)
+    args = (spec.seed, rate, u - r, spec.m, spec.b, h1(t_abs), h2(t_abs), x0_dir, t_abs)
+    return run_blocks(_shifted_pair_block, spec.n_paths, spec.workers, args)
+
+
 # ----------------------------------------------------------------------
 # checkers
 # ----------------------------------------------------------------------
@@ -294,38 +305,31 @@ class Thm23Result:
     passed: bool
 
 
-def check_thm23(spec: ExperimentSpec) -> Thm23Result:
+def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Result:
     """Exponential moment of the shift functional for the rescaled process.
 
-    Components are sampled at rates ell * lam_n; beta comes from the
-    truncated spectrum the run actually lives on (a declared-unbounded
-    tail still contributes its analytic infimum).
+    Components are sampled at rates ell * lam_n, with ell in (0, 1];
+    beta comes from the truncated spectrum the run actually lives on (a
+    declared-unbounded tail still contributes its analytic infimum).
     """
-    if spec.h is None:
-        raise DomainError("thm23 needs a shift h")
-    if spec.h.norm_inf <= 0.0:
+    if not 0.0 < ell <= 1.0:
+        raise DomainError("ell must be in (0, 1]")
+    _check_shifts(spec, h=h)
+    if h.norm_inf <= 0.0:
         raise DomainError("sup |h| must be positive (and finite)")
-    b = spec.b
-    times = np.linspace(0.0, 1.0, spec.m + 1)
-    h_vals = spec.h.component(b.direction, times)
-    zero = np.zeros_like(times)
-    rate_dir = spec.ell * spec.spectrum.eigenvalues[b.direction]
-    values = run_blocks(
-        _shifted_pair_block,
-        spec.n_paths,
-        spec.workers,
-        (spec.seed, rate_dir, 1.0, spec.m, b, h_vals, zero, 0.0, times),
-    )
+    d = spec.b.direction
+    rate_dir = ell * spec.spectrum.eigenvalues[d]
+    values = _pair_values(spec, rate_dir, 0.0, 1.0, 0.0, lambda t: h.component(d, t), np.zeros_like)
     beta_val = beta_of(spec.truncated_spectrum())
-    rate = beta_val / spec.h.norm_inf**2
-    cap = math.exp(rate * (2.0 * b.norm_inf) ** 2) * (1.0 + 1e-9)
+    rate = beta_val / h.norm_inf**2
+    cap = math.exp(rate * (2.0 * spec.b.norm_inf) ** 2) * (1.0 + 1e-9)
     est = exp_moment(values, rate, summand_cap=cap)
     return Thm23Result(
         statement=STATEMENT_THM23,
         beta=beta_val,
         rate=rate,
-        h_sup=spec.h.norm_inf,
-        ell=spec.ell,
+        h_sup=h.norm_inf,
+        ell=ell,
         estimate=est,
         bound=EXP_BOUND,
         passed=bool(est.upper(CONFIDENCE) <= EXP_BOUND),
@@ -354,77 +358,48 @@ class ConcentrationResult:
     passed: bool
 
 
-def _window_values(spec: ExperimentSpec, h1_vals, h2_vals):
-    """|int_r^u [b(s, xi+h1) - b(s, xi+h2)] ds| per path, via the window grid."""
-    b = spec.b
-    ell = spec.window
-    t_abs = spec.r + np.linspace(0.0, ell, spec.m + 1)
-    rate = spec.spectrum.eigenvalues[b.direction]
-    return run_blocks(
-        _shifted_pair_block,
-        spec.n_paths,
-        spec.workers,
-        (spec.seed, rate, ell, spec.m, b, h1_vals, h2_vals, spec.start_component(b.direction), t_abs),
-    )
-
-
-def concentration_tail(spec: ExperimentSpec, etas) -> ConcentrationResult:
+def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescriptor, etas, r=0.0, u=1.0,
+                       x0=None) -> ConcentrationResult:
     """Empirical exceedance of the window functional against 3 e^(-beta eta^2).
 
-    The run starts from the fixed point x0 at time r; l = u - r.
+    The run starts from the fixed point x0 (default 0) at time r; l = u - r.
     """
-    if spec.h1 is None or spec.h2 is None:
-        raise DomainError("concentration needs both shifts h1 and h2")
+    x0_dir = _start_value(spec, r, u, x0)
+    _check_shifts(spec, h1=h1, h2=h2)
     etas = [float(e) for e in etas]
     if any(e < 0 or not math.isfinite(e) for e in etas):
         raise DomainError("eta grid must be nonnegative and finite")
     beta_val = beta_of(spec.truncated_spectrum())
-    ell = spec.window
-    diff_sup = shift_difference_norm(spec.h1, spec.h2, spec.r, spec.u)
+    ell = u - r
+    diff_sup = shift_difference_norm(h1, h2, r, u)
     if diff_sup == 0.0:
-        rows = tuple(
+        rows = [
             ConcentrationRow(eta=e, threshold=0.0, empirical=0.0, stderr=0.0,
                              bound=3.0 * math.exp(-beta_val * e * e), passed=True)
             for e in etas
-        )
-        return ConcentrationResult(
-            statement=STATEMENT_CONCENTRATION,
-            beta=beta_val,
-            ell=ell,
-            diff_sup=0.0,
-            rows=rows,
-            degenerate=True,
-            note="h1 = h2 on the window: the functional vanishes and the statement is trivial",
-            passed=True,
-        )
-    t_abs = spec.r + np.linspace(0.0, ell, spec.m + 1)
-    h1_vals = spec.h1.component(spec.b.direction, t_abs)
-    h2_vals = spec.h2.component(spec.b.direction, t_abs)
-    values = _window_values(spec, h1_vals, h2_vals)
-    n = values.size
-    rows = []
-    for e in etas:
-        thr = e * math.sqrt(ell) * diff_sup
-        emp = float(np.mean(values > thr))
-        rows.append(
-            ConcentrationRow(
-                eta=e,
-                threshold=thr,
-                empirical=emp,
-                stderr=math.sqrt(emp * (1.0 - emp) / n),
-                bound=3.0 * math.exp(-beta_val * e * e),
-                passed=bool(emp <= 3.0 * math.exp(-beta_val * e * e)),
+        ]
+    else:
+        d = spec.b.direction
+        values = _pair_values(spec, spec.spectrum.eigenvalues[d], r, u, x0_dir,
+                              lambda t: h1.component(d, t), lambda t: h2.component(d, t))
+        n = values.size
+        rows = []
+        for e in etas:
+            thr = e * math.sqrt(ell) * diff_sup
+            emp = float(np.mean(values > thr))
+            bound = 3.0 * math.exp(-beta_val * e * e)
+            rows.append(
+                ConcentrationRow(eta=e, threshold=thr, empirical=emp, stderr=math.sqrt(emp * (1.0 - emp) / n),
+                                 bound=bound, passed=bool(emp <= bound))
             )
-        )
-    rows = tuple(rows)
     return ConcentrationResult(
         statement=STATEMENT_CONCENTRATION,
         beta=beta_val,
         ell=ell,
         diff_sup=diff_sup,
-        rows=rows,
-        degenerate=False,
-        note="",
+        rows=tuple(rows),
+        degenerate=diff_sup == 0.0,
+        note="h1 = h2 on the window: the functional vanishes and the statement is trivial" if diff_sup == 0.0 else "",
         passed=all(r.passed for r in rows),
     )
 
@@ -452,73 +427,52 @@ class MomentResult:
     passed: bool
 
 
-def moment_bound(spec: ExperimentSpec, ps) -> MomentResult:
+def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> MomentResult:
     """E |int_r^u b(s, Z+x) - b(s, Z+y) ds|^p against both exponent readings.
 
+    x and y are constant shifts, vectors of the truncation's length.
     bound_derived carries beta^(-p/2), which is what integrating the
     tail actually produces; bound_stated carries the positive exponent
     beta^(p/2) as printed in the target inequality.  PASS compares with
     bound_derived only.
     """
+    x0_dir = _start_value(spec, r, u, x0)
     ps = [int(p) for p in ps]
     if any(p < 1 for p in ps):
         raise DomainError("moment orders must be positive integers")
-    x = _as_vector(spec.x, spec.truncation, "x")
-    y = _as_vector(spec.y, spec.truncation, "y")
-    if x is None or y is None:
-        raise DomainError("moment check needs both constant shifts x and y")
+    x = _as_vector(x, spec.truncation, "x")
+    y = _as_vector(y, spec.truncation, "y")
     beta_val = beta_of(spec.truncated_spectrum())
-    ell = spec.window
+    ell = u - r
     sep = float(np.linalg.norm(x - y))
     if sep == 0.0:
-        rows = tuple(
-            MomentRow(p=p, moment=0.0, stderr=0.0, upper999=0.0,
-                      bound_derived=0.0, bound_stated=0.0, passed=True)
+        rows = [
+            MomentRow(p=p, moment=0.0, stderr=0.0, upper999=0.0, bound_derived=0.0, bound_stated=0.0, passed=True)
             for p in ps
-        )
-        return MomentResult(
-            statement=STATEMENT_MOMENTS,
-            beta=beta_val,
-            ell=ell,
-            separation=0.0,
-            rows=rows,
-            degenerate=True,
-            note="x = y: the functional vanishes and every moment is zero",
-            passed=True,
-        )
-    m1 = np.full(spec.m + 1, x[spec.b.direction])
-    m2 = np.full(spec.m + 1, y[spec.b.direction])
-    values = _window_values(spec, m1, m2)
-    n = values.size
-    rows = []
-    for p in ps:
-        vp = values**p
-        mean = float(np.mean(vp))
-        se = float(np.std(vp, ddof=1) / math.sqrt(n))
-        upper = mean + float(ndtri(CONFIDENCE)) * se
-        scale = 3.0 * p ** (p / 2.0) * ell ** (p / 2.0) * sep**p
-        derived = scale * beta_val ** (-p / 2.0)
-        stated = scale * beta_val ** (p / 2.0)
-        rows.append(
-            MomentRow(
-                p=p,
-                moment=mean,
-                stderr=se,
-                upper999=upper,
-                bound_derived=derived,
-                bound_stated=stated,
-                passed=bool(upper <= derived),
+        ]
+    else:
+        d = spec.b.direction
+        values = _pair_values(spec, spec.spectrum.eigenvalues[d], r, u, x0_dir,
+                              lambda t: np.full_like(t, x[d]), lambda t: np.full_like(t, y[d]))
+        rows = []
+        for p in ps:
+            est = McEstimate.from_samples(values**p)
+            upper = est.upper(CONFIDENCE)
+            scale = 3.0 * p ** (p / 2.0) * ell ** (p / 2.0) * sep**p
+            derived = scale * beta_val ** (-p / 2.0)
+            stated = scale * beta_val ** (p / 2.0)
+            rows.append(
+                MomentRow(p=p, moment=est.mean, stderr=est.stderr, upper999=upper, bound_derived=derived,
+                          bound_stated=stated, passed=bool(upper <= derived))
             )
-        )
-    rows = tuple(rows)
     return MomentResult(
         statement=STATEMENT_MOMENTS,
         beta=beta_val,
         ell=ell,
         separation=sep,
-        rows=rows,
-        degenerate=False,
-        note="",
+        rows=tuple(rows),
+        degenerate=sep == 0.0,
+        note="x = y: the functional vanishes and every moment is zero" if sep == 0.0 else "",
         passed=all(r.passed for r in rows),
     )
 

@@ -8,6 +8,7 @@ applicable), so this file dominates the suite's runtime.
 
 import json
 import math
+import os
 
 import numpy as np
 from scipy.stats import kstest
@@ -47,6 +48,9 @@ from oulab.reversal import covariation_check, trend_decreasing
 N_FULL = 100_000
 M_FULL = 4096
 KS_FLOOR = 1e-3
+# criterion 11 and the CLI worker-invariance tests pin results bitwise
+# across worker counts, so the Monte Carlo criteria may use two cores
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _verdict(num, text):
@@ -135,7 +139,7 @@ def test_criterion_06_exponential_moment_of_derivative_integral():
     details = []
     for lam in (0.25, 1.0, 4.0):
         res = check_prop21(
-            lam, make_b_weighted([lam], profile="sin"), m=M_FULL, n_paths=N_FULL, seed=606
+            lam, make_b_weighted([lam], profile="sin"), m=M_FULL, n_paths=N_FULL, seed=606, workers=WORKERS
         )
         upper = res.estimate.upper(0.999)
         assert res.passed and upper <= 3.0, (lam, upper)
@@ -150,6 +154,7 @@ def test_criterion_07_decomposition_residual_shrinks():
         m_list=[256, 1024, 4096],
         n_paths=20_000,
         seed=707,
+        workers=WORKERS,
     )
     residuals = [r.cov_residual for r in reports]
     assert trend_decreasing(residuals, allowed_violations=1), residuals
@@ -172,9 +177,9 @@ def test_criterion_08_shift_functional_exponential_moment():
             seed=808,
             m=M_FULL,
             n_paths=N_FULL,
-            h=resolve_h("e1:sin_pi_t", live),
+            workers=WORKERS,
         )
-        res = check_thm23(spec)
+        res = check_thm23(spec, resolve_h("e1:sin_pi_t", live))
         upper = res.estimate.upper(0.999)
         assert res.passed and upper <= 3.0, (b_name, upper)
         details.append(f"b={b_name} upper999={upper:.4f}")
@@ -190,12 +195,10 @@ def test_criterion_09_concentration_tails():
         seed=909,
         m=M_FULL,
         n_paths=N_FULL,
-        h1=resolve_h("e1:sin_pi_t", lam),
-        h2=zero_shift(lam),
-        r=0.25,
-        u=0.75,
+        workers=WORKERS,
     )
-    res = concentration_tail(spec, etas=(0.5, 1.0, 2.0, 4.0))
+    h1, h2 = resolve_h("e1:sin_pi_t", lam), zero_shift(lam)
+    res = concentration_tail(spec, h1, h2, etas=(0.5, 1.0, 2.0, 4.0), r=0.25, u=0.75)
     assert res.passed and not res.degenerate
     pairs = ", ".join(f"eta={r.eta:g}: {r.empirical:.4f} <= {r.bound:.4f}" for r in res.rows)
     _verdict(9, f"P[window integral > eta sqrt(l) sup|h1-h2|] <= 3 e^(-beta eta^2): {pairs}")
@@ -210,10 +213,9 @@ def test_criterion_10_moment_bounds_and_gamma_identity():
         seed=1010,
         m=M_FULL,
         n_paths=N_FULL,
-        x=(0.5, 0.0),
-        y=(-0.5, 0.0),
+        workers=WORKERS,
     )
-    res = moment_bound(spec, ps=(1, 2, 4))
+    res = moment_bound(spec, (0.5, 0.0), (-0.5, 0.0), ps=(1, 2, 4))
     assert res.passed and not res.degenerate
     for row in res.rows:
         assert row.upper999 <= row.bound_derived, (row.p, row.upper999, row.bound_derived)

@@ -336,13 +336,18 @@ class TestPayload:
         assert len(doc["results"]) == 2
         assert all(row["statement"] for row in doc["results"])
 
-    def test_workers_do_not_change_payload(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--x", "0.5", "--y", "-0.5"),
+        ("concentration", "--h1", "e1:sin_pi_t", "--x0", "0.3,-0.2", "--r", "0.25", "--u", "0.75"),
+        ("verify-thm23", "--spectrum", "1,4", "--ell", "0.5"),
+    ], ids=lambda argv: argv[0])
+    def test_workers_do_not_change_payload(self, capsys, tmp_path, argv):
         outs = []
         for workers in ("1", "3"):
             path = tmp_path / f"w{workers}.json"
             code, _, _ = _run(
-                capsys, "moments", "--seed", "21", "--n", "600", "--M", "64",
-                "--x", "0.5", "--y", "-0.5", "--workers", workers, "--out", str(path),
+                capsys, *argv, "--seed", "21", "--n", "600", "--M", "64",
+                "--workers", workers, "--out", str(path),
             )
             assert code == 0
             doc = json.loads(path.read_text())

@@ -16,6 +16,7 @@ from oulab.fnlib import (
     raw_profile_b,
     resolve_b,
     resolve_h,
+    shift_difference_norm,
     window_rescaled_b,
     window_rescaled_h,
     zero_shift,
@@ -92,13 +93,23 @@ class TestExpMoment:
             exp_moment(np.array([1.0, np.inf]), alpha=1.0)
 
 
+def _refuse_sampling(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("a refused setting reached the sampler")
+
+    monkeypatch.setattr(FN, "run_blocks", sampled)
+
+
 class TestExperimentSpec:
+    """The spec and the per-check settings; bad settings are refused before any path is drawn."""
+
+    LAM = (1.0, 4.0)
+
     def _spec(self, **kw):
-        lam = (1.0, 4.0)
         base = dict(
-            spectrum=DriftSpectrum(lam),
+            spectrum=DriftSpectrum(self.LAM),
             truncation=2,
-            b=make_b_weighted(lam),
+            b=make_b_weighted(self.LAM),
             seed=7,
             m=64,
             n_paths=16,
@@ -106,21 +117,21 @@ class TestExperimentSpec:
         base.update(kw)
         return ExperimentSpec(**base)
 
-    def test_window_and_start(self):
-        spec = self._spec(r=0.25, u=0.75, x0=(0.5, -1.0))
-        assert spec.window == 0.5
-        assert spec.start_component(0) == 0.5
-        assert spec.start_component(1) == -1.0
-        assert self._spec().start_component(0) == 0.0
-
     def test_truncated_spectrum_drops_tail(self):
         spec = self._spec(truncation=1, b=make_b_weighted((1.0, 4.0), direction=0))
         assert spec.truncated_spectrum().eigenvalues == (1.0,)
 
-    def test_rejects_bad_windows_and_ell(self):
-        for kw in (dict(r=0.5, u=0.5), dict(r=-0.1), dict(u=1.5), dict(ell=0.0), dict(ell=1.5)):
-            with pytest.raises(DomainError):
-                self._spec(**kw)
+    def test_rejects_bad_windows_and_ell(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
+        spec, h = self._spec(), make_h(self.LAM, {0: "sin_pi_t"})
+        for r, u in ((0.5, 0.5), (-0.1, 1.0), (0.0, 1.5), (0.75, 0.25)):
+            with pytest.raises(DomainError, match="0 <= r < u <= 1"):
+                concentration_tail(spec, h, zero_shift(self.LAM), (1.0,), r=r, u=u)
+            with pytest.raises(DomainError, match="0 <= r < u <= 1"):
+                moment_bound(spec, (0.5, 0.0), (-0.5, 0.0), (1,), r=r, u=u)
+        for ell in (0.0, 1.5, -1.0):
+            with pytest.raises(DomainError, match="ell"):
+                check_thm23(spec, h, ell=ell)
 
     def test_rejects_uncertified_b(self):
         bare = raw_profile_b(lambda t, xi: np.sin(xi), None, [1.0, 4.0], name="bare")
@@ -132,19 +143,36 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             self._spec(truncation=1, b=b)
 
-    def test_rejects_shift_from_other_spectrum(self):
-        h_wrong = make_h([1.0, 5.0], {0: "sin_pi_t"})
-        with pytest.raises(DomainError):
-            self._spec(h1=h_wrong)
-        h_short = make_h([1.0], {0: "sin_pi_t"})
-        with pytest.raises(DomainError):
-            self._spec(h1=h_short)
+    def test_rejects_shift_from_other_spectrum(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
+        spec, h = self._spec(), make_h(self.LAM, {0: "sin_pi_t"})
+        for bad, message in ((make_h([1.0, 5.0], {0: "sin_pi_t"}), "different spectrum"),
+                             (make_h([1.0], {0: "sin_pi_t"}), "truncation 1")):
+            with pytest.raises(DomainError, match=message):
+                check_thm23(spec, bad)
+            with pytest.raises(DomainError, match=message):
+                concentration_tail(spec, bad, h, (1.0,))
+            with pytest.raises(DomainError, match=message):
+                concentration_tail(spec, h, bad, (1.0,))
+
+    def test_rejects_wrong_length_vectors(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
+        spec, h = self._spec(), make_h(self.LAM, {0: "sin_pi_t"})
+        for bad in ((0.3,), (0.3, 0.0, 0.0), (0.3, math.nan)):
+            with pytest.raises(DomainError, match="x0"):
+                concentration_tail(spec, h, zero_shift(self.LAM), (1.0,), x0=bad)
+            with pytest.raises(DomainError, match="x0"):
+                moment_bound(spec, (0.5, 0.0), (-0.5, 0.0), (1,), x0=bad)
+            with pytest.raises(DomainError, match="x must"):
+                moment_bound(spec, bad, (-0.5, 0.0), (1,))
+            with pytest.raises(DomainError, match="y must"):
+                moment_bound(spec, (0.5, 0.0), bad, (1,))
 
     def test_picklable(self):
-        spec = self._spec(h=make_h((1.0, 4.0), {0: "sin_pi_t"}))
+        spec = self._spec()
         spec2 = pickle.loads(pickle.dumps(spec))
-        assert spec2.seed == spec.seed
-        assert spec2.h.norm_inf == spec.h.norm_inf
+        assert (spec2.seed, spec2.m, spec2.n_paths) == (spec.seed, spec.m, spec.n_paths)
+        assert spec2.b.norm_inf_A == spec.b.norm_inf_A
 
 
 class TestShiftFunctional:
@@ -200,6 +228,8 @@ class TestCheckProp21:
 
 
 class TestCheckThm23:
+    H = make_h((1.0, 4.0), {0: "sin_pi_t"})
+
     def _spec(self, **kw):
         lam = (1.0, 4.0)
         base = dict(
@@ -209,53 +239,42 @@ class TestCheckThm23:
             seed=13,
             m=256,
             n_paths=2048,
-            h=make_h(lam, {0: "sin_pi_t"}),
         )
         base.update(kw)
         return ExperimentSpec(**base)
 
     def test_state_free_profile_is_exact(self):
         spec = self._spec(b=resolve_b("time:sin_pi", (1.0, 4.0)))
-        res = check_thm23(spec)
+        res = check_thm23(spec, self.H)
         assert res.estimate.mean == 1.0
         assert res.estimate.stderr == 0.0
         assert res.passed
 
     def test_smoke_run_passes(self):
-        spec = self._spec()
-        res = check_thm23(spec)
+        res = check_thm23(self._spec(), self.H)
         assert res.passed
         assert res.beta == pytest.approx(beta(DriftSpectrum((1.0, 4.0))), rel=1e-15)
-        assert res.rate == pytest.approx(res.beta / spec.h.norm_inf**2, rel=1e-15)
+        assert res.rate == pytest.approx(res.beta / self.H.norm_inf**2, rel=1e-15)
         assert res.h_sup == 1.0
 
-    def test_rejects_missing_or_zero_shift(self):
-        with pytest.raises(DomainError):
-            check_thm23(self._spec(h=None))
-        with pytest.raises(DomainError):
-            check_thm23(self._spec(h=zero_shift((1.0, 4.0))))
+    def test_rejects_missing_or_zero_shift(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
+        with pytest.raises(DomainError, match="sup"):
+            check_thm23(self._spec(), zero_shift((1.0, 4.0)))
 
 
 class TestConcentration:
-    def _spec(self, **kw):
-        lam = (1.0, 4.0)
-        base = dict(
-            spectrum=DriftSpectrum(lam),
-            truncation=2,
-            b=make_b_weighted(lam, profile="sin"),
-            seed=17,
-            m=256,
-            n_paths=2048,
-            h1=resolve_h("e1:sin_pi_t", lam),
-            h2=zero_shift(lam),
-            r=0.25,
-            u=0.75,
-        )
-        base.update(kw)
-        return ExperimentSpec(**base)
+    LAM = (1.0, 4.0)
+    SPEC = ExperimentSpec(
+        spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, profile="sin"), seed=17, m=256,
+        n_paths=2048,
+    )
+
+    def _run(self, etas, h1=resolve_h("e1:sin_pi_t", LAM), h2=zero_shift(LAM)):
+        return concentration_tail(self.SPEC, h1, h2, etas, r=0.25, u=0.75)
 
     def test_smoke_run_passes(self):
-        res = concentration_tail(self._spec(), etas=(0.5, 1.0, 2.0, 4.0))
+        res = self._run(etas=(0.5, 1.0, 2.0, 4.0))
         assert res.passed and not res.degenerate
         assert res.ell == 0.5
         emp = [row.empirical for row in res.rows]
@@ -265,7 +284,7 @@ class TestConcentration:
             assert row.threshold == pytest.approx(row.eta * math.sqrt(res.ell) * res.diff_sup, rel=1e-15)
 
     def test_eta_zero_is_trivially_true(self):
-        res = concentration_tail(self._spec(), etas=(0.0,))
+        res = self._run(etas=(0.0,))
         row = res.rows[0]
         assert row.bound == 3.0
         assert row.threshold == 0.0
@@ -273,38 +292,31 @@ class TestConcentration:
 
     def test_identical_shifts_degenerate(self):
         h = resolve_h("e1:sin_pi_t", (1.0, 4.0))
-        res = concentration_tail(self._spec(h1=h, h2=h), etas=(1.0,))
+        res = self._run(etas=(1.0,), h1=h, h2=h)
         assert res.degenerate and res.passed
         assert res.diff_sup == 0.0
         assert res.note
 
-    def test_rejects_bad_etas_and_missing_shifts(self):
+    def test_rejects_bad_etas_and_missing_shifts(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
         with pytest.raises(DomainError):
-            concentration_tail(self._spec(), etas=(-1.0,))
+            self._run(etas=(-1.0,))
         with pytest.raises(DomainError):
-            concentration_tail(self._spec(), etas=(math.inf,))
-        with pytest.raises(DomainError):
-            concentration_tail(self._spec(h1=None), etas=(1.0,))
+            self._run(etas=(math.inf,))
 
 
 class TestMoments:
-    def _spec(self, **kw):
-        lam = (1.0, 4.0)
-        base = dict(
-            spectrum=DriftSpectrum(lam),
-            truncation=2,
-            b=make_b_weighted(lam, profile="sin"),
-            seed=19,
-            m=256,
-            n_paths=2048,
-            x=(0.5, 0.0),
-            y=(-0.5, 0.0),
-        )
-        base.update(kw)
-        return ExperimentSpec(**base)
+    LAM = (1.0, 4.0)
+    SPEC = ExperimentSpec(
+        spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, profile="sin"), seed=19, m=256,
+        n_paths=2048,
+    )
+
+    def _run(self, ps, x=(0.5, 0.0), y=(-0.5, 0.0)):
+        return moment_bound(self.SPEC, x, y, ps)
 
     def test_smoke_run_against_derived_bound(self):
-        res = moment_bound(self._spec(), ps=(1, 2, 4))
+        res = self._run(ps=(1, 2, 4))
         assert res.passed and not res.degenerate
         assert res.separation == 1.0
         for row in res.rows:
@@ -317,24 +329,23 @@ class TestMoments:
         # beta < 1 makes beta^(p/2) the smaller scale; the measured first
         # moment already exceeds it, which is why PASS compares against
         # the beta^(-p/2) form
-        res = moment_bound(self._spec(), ps=(1,))
+        res = self._run(ps=(1,))
         row = res.rows[0]
         assert row.bound_stated < row.bound_derived
         assert row.moment > row.bound_stated
         assert row.upper999 <= row.bound_derived
 
     def test_equal_shifts_degenerate(self):
-        res = moment_bound(self._spec(y=(0.5, 0.0)), ps=(1, 2))
+        res = self._run(ps=(1, 2), y=(0.5, 0.0))
         assert res.degenerate and res.passed
         assert all(row.moment == 0.0 for row in res.rows)
 
-    def test_rejects_bad_orders_and_missing_points(self):
+    def test_rejects_bad_orders_and_missing_points(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
         with pytest.raises(DomainError):
-            moment_bound(self._spec(), ps=(0,))
+            self._run(ps=(0,))
         with pytest.raises(DomainError):
-            moment_bound(self._spec(x=None), ps=(1,))
-        with pytest.raises(DomainError):
-            moment_bound(self._spec(x=(1.0,)), ps=(1,))
+            self._run(ps=(1,), x=(1.0,))
 
 
 class TestGammaStep:
@@ -369,21 +380,9 @@ class TestWindowRescalingLaw:
         h1 = make_h([lam], {0: "sin_pi_t"})
         h2 = zero_shift([lam])
 
-        spec = ExperimentSpec(
-            spectrum=DriftSpectrum((lam,)),
-            truncation=1,
-            b=b,
-            seed=101,
-            m=m,
-            n_paths=n,
-            h1=h1,
-            h2=h2,
-            r=r,
-            u=u,
-        )
-        t_abs = r + np.linspace(0.0, ell, m + 1)
-        window_values = FN._window_values(
-            spec, h1.component(0, t_abs), h2.component(0, t_abs)
+        spec = ExperimentSpec(spectrum=DriftSpectrum((lam,)), truncation=1, b=b, seed=101, m=m, n_paths=n)
+        window_values = FN._pair_values(
+            spec, lam, r, u, 0.0, lambda t: h1.component(0, t), lambda t: h2.component(0, t)
         )
 
         rb = window_rescaled_b(b, r, u)
@@ -440,6 +439,46 @@ class TestReducedSamplingMatchesFullPaths:
         one = run_blocks(FN._prop21_block, 600, 1, args)
         three = run_blocks(FN._prop21_block, 600, 3, args)
         np.testing.assert_array_equal(one, three)
+
+
+class TestChecksMatchHandBuiltBlocks:
+    """Each Hilbert-space check equals _shifted_pair_block called by hand
+    with the worker's argument layout (seed, rate, horizon, m, b, h1 values,
+    h2 values, x0 along b's direction, absolute times), bitwise."""
+
+    LAM = (1.0, 4.0)
+    B = make_b_weighted(LAM, profile="sin", direction=1)
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=B, seed=37, m=128, n_paths=600)
+    X0 = (0.3, -0.2)
+    T_WINDOW = 0.25 + np.linspace(0.0, 0.5, 129)
+
+    def _by_hand(self, rate, horizon, h1_vals, h2_vals, x0_dir, t_abs):
+        args = (37, rate, horizon, 128, self.B, h1_vals, h2_vals, x0_dir, t_abs)
+        return run_blocks(FN._shifted_pair_block, 600, 1, args)
+
+    def test_thm23_is_the_unit_window_at_rate_ell_lambda(self):
+        h = make_h(self.LAM, {1: "sin_pi_t"})
+        times = np.linspace(0.0, 1.0, 129)
+        values = self._by_hand(0.5 * 4.0, 1.0, h.component(1, times), np.zeros(129), 0.0, times)
+        rate = beta(DriftSpectrum(self.LAM)) / h.norm_inf**2
+        res = check_thm23(self.SPEC, h, ell=0.5)
+        assert res.estimate.mean == exp_moment(values, rate).mean
+
+    def test_concentration_on_a_window_from_x0(self):
+        h1, h2 = make_h(self.LAM, {1: "sin_pi_t"}), zero_shift(self.LAM)
+        t = self.T_WINDOW
+        values = self._by_hand(4.0, 0.5, h1.component(1, t), h2.component(1, t), -0.2, t)
+        # |J| stays below about 0.12 here, so these thresholds cut through its whole range
+        etas = tuple(np.linspace(0.0, 0.2, 41))
+        res = concentration_tail(self.SPEC, h1, h2, etas, r=0.25, u=0.75, x0=self.X0)
+        sup = shift_difference_norm(h1, h2, 0.25, 0.75)
+        want = [float(np.mean(values > e * math.sqrt(0.5) * sup)) for e in etas]
+        assert [row.empirical for row in res.rows] == want
+
+    def test_moments_on_a_window_from_x0(self):
+        values = self._by_hand(4.0, 0.5, np.full(129, 0.5), np.full(129, -0.5), -0.2, self.T_WINDOW)
+        res = moment_bound(self.SPEC, (0.0, 0.5), (0.0, -0.5), (1, 2, 3), r=0.25, u=0.75, x0=self.X0)
+        assert [row.moment for row in res.rows] == [float(np.mean(values**p)) for p in (1, 2, 3)]
 
 
 # partial and whole block sizes around the 32-row chunks of M = 4096
