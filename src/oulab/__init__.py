@@ -8,96 +8,44 @@ Layout:
   fnlib        certified drift functions b and shifts h
   functionals  shift functionals, exponential moment checks, tail/moment runs
   cli          reproducible experiment runner (`oulab ...`)
+
+The package exports the names the README and the demos use; every other
+name is imported from its submodule, e.g. `from oulab.ousim import BLOCK`.
 """
 
 from .constants import (
-    ALPHA1,
-    ALPHA_UNIT_INTERVAL,
-    PROP_C_EXACT,
-    PROP_C_STATED,
     RATE_FLOOR,
-    TAIL_FINITE,
-    TAIL_LIMIT,
-    TAIL_UNBOUNDED,
-    AlphaBreakdown,
-    ClaimResult,
     DriftSpectrum,
-    PropertyReport,
     alpha,
-    alpha2,
-    alpha2_exp_ratio,
-    alpha3,
     alpha_components,
     analytic_property_suite,
     beta,
-    beta_floor,
-    capital_lambda,
-    clock_exp_ratio,
     d_lambda,
-    default_lambda_grid,
-    default_x_grid,
     exp_weighted_alpha,
 )
 from .errors import ConfigError, DomainError
-from .fnlib import (
-    FunctionDescriptor,
-    ShiftDescriptor,
-    make_b_weighted,
-    make_h,
-    raw_profile_b,
-    resolve_b,
-    resolve_h,
-    shift_difference_norm,
-    weighted_scales,
-    window_rescaled_b,
-    window_rescaled_h,
-    zero_shift,
-)
+from .fnlib import make_b_weighted, resolve_b, resolve_h, zero_shift
 from .functionals import (
-    ConcentrationResult,
     ExperimentSpec,
-    McEstimate,
-    MomentResult,
-    Prop21Result,
-    Thm23Result,
     check_prop21,
     check_thm23,
     concentration_tail,
-    exp_moment,
     gamma_step_check,
     moment_bound,
-    shift_functional,
 )
 from .ousim import (
-    BLOCK,
-    HilbertPath,
-    PathGrid,
     PathStream,
     block_paths_1d,
-    deformed_clock,
-    marginal_density,
     marginal_variance,
     sample_hilbert,
     sample_path_1d,
     sample_path_timechange,
-    shifted_process,
-    standard_normal,
-    stream_key,
-    substream,
-    suggest_truncation,
     tail_mass_bound,
-    transition_mean_var,
-    transition_sample,
 )
-from .parallel import block_layout, run_blocks
 from .reversal import (
-    DecompositionReport,
     backward_integral,
     covariation_check,
-    decompose_path,
-    discrete_covariation,
     forward_integral,
-    reversed_drift,
     reversed_drift_coefficient,
     trend_decreasing,
 )

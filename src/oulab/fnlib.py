@@ -4,7 +4,9 @@ The exponential-moment theorems hypothesize sup-norm certificates:
 
     |b(t, x)|_H <= 1            everywhere,
     (sum_n lam_n e^(2 lam_n) b_n(t, x)^2)^(1/2) <= 1,
-    h: [0,1] -> H bounded with sum_n |h_n(t)|^2 lam_n^2 < infinity.
+    h: [0,1] -> H bounded with sum_n h_n(t)^2 lam_n^2 < infinity,
+
+and the last holds by construction on the finite truncations built here.
 
 Everything built here is rank-one,
 
@@ -35,10 +37,6 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-
-KIND_SMOOTH = "smooth"
-KIND_LIPSCHITZ = "lipschitz"
-KIND_DISCONTINUOUS = "discontinuous"
 
 SHIFT_SUP_GRID = 4097  # 2^12 intervals, endpoints included, hits t = 1/2 exactly
 
@@ -95,19 +93,19 @@ def _dphi_zero(t, xi):
     return np.zeros_like(np.asarray(xi, dtype=np.float64))
 
 
-# name -> (phi, dphi or None, kind, sup |dphi/dxi| or None, formula)
+# name -> (phi, dphi or None, sup |dphi/dxi| or None)
 _PROFILES = {
-    "sin": (_phi_sin, _dphi_sin, KIND_SMOOTH, 1.0, "sin(omega xi)"),
-    "cos": (_phi_cos, _dphi_cos, KIND_SMOOTH, 1.0, "cos(omega xi)"),
-    "tanh": (_phi_tanh, _dphi_tanh, KIND_SMOOTH, 1.0, "tanh(omega xi)"),
-    "sign": (_phi_sign, None, KIND_DISCONTINUOUS, None, "sign(xi)"),
-    "one": (_phi_one, _dphi_zero, KIND_SMOOTH, 0.0, "1"),
-    "zero": (_phi_zero, _dphi_zero, KIND_SMOOTH, 0.0, "0"),
-    "time_sin": (_phi_time_sin, _dphi_zero, KIND_SMOOTH, 0.0, "sin(pi t)"),
+    "sin": (_phi_sin, _dphi_sin, 1.0),
+    "cos": (_phi_cos, _dphi_cos, 1.0),
+    "tanh": (_phi_tanh, _dphi_tanh, 1.0),
+    "sign": (_phi_sign, None, None),
+    "one": (_phi_one, _dphi_zero, 0.0),
+    "zero": (_phi_zero, _dphi_zero, 0.0),
+    "time_sin": (_phi_time_sin, _dphi_zero, 0.0),
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionDescriptor:
     """Rank-one drift function b(t, x) = phi(t, xi) * vector.
 
@@ -116,22 +114,17 @@ class FunctionDescriptor:
     `norm_inf_A` are certified analytically by the constructor; np.inf
     marks an uncertified descriptor, which the theorem checkers refuse.
     `profile_dx_sup` bounds |d phi / d xi| when the profile is smooth.
+    Equality and hashing are by identity.
     """
 
     name: str
-    kind: str
     profile: object
     profile_dx: object
     vector: np.ndarray
     direction: int
     norm_inf: float
     norm_inf_A: float
-    metadata: str
     profile_dx_sup: object = None
-
-    @property
-    def depends_on(self):
-        return (self.direction,)
 
     @property
     def vector_norm(self) -> float:
@@ -190,14 +183,13 @@ def make_b_weighted(spectrum_values, profile="sin", coefficients=None, direction
     if profile not in _PROFILES:
         raise DomainError(f"unknown profile {profile!r}; have {sorted(_PROFILES)}")
 
-    phi, dphi, kind, dsup, formula = _PROFILES[profile]
+    phi, dphi, dsup = _PROFILES[profile]
     if profile in ("sin", "cos", "tanh"):
         if not (math.isfinite(omega) and omega > 0):
             raise DomainError("omega must be positive and finite")
         phi = partial(phi, omega=omega)
         dphi = partial(dphi, omega=omega)
         dsup = omega
-        formula = formula.replace("omega", repr(omega)) if omega != 1.0 else formula.replace("omega ", "")
 
     scales = weighted_scales(lam)
     vector = scales * c
@@ -215,19 +207,17 @@ def make_b_weighted(spectrum_values, profile="sin", coefficients=None, direction
         name += f":omega={omega:g}"
     return FunctionDescriptor(
         name=name,
-        kind=kind,
         profile=phi,
         profile_dx=dphi,
         vector=vector,
         direction=direction,
         norm_inf=norm,
         norm_inf_A=anorm,
-        metadata=f"b(t,x) = {formula} * sum_n s_n c_n e_n with xi = x[{direction}], s_n = min(lam_n^-1/2 e^-lam_n, 1)",
         profile_dx_sup=dsup,
     )
 
 
-def raw_profile_b(profile, profile_dx, vector, direction=0, kind=KIND_SMOOTH, name="raw", metadata="") -> FunctionDescriptor:
+def raw_profile_b(profile, profile_dx, vector, direction=0, name="raw") -> FunctionDescriptor:
     """Uncertified descriptor for quadrature work and oracles.
 
     norm certificates are set to infinity, so the theorem checkers will
@@ -236,14 +226,12 @@ def raw_profile_b(profile, profile_dx, vector, direction=0, kind=KIND_SMOOTH, na
     v = np.atleast_1d(np.asarray(vector, dtype=np.float64))
     return FunctionDescriptor(
         name=name,
-        kind=kind,
         profile=profile,
         profile_dx=profile_dx,
         vector=v,
         direction=direction,
         norm_inf=math.inf,
         norm_inf_A=math.inf,
-        metadata=metadata or name,
         profile_dx_sup=None,
     )
 
@@ -261,37 +249,26 @@ def _sh_const(t, scale=1.0):
     return np.full_like(np.asarray(t, dtype=np.float64), scale)
 
 
-_SHIFT_PROFILES = {
-    "sin_pi_t": (_sh_sin_pi_t, "sin(pi t)"),
-    "const": (_sh_const, "1"),
-}
+_SHIFT_PROFILES = {"sin_pi_t": _sh_sin_pi_t, "const": _sh_const}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftDescriptor:
     """h: [0,1] -> truncated H, one scalar profile per live component.
 
-    Sup norms are grid-approximated (`sup_grid` points, endpoints
-    included); `grid_approximate` records that disclaimer.  The weighted
-    certificate a_norm_sq_max bounds sum_n h_n(t)^2 lam_n^2 on the grid.
+    norm_inf is the sup norm on SHIFT_SUP_GRID points of [0, 1], endpoints
+    included.  Equality and hashing are by identity.
     """
 
     name: str
     truncation: int
     eigenvalues: tuple
-    components: tuple  # ((index, callable, label), ...)
+    components: tuple  # ((index, callable), ...)
     norm_inf: float
-    a_norm_sq_max: float
-    sup_grid: int = SHIFT_SUP_GRID
-    grid_approximate: bool = True
-
-    @property
-    def depends_on(self):
-        return tuple(idx for idx, _, _ in self.components)
 
     def component(self, index: int, t) -> np.ndarray:
         t_arr = np.asarray(t, dtype=np.float64)
-        for idx, fn, _ in self.components:
+        for idx, fn in self.components:
             if idx == index:
                 return np.asarray(fn(t_arr), dtype=np.float64)
         return np.zeros_like(t_arr)
@@ -300,19 +277,9 @@ class ShiftDescriptor:
         """h(t): shape (N,) for scalar t, (T, N) for a time grid."""
         t_arr = np.asarray(t, dtype=np.float64)
         out = np.zeros(t_arr.shape + (self.truncation,))
-        for idx, fn, _ in self.components:
+        for idx, fn in self.components:
             out[..., idx] = fn(t_arr)
         return out
-
-    def a_norm_sq(self, t) -> np.ndarray:
-        """sum_n h_n(t)^2 lam_n^2 (a finite sum on the truncation)."""
-        t_arr = np.asarray(t, dtype=np.float64)
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        total = np.zeros_like(t_arr)
-        for idx, fn, _ in self.components:
-            vals = np.asarray(fn(t_arr), dtype=np.float64)
-            total = total + vals * vals * lam[idx] ** 2
-        return total
 
 
 def _parse_number(token, what, name) -> float:
@@ -332,9 +299,7 @@ def _build_shift(name, spectrum_values, profiles, allow_zero):
     for idx, entry in sorted(profiles.items()):
         if not 0 <= idx < n:
             raise DomainError(f"shift component {idx} outside truncation {n}")
-        if callable(entry):
-            comps.append((idx, entry, getattr(entry, "__name__", "custom")))
-        else:
+        if not callable(entry):
             pname = entry
             scale = 1.0
             if ":" in str(entry):
@@ -342,17 +307,16 @@ def _build_shift(name, spectrum_values, profiles, allow_zero):
                 scale = _parse_number(s, "shift scale", name)
             if pname not in _SHIFT_PROFILES:
                 raise DomainError(f"unknown shift profile {pname!r}; have {sorted(_SHIFT_PROFILES)}")
-            fn, label = _SHIFT_PROFILES[pname]
-            comps.append((idx, partial(fn, scale=scale) if scale != 1.0 else fn, label))
+            fn = _SHIFT_PROFILES[pname]
+            entry = partial(fn, scale=scale) if scale != 1.0 else fn
+        comps.append((idx, entry))
     tgrid = np.linspace(0.0, 1.0, SHIFT_SUP_GRID)
     norm_sq = np.zeros_like(tgrid)
-    a_sq = np.zeros_like(tgrid)
-    for idx, fn, _ in comps:
+    for idx, fn in comps:
         vals = np.asarray(fn(tgrid), dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"shift component {idx} is not finite on [0,1]")
         norm_sq += vals * vals
-        a_sq += vals * vals * lam[idx] ** 2
     norm_inf = float(math.sqrt(np.max(norm_sq))) if comps else 0.0
     if norm_inf == 0.0 and not allow_zero:
         raise DomainError("shift vanishes identically; the theorems need sup |h| in (0, inf)")
@@ -362,7 +326,6 @@ def _build_shift(name, spectrum_values, profiles, allow_zero):
         eigenvalues=tuple(float(v) for v in lam),
         components=tuple(comps),
         norm_inf=norm_inf,
-        a_norm_sq_max=float(np.max(a_sq)) if comps else 0.0,
     )
 
 
@@ -386,12 +349,17 @@ def zero_shift(spectrum_values) -> ShiftDescriptor:
     return _build_shift("zero", spectrum_values, {}, allow_zero=True)
 
 
+def _check_window(r, u):
+    """Refuse a window [r, u] outside 0 <= r < u <= 1."""
+    if not 0.0 <= r < u <= 1.0:
+        raise DomainError("need 0 <= r < u <= 1")
+
+
 def shift_difference_norm(h1: ShiftDescriptor, h2: ShiftDescriptor, r=0.0, u=1.0, grid=SHIFT_SUP_GRID) -> float:
     """Grid sup over t in [r, u] of |h1(t) - h2(t)|_H."""
     if h1.truncation != h2.truncation:
         raise DomainError("shift truncations differ")
-    if not 0.0 <= r < u <= 1.0:
-        raise DomainError("need 0 <= r < u <= 1")
+    _check_window(r, u)
     tgrid = np.linspace(r, u, grid)
     diff = h1.evaluate(tgrid) - h2.evaluate(tgrid)
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
@@ -427,8 +395,7 @@ def _sh_windowed(t, base, ell, r):
 
 def window_rescaled_b(b: FunctionDescriptor, r: float, u: float) -> FunctionDescriptor:
     """b~(t, x) = b(l t + r, sqrt(l) x) for the unit-time picture of [r, u]."""
-    if not 0.0 <= r < u <= 1.0:
-        raise DomainError("need 0 <= r < u <= 1")
+    _check_window(r, u)
     ell = u - r
     dphi = None
     dsup = None
@@ -438,26 +405,23 @@ def window_rescaled_b(b: FunctionDescriptor, r: float, u: float) -> FunctionDesc
             dsup = math.sqrt(ell) * b.profile_dx_sup
     return FunctionDescriptor(
         name=f"{b.name}:window={r:g}..{u:g}",
-        kind=b.kind,
         profile=partial(_phi_windowed, base=b.profile, ell=ell, r=r),
         profile_dx=dphi,
         vector=b.vector,
         direction=b.direction,
         norm_inf=b.norm_inf,
         norm_inf_A=b.norm_inf_A,
-        metadata=f"{b.metadata}; time window [{r:g}, {u:g}] mapped to [0, 1]",
         profile_dx_sup=dsup,
     )
 
 
 def window_rescaled_h(h: ShiftDescriptor, r: float, u: float) -> ShiftDescriptor:
     """h~(t) = l^(-1/2) h(l t + r); norms recomputed on the unit grid."""
-    if not 0.0 <= r < u <= 1.0:
-        raise DomainError("need 0 <= r < u <= 1")
+    _check_window(r, u)
     ell = u - r
     profiles = {
         idx: partial(_sh_windowed, base=fn, ell=ell, r=r)
-        for idx, fn, _ in h.components
+        for idx, fn in h.components
     }
     return _build_shift(
         f"{h.name}:window={r:g}..{u:g}",
@@ -502,14 +466,12 @@ def resolve_b(name: str, spectrum_values) -> FunctionDescriptor:
             w0 = lam[0] * np.exp(2.0 * lam[0])
         return FunctionDescriptor(
             name=f"const:{c:g}",
-            kind=KIND_SMOOTH,
             profile=_phi_one,
             profile_dx=_dphi_zero,
             vector=vector,
             direction=0,
             norm_inf=abs(c),
             norm_inf_A=float(abs(c) * math.sqrt(w0)) if math.isfinite(w0) else math.inf,
-            metadata=f"b(t,x) = {c:g} e_1",
             profile_dx_sup=0.0,
         )
     if family == "zero":

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .constants import DriftSpectrum, PROP_C_EXACT, alpha as alpha_of, beta as beta_of
+from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
-from .fnlib import FunctionDescriptor, ShiftDescriptor, shift_difference_norm
-from .ousim import HilbertPath, _grid, block_paths_1d, row_chunks
+from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, shift_difference_norm
+from .ousim import HilbertPath, _as_vector, _grid, block_paths_1d, row_chunks
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -129,23 +129,14 @@ def _check_certified(b: FunctionDescriptor, need_a_norm: bool):
             raise DomainError(f"descriptor {b.name!r} exceeds the weighted unit ball: {b.norm_inf_A:.6g}")
 
 
-def _as_vector(v, n, name):
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (n,):
-        raise DomainError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """What every Hilbert-space check reads: the process, b and the sampling, picklable.
 
     b must carry both norm certificates.  The settings only some checks
     read (shifts, constant shifts, the window [r, u], the start value x0
     and ell) are arguments of those checks, validated there before any
-    path is drawn.
+    path is drawn.  Equality and hashing are by identity.
     """
 
     spectrum: DriftSpectrum
@@ -180,8 +171,7 @@ def _check_shifts(spec: ExperimentSpec, **shifts):
 
 def _start_value(spec: ExperimentSpec, r, u, x0) -> float:
     """x0 along b's direction (0 without x0), once the window [r, u] and x0 are checked."""
-    if not (0.0 <= r < u <= 1.0):
-        raise DomainError("need 0 <= r < u <= 1")
+    _check_window(r, u)
     if x0 is None:
         return 0.0
     return float(_as_vector(x0, spec.truncation, "x0")[spec.b.direction])
@@ -266,7 +256,6 @@ class Prop21Result:
     alpha: float
     estimate: McEstimate
     bound: float
-    proof_constant: float
     passed: bool
 
 
@@ -288,7 +277,6 @@ def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, seed=0, wo
         alpha=a,
         estimate=est,
         bound=EXP_BOUND,
-        proof_constant=PROP_C_EXACT,
         passed=bool(est.upper(CONFIDENCE) <= EXP_BOUND),
     )
 

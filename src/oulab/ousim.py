@@ -253,7 +253,6 @@ class PathGrid:
     lam: float
     times: np.ndarray
     values: np.ndarray
-    seed_info: tuple
 
     def __post_init__(self):
         if self.times.shape != self.values.shape or self.times.ndim != 1:
@@ -345,7 +344,7 @@ def sample_path_1d(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
     times = _grid(m, horizon)
     normals = path_normals(stream, m)
     values = _recursion_paths(lam, m, normals, horizon)
-    return PathGrid(lam=lam, times=times, values=values, seed_info=(stream.seed, stream.path, stream.component))
+    return PathGrid(lam=lam, times=times, values=values)
 
 
 def deformed_clock(lam, t):
@@ -390,7 +389,7 @@ def sample_path_timechange(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
     brownian = np.concatenate(([0.0], np.cumsum(sqrt_dtau * normals)))
     values = decay * brownian / math.sqrt(2.0 * lam)
     values[0] = 0.0
-    return PathGrid(lam=lam, times=times, values=values, seed_info=(stream.seed, stream.path, stream.component))
+    return PathGrid(lam=lam, times=times, values=values)
 
 
 def marginal_variance(lam, t):
@@ -466,34 +465,21 @@ def tail_mass_bound(spectrum, truncation) -> float:
     return listed + spec.tail_inverse_mass
 
 
-def suggest_truncation(family="n^2", rel_tol=1e-6) -> int:
-    """Smallest N whose dropped mass is below rel_tol of the family total.
-
-    Only the quadratic family lam_n = n^2 has an analytic tail here:
-    total mass pi^2/12, tail below 1/(2N).
-    """
-    if family not in ("n^2", "n2"):
-        raise DomainError(f"no analytic tail for family {family!r}")
-    if not 0 < rel_tol < 1:
-        raise DomainError("rel_tol must be in (0, 1)")
-    total = math.pi**2 / 12.0
-    return math.ceil(1.0 / (2.0 * rel_tol * total))
+def _as_vector(v, n, name) -> np.ndarray:
+    """v as a finite float vector of shape (n,); messages name it `name`."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.shape != (n,):
+        raise DomainError(f"{name} must have shape ({n},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
 
 
 def shifted_process(path: HilbertPath, x) -> HilbertPath:
     """Z(t, x) = Z_t + e^(-tA) x, the process started at x."""
-    x_arr = np.asarray(x, dtype=np.float64)
-    if x_arr.shape != (path.truncation,):
-        raise DomainError(f"start value must have shape ({path.truncation},), got {x_arr.shape}")
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError("start value must be finite")
+    x_arr = _as_vector(x, path.truncation, "start value")
     comps = tuple(
-        PathGrid(
-            lam=comp.lam,
-            times=comp.times,
-            values=comp.values + np.exp(-comp.lam * comp.times) * x_arr[n],
-            seed_info=comp.seed_info,
-        )
+        PathGrid(lam=comp.lam, times=comp.times, values=comp.values + np.exp(-comp.lam * comp.times) * x_arr[n])
         for n, comp in enumerate(path.component_paths)
     )
     return HilbertPath(spectrum=path.spectrum, truncation=path.truncation, component_paths=comps)

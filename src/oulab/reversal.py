@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fnlib import FunctionDescriptor
-from .ousim import PathGrid, _grid, block_paths_1d, row_chunks
+from .ousim import PathGrid, _check_rate, _grid, block_paths_1d, row_chunks
 from .parallel import run_blocks
 
 EPS_PIN = 1e-9
@@ -51,9 +51,7 @@ EPS_PIN = 1e-9
 
 def reversed_drift_coefficient(lam, t):
     """c(lam, t) = lam - 2 lam / (1 - e^(2 lam (t-1))) for 0 <= t < 1."""
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0:
-        raise DomainError("rate must be positive and finite")
+    lam = _check_rate(lam)
     t_arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0):
         raise DomainError("time must be finite and nonnegative")
@@ -63,11 +61,6 @@ def reversed_drift_coefficient(lam, t):
         )
     # 1 - e^(2 lam (t-1)) = -expm1(2 lam (t-1)), computed without cancellation
     return lam - 2.0 * lam / (-np.expm1(2.0 * lam * (t_arr - 1.0)))
-
-
-def reversed_drift(lam, t, x):
-    """Drift of the reversed process at (t, x): c(lam, t) * x."""
-    return reversed_drift_coefficient(lam, t) * np.asarray(x, dtype=np.float64)
 
 
 def _check_path(path: PathGrid):

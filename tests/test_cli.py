@@ -1,6 +1,7 @@
 """Command line plumbing: config handling, hashing, output, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -192,17 +193,10 @@ class TestExitCodes:
         json.loads(out)
 
     def test_failing_run_exits_one(self, capsys, monkeypatch):
-        import oulab.functionals as FN
-
         real = cli.check_prop21
 
         def flipped(*a, **kw):
-            res = real(*a, **kw)
-            return FN.Prop21Result(
-                statement=res.statement, lam=res.lam, alpha=res.alpha,
-                estimate=res.estimate, bound=res.bound,
-                proof_constant=res.proof_constant, passed=False,
-            )
+            return dataclasses.replace(real(*a, **kw), passed=False)
 
         monkeypatch.setattr(cli, "check_prop21", flipped)
         code, _, err = _run(

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import oulab.fnlib as F
+from oulab.constants import DriftSpectrum
 from oulab.errors import DomainError
+from oulab.functionals import ExperimentSpec, moment_bound
 
 
 class TestWeightedScales:
@@ -34,7 +36,6 @@ class TestMakeBWeighted:
         assert b.norm_inf == pytest.approx(math.exp(-1.0), rel=1e-15)
         assert b.norm_inf_A == pytest.approx(1.0, rel=1e-12)
         assert b.direction == 0
-        assert b.kind == F.KIND_SMOOTH
 
     def test_uniform_coefficients_default(self):
         b = F.make_b_weighted([1.0, 4.0, 9.0])
@@ -76,7 +77,6 @@ class TestMakeBWeighted:
     def test_sign_profile_is_not_smooth(self):
         b = F.make_b_weighted([1.0], profile="sign")
         assert not b.smooth
-        assert b.kind == F.KIND_DISCONTINUOUS
         with pytest.raises(DomainError):
             b.derivative(0.0, np.zeros(1))
 
@@ -124,14 +124,6 @@ class TestMakeH:
         assert h.norm_inf == 1.0
         assert h.truncation == 2
 
-    def test_weighted_sum_arithmetic(self):
-        h = F.make_h([1.0, 4.0], {0: "sin_pi_t", 1: "const:0.5"})
-        t = np.array([0.0, 0.25, 0.5])
-        a = h.a_norm_sq(t)
-        want = np.sin(math.pi * t) ** 2 * 1.0 + 0.25 * 16.0
-        np.testing.assert_allclose(a, want, rtol=1e-12)
-        assert h.a_norm_sq_max == pytest.approx(1.0 + 4.0, rel=1e-6)
-
     def test_component_and_evaluate_agree(self):
         h = F.make_h([1.0, 2.0, 3.0], {1: "sin_pi_t"})
         t = np.linspace(0.0, 1.0, 11)
@@ -161,8 +153,10 @@ class TestMakeH:
     def test_zero_shift_object(self):
         z = F.zero_shift([1.0, 2.0])
         assert z.norm_inf == 0.0
-        assert z.depends_on == ()
-        np.testing.assert_array_equal(z.evaluate(np.array([0.0, 1.0])), np.zeros((2, 2)))
+        t = np.array([0.0, 1.0])
+        for k in (0, 1):
+            np.testing.assert_array_equal(z.component(k, t), np.zeros(2))
+        np.testing.assert_array_equal(z.evaluate(t), np.zeros((2, 2)))
 
 
 class TestShiftDifference:
@@ -213,10 +207,20 @@ class TestWindowRescaling:
         np.testing.assert_allclose(rh.component(0, t), [math.sqrt(2.0)], rtol=1e-12)
 
     def test_rejects_bad_windows(self):
-        b = F.make_b_weighted([1.0])
-        for r, u in ((0.5, 0.5), (-0.1, 0.5), (0.2, 1.1)):
-            with pytest.raises(DomainError):
-                F.window_rescaled_b(b, r, u)
+        lam = [1.0]
+        b = F.make_b_weighted(lam)
+        h = F.make_h(lam, {0: "sin_pi_t"})
+        spec = ExperimentSpec(spectrum=DriftSpectrum(tuple(lam)), truncation=1, b=b, seed=0, m=8, n_paths=2)
+        entry_points = (
+            lambda r, u: F.window_rescaled_b(b, r, u),
+            lambda r, u: F.window_rescaled_h(h, r, u),
+            lambda r, u: F.shift_difference_norm(h, F.zero_shift(lam), r, u),
+            lambda r, u: moment_bound(spec, (0.5,), (-0.5,), (1,), r=r, u=u),
+        )
+        for r, u in ((0.5, 0.5), (-0.1, 0.5), (0.2, 1.1), (0.75, 0.25)):
+            for call in entry_points:
+                with pytest.raises(DomainError, match="need 0 <= r < u <= 1"):
+                    call(r, u)
 
 
 class TestResolvers:
@@ -243,10 +247,13 @@ class TestResolvers:
                 F.resolve_b(bad, [1.0])
 
     def test_shift_names(self):
+        t = np.linspace(0.0, 1.0, 5)
         h = F.resolve_h("e1:sin_pi_t", [1.0, 4.0])
-        assert h.depends_on == (0,)
+        np.testing.assert_array_equal(h.component(0, t), np.sin(math.pi * t))
+        np.testing.assert_array_equal(h.component(1, t), np.zeros(5))
         h2 = F.resolve_h("e2:const:0.3", [1.0, 4.0])
-        assert h2.depends_on == (1,)
+        np.testing.assert_array_equal(h2.component(0, t), np.zeros(5))
+        np.testing.assert_array_equal(h2.component(1, t), np.full(5, 0.3))
         assert h2.norm_inf == pytest.approx(0.3, rel=1e-12)
         assert F.resolve_h("zero", [1.0]).norm_inf == 0.0
 

@@ -37,12 +37,6 @@ class TestReversedDrift:
             want = lam - 2.0 * lam / (1.0 - math.exp(2.0 * lam * (t - 1.0)))
             assert R.reversed_drift_coefficient(lam, t) == pytest.approx(want, rel=1e-12)
 
-    def test_linear_in_state(self):
-        c = R.reversed_drift_coefficient(1.0, 0.25)
-        x = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_allclose(R.reversed_drift(1.0, 0.25, x), c * x, rtol=0)
-        assert R.reversed_drift(1.0, 0.25, 0.0) == 0.0
-
     def test_pinning_divergence(self):
         # 2/(1 - e^(-2 delta)) = 1/delta + 1 + O(delta), so
         # c(1, 1 - delta) = -1/delta + O(delta)
