@@ -19,9 +19,10 @@ verdict per check is printed either way, naming the inequality it
 tested.  Exit status: 0 all checks passed, 1 a bound was violated,
 2 the configuration did not parse or an output could not be written.
 
-The payload is a pure function of the canonical config and seed; worker
-count and output destinations never enter it, and the timing block is
-informational only.
+The payload is a pure function of the canonical config and seed, given
+the versions its provenance block records (the stream contract id, numpy,
+Python and oulab); worker count and output destinations never enter it,
+and the timing block is informational only.
 
 COMMANDS is the one place that defines a command: its flags with their
 defaults and help, its check function and its CSV columns.  The parser,
@@ -38,6 +39,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import sys
 import time
@@ -62,7 +64,8 @@ from .functionals import (
     gamma_step_check,
     moment_bound,
 )
-from .ousim import block_paths_1d
+from . import __version__
+from .ousim import STREAM_CONTRACT, block_paths_1d
 from .reversal import covariation_check, trend_decreasing
 
 SCHEMA = 1
@@ -331,6 +334,12 @@ def _payload(cfg: RunConfig, results, passed, seconds, seed=None, extra=None):
     doc["results"] = results
     if passed is not None:
         doc["pass"] = passed
+    doc["provenance"] = {
+        "stream_contract": STREAM_CONTRACT,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "oulab": __version__,
+    }
     doc["timing"] = {"seconds": round(seconds, 6)}
     return doc
 

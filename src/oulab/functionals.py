@@ -34,12 +34,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, shift_difference_norm
-from .ousim import HilbertPath, _as_vector, _grid, block_paths_1d, row_chunks
+from .ousim import HilbertPath, _as_vector, _grid, block_paths_1d, ndtri, row_chunks
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -83,7 +82,7 @@ class McEstimate:
         """One-sided upper confidence bound, non-decreasing in conf."""
         if not 0.0 < conf < 1.0:
             raise DomainError("confidence must be in (0, 1)")
-        return self.mean + float(ndtri(conf)) * self.stderr
+        return self.mean + ndtri(conf) * self.stderr
 
 
 def exp_moment(values, alpha, summand_cap=None) -> McEstimate:

@@ -14,30 +14,39 @@ on the deformed clock tau(t) = e^(2 lam t) - 1 and rescales,
 
 which has the same law and cross-validates the recursion.
 
-Reproducibility contract
-------------------------
-Streams are counter-based (Philox) and keyed by
+Reproducibility contract (stream contract philox-rowcounter-ziggurat-block256)
+-----------------------------------------------------------------------------
+Streams are counter-based (Philox4x64; Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011) and keyed by
 (seed, domain, component, block), where a block covers BLOCK consecutive
-path indices.  A path's Gaussians are row (path mod BLOCK) of the
-C-order (BLOCK, M) draw matrix of its block, so any scheduling of blocks
-across workers reproduces identical paths.  Any row range of a block is
-reached without drawing the rows before it: Philox emits four 64-bit
-words per counter step and each normal takes one word, so row r starts
-floor(r M / 4) counter steps and (r M) mod 4 discarded words into its
-block's stream.  One path costs O(M) draws and O(M) memory, and the
-block kernels draw their blocks in row chunks that consume the stream
-exactly as one whole-block draw does.  Uniforms map to normals
-by the fixed-consumption inverse CDF
+path indices.  A path's Gaussians are row r = (path mod BLOCK) of the
+(BLOCK, M) draw matrix of its block, and every row owns a counter
+region of its own:
 
-    k ~ uniform{0, ..., 2^53 - 1},   u = (k + 1/2) 2^-53,   z = ndtri(u),
+    row r = Generator(Philox(key=stream_key(seed, component, block, domain),
+                             counter=[0, r, 0, 0])).standard_normal(M),
 
-one 53-bit draw per step.  Half-integers above 2^52 round, and the top
-value k = 2^53 - 1 rounds u to exactly 1.0, so u is clamped one ulp
-below 1 to keep ndtri finite; no other value can reach 0 or 1.
+numpy's ziggurat.  The ziggurat reads a variable number of 64-bit words
+per value, so a row cannot start at an offset computed from the rows
+before it; with the row in counter word 1 it starts at a fixed place,
+2^64 counter steps from the next row.  One path therefore costs O(M)
+draws and O(M) memory, and any grouping of a block's rows (whole block,
+row chunks, one path) and any scheduling of blocks across workers
+reproduce identical paths.
 
-Paths are the recursion Z_{k+1} = a Z_k + sigma xi_k evaluated by
-scipy's bundled LAPACK dgttrs (see _recursion_paths), so their bits
-depend on that routine as well as on numpy's Philox and scipy's ndtri.
+Paths are the recursion Z_{k+1} = a Z_k + sigma xi_k, Z_0 = 0, evaluated
+by a blocked scan (see _recursion_paths): chunks of SCAN_STEPS steps are
+swept from a zero start, a doubling scan carries the chunk ends across
+chunks, and one broadcast adds each chunk's carried start.  Only
+elementwise ufuncs touch the data, so a row's bits depend on its own
+normals and M, never on how many rows share its array.  Up to SCAN_STEPS
+steps the scan is the sequential loop, bit for bit; beyond that it agrees
+with the loop to rounding (about 1e-14 of the path's scale at M = 4096).
+
+The bits depend on numpy's Philox and on Generator.standard_normal.
+NEP 19 keeps bit generator streams stable across numpy versions but not
+Generator methods, so every payload records the numpy version next to
+STREAM_CONTRACT.
 
 Stream domains: 0 = path increments (recursion), 1 = auxiliary draws
 (e.g. stationary starts), 2 = time-change increments.  The recursion and
@@ -51,14 +60,15 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg.lapack import dgttrs
-from scipy.special import ndtri
 
 from .constants import DriftSpectrum, _coerce_spectrum
 from .errors import DomainError
+
+STREAM_CONTRACT = "philox-rowcounter-ziggurat-block256"
 
 BLOCK = 256  # paths per RNG block; fixed, worker-independent
 
@@ -66,8 +76,7 @@ DOMAIN_PATH = 0
 DOMAIN_AUX = 1
 DOMAIN_CLOCK = 2
 
-_U53 = 2.0**-53
-_U_MAX = 1.0 - 2.0**-53
+SCAN_STEPS = 32  # steps per chunk of the recursion scan
 
 # e^(2 lam t) must stay representable for the deformed clock
 _CLOCK_LIMIT = 700.0
@@ -75,8 +84,7 @@ _CLOCK_LIMIT = 700.0
 # entries in each grid-constant cache of the per-path samplers; a grid is (lam, m, horizon)
 _GRID_CACHE_SIZE = 32
 
-# 64-bit words Philox emits per counter step
-_PHILOX_WORDS = 4
+_STANDARD_NORMAL = NormalDist()
 
 
 def _check_seed(seed):
@@ -102,23 +110,19 @@ def stream_key(seed, component, block, domain=DOMAIN_PATH) -> np.ndarray:
     return np.array([seed, word1], dtype=np.uint64)
 
 
-def substream(seed, component=0, block=0, domain=DOMAIN_PATH) -> Generator:
-    """Fresh generator for one block's draws."""
-    return Generator(Philox(key=stream_key(seed, component, block, domain)))
+def substream(seed, component=0, block=0, domain=DOMAIN_PATH, row=0) -> Generator:
+    """Fresh generator at the start of row `row` of one block's stream."""
+    return Generator(Philox(key=stream_key(seed, component, block, domain), counter=[0, row, 0, 0]))
 
 
-def standard_normal(gen: Generator, size=None) -> np.ndarray:
-    """Inverse-CDF Gaussians, exactly one 53-bit uniform per value.
+def standard_normal(gen: Generator, size=None, out=None):
+    """numpy's ziggurat Gaussians from gen; size=None without out gives a float."""
+    return gen.standard_normal(size, out=out)
 
-    u = min((k + 1/2) 2^-53, 1 - 2^-53) is formed in place in one float
-    array, which ndtri then overwrites; size=None gives a scalar.
-    """
-    k = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    u = np.asarray(k, dtype=np.float64)
-    u += 0.5
-    u *= _U53
-    np.minimum(u, _U_MAX, out=u)
-    return ndtri(u, out=u)[()]
+
+def ndtri(p) -> float:
+    """Standard normal quantile of a probability p in (0, 1), the package's one inverse normal CDF."""
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def chunk_rows(m) -> int:
@@ -152,28 +156,22 @@ def _row_range(rows) -> tuple:
     return int(start), int(stop)
 
 
-def _stream_at_row(seed, component, block, m, row, domain) -> Generator:
-    """The block's generator positioned at the first draw of row `row` of its (BLOCK, m) matrix.
-
-    The rows before it are skipped by advancing the Philox counter, not drawn.
-    """
-    gen = substream(seed, component, block, domain)
-    skip = int(row) * int(m)
-    gen.bit_generator.advance(skip // _PHILOX_WORDS)
-    if skip % _PHILOX_WORDS:
-        gen.bit_generator.random_raw(skip % _PHILOX_WORDS, output=False)
-    return gen
-
-
 def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None) -> np.ndarray:
     """Rows [start, stop) of the (BLOCK, m) standard normal matrix of one block.
 
-    rows=(start, stop) defaults to the whole block; the result is bitwise
-    the same rows of the whole-block draw.
+    rows=(start, stop) defaults to the whole block.  One generator serves
+    every row: resetting it to a fresh state with the row's counter is
+    bitwise substream(..., row=r), without building a generator per row.
     """
     start, stop = _row_range(rows)
-    gen = _stream_at_row(seed, component, block, m, start, domain)
-    return standard_normal(gen, (stop - start, m))
+    gen = substream(seed, component, block, domain)
+    state = gen.bit_generator.state  # fresh: empty output buffer
+    out = np.empty((stop - start, operator.index(m)))
+    for row in range(start, stop):
+        state["state"]["counter"][1] = row
+        gen.bit_generator.state = state
+        standard_normal(gen, out=out[row - start])
+    return out
 
 
 @dataclass(frozen=True)
@@ -202,11 +200,8 @@ class PathStream:
 
 
 def path_normals(stream: PathStream, m, domain=DOMAIN_PATH) -> np.ndarray:
-    """One path's m Gaussians (a row of its block matrix), in O(m) draws.
-
-    The one-row case of block_normals: the result is bitwise that row.
-    """
-    gen = _stream_at_row(stream.seed, stream.component, stream.block, m, stream.row, domain)
+    """One path's m Gaussians, bitwise its row of block_normals, in O(m) draws."""
+    gen = substream(stream.seed, stream.component, stream.block, domain, row=stream.row)
     return standard_normal(gen, m)
 
 
@@ -242,12 +237,13 @@ def transition_sample(lam, z_current, dt, substream: Generator):
     return mean + math.sqrt(var) * standard_normal(substream, size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathGrid:
     """A sampled path on a uniform grid.
 
     Sampler output always has values[0] = 0 (the processes start at the
-    origin); shifted paths carry their start value instead.
+    origin); shifted paths carry their start value instead.  Equality and
+    hashing are by identity.
     """
 
     lam: float
@@ -284,49 +280,48 @@ def _grid(m, horizon):
     return times
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
-def _recursion_factors(a, m):
-    """Read-only dgttrs factors (dl, d, du, du2, ipiv) of the recursion matrix.
-
-    The (m+1)x(m+1) matrix has 1 on its diagonal and -a below it: a
-    tridiagonal matrix already in dgttrf's factored form, with a zero
-    upper part and no row swaps (1-based ipiv[k] = k + 1).
-    """
-    dl = np.full(m, -a)
-    d = np.ones(m + 1)
-    du = np.zeros(m)
-    du2 = np.zeros(m - 1)
-    ipiv = np.arange(1, m + 2, dtype=np.int32)
-    for factor in (dl, d, du, du2, ipiv):
-        factor.setflags(write=False)
-    return dl, d, du, du2, ipiv
-
-
 def _recursion_paths(lam, m, normals, horizon):
-    """Z_{k+1} = a Z_k + sigma xi_k along the last axis, Z_0 = 0.
+    """Z_{k+1} = a Z_k + sigma xi_k along the last axis, Z_0 = 0, by a blocked scan.
 
-    The paths solve L Z = (0, sigma xi) with L the unit lower-bidiagonal
-    matrix of _recursion_factors, one path per right-hand side, by
-    LAPACK dgttrs in place in the result.  This is bitwise the scalar
-    transition loop: the forward sweep computes b_{k+1} - (-a) Z_k, which
-    is fl(b_{k+1} + fl(a Z_k)), the loop's two roundings; the back sweep
-    computes (b - 0 Z - 0 Z) / 1, which returns every finite b exactly
-    except -0.0, and the recursion cannot produce -0.0 from its +0.0 start.
+    Step j of chunk c (L = SCAN_STEPS consecutive steps) sits at t[j, ..., c]
+    of one contiguous array, so each step of the sweep is one elementwise
+    update of a whole row of t.  The sweep solves every chunk from a zero
+    start, which is the loop's own rounding, fl(fl(a Z) + fl(sigma xi)).
+    The chunk ends then obey end_c += a^L end_{c-1}, solved by doubling:
+    log2(chunks) elementwise steps.  Finally step j of chunk c gains
+    a^(j+1) end_{c-1}.  The last chunk is padded with zeros, which only
+    reach the steps after them.
     """
     dt = horizon / m
     a = math.exp(-lam * dt)
     sigma = math.sqrt(-math.expm1(-2.0 * lam * dt) / (2.0 * lam))
-    out = np.empty(normals.shape[:-1] + (m + 1,))
+    lead = normals.shape[:-1]
+    steps = min(SCAN_STEPS, m)
+    full, rem = divmod(m, steps)
+    chunks = full + (rem > 0)
+    t = np.empty((steps,) + lead + (chunks,))
+    by_chunk = t.transpose(tuple(range(1, t.ndim)) + (0,))  # (..., chunks, steps) view of t
+    np.multiply(sigma, normals[..., : full * steps].reshape(lead + (full, steps)), out=by_chunk[..., :full, :])
+    if rem:
+        np.multiply(sigma, normals[..., full * steps :], out=by_chunk[..., full, :rem])
+        by_chunk[..., full, rem:] = 0.0
+    for j in range(1, steps):
+        t[j] += a * t[j - 1]
+    if chunks > 1:
+        powers = [a]  # a^(j+1) for j < L as float products: no libm pow in the bits
+        for _ in range(steps - 1):
+            powers.append(powers[-1] * a)
+        ends = t[-1]
+        shift, factor = 1, powers[-1]
+        while shift < chunks:
+            ends[..., shift:] += factor * ends[..., :-shift]
+            shift, factor = 2 * shift, factor * factor
+        t[:-1, ..., 1:] += np.reshape(powers[:-1], (steps - 1,) + (1,) * ends.ndim) * ends[..., :-1]
+    out = np.empty(lead + (m + 1,))
     out[..., 0] = 0.0
-    np.multiply(sigma, normals, out=out[..., 1:])
-    # no solve without rows: for an empty right-hand side f2py returns a fresh
-    # array, not a view, and with scipy 1.17.1 repeated such calls end in a
-    # segmentation fault
-    if out.size:
-        # Fortran-contiguous (m+1, paths) view of out: LAPACK solves in out itself
-        paths, info = dgttrs(*_recursion_factors(a, m), out.reshape(-1, m + 1).T, overwrite_b=1)
-        if info != 0 or not np.may_share_memory(paths, out):
-            raise RuntimeError(f"dgttrs did not solve the recursion in place (info={info})")
+    out[..., 1 : full * steps + 1].reshape(lead + (full, steps))[...] = by_chunk[..., :full, :]
+    if rem:
+        out[..., full * steps + 1 :] = by_chunk[..., full, :rem]
     return out
 
 
@@ -415,12 +410,12 @@ def marginal_density(lam, t, x):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertPath:
     """Independent OU components on a common grid.
 
     component_paths[n] uses rate eigenvalues[n] and the substream
-    (seed, path, component=n).
+    (seed, path, component=n).  Equality and hashing are by identity.
     """
 
     spectrum: DriftSpectrum

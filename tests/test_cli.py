@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oulab
 import oulab.cli as cli
 from oulab.cli import (
     CONSTANTS_COLUMNS,
@@ -319,6 +321,20 @@ class TestPayload:
         assert "workers" not in doc["config"]
         assert "out" not in doc["config"]
 
+    def test_provenance_names_what_produced_the_bits(self, capsys, tmp_path):
+        out_path = tmp_path / "res.json"
+        code, _, _ = _run(capsys, "verify-prop21", "--lambda", "1", "--seed", "5", "--n", "256", "--M", "16",
+                          "--out", str(out_path))
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["provenance"] == {
+            "stream_contract": "philox-rowcounter-ziggurat-block256",
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "oulab": oulab.__version__,
+        }
+        assert list(doc)[-2:] == ["provenance", "timing"]
+
     def test_every_row_carries_statement(self, capsys, tmp_path):
         out_path = tmp_path / "conc.json"
         code, _, _ = _run(
@@ -490,6 +506,15 @@ class TestImport:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         code = "import sys, oulab.cli; print(sorted(n for n in sys.modules if n.startswith('scipy.signal')))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test dependency only; importing it cost about 0.4 s of every run
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, oulab.cli; print(sorted(n for n in sys.modules if n.startswith('scipy')))"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
@@ -87,13 +88,23 @@ class TestStandardNormal:
         singles = [float(S.standard_normal(gen_b)) for _ in range(4)]
         np.testing.assert_array_equal(vec, np.asarray(singles))
 
-    def test_extreme_uniform_is_finite(self):
-        # the clamped top of the uniform range maps to about +8.2 sigma,
-        # never to infinity
-        from scipy.special import ndtri
+    def test_rows_are_their_own_generators(self):
+        # the stream contract itself: row r of a block is a fresh ziggurat
+        # generator whose Philox counter starts at (0, r, 0, 0)
+        key = S.stream_key(29, 4, 6, S.DOMAIN_CLOCK)
+        for m in (1, 7, 300):
+            block = S.block_normals(29, 4, 6, m, S.DOMAIN_CLOCK)
+            for row in (0, 1, 130, 255):
+                want = Generator(Philox(key=key, counter=[0, row, 0, 0])).standard_normal(m)
+                np.testing.assert_array_equal(block[row], want)
+                np.testing.assert_array_equal(S.standard_normal(S.substream(29, 4, 6, S.DOMAIN_CLOCK, row=row), m), want)
+        assert S.STREAM_CONTRACT == "philox-rowcounter-ziggurat-block256"
 
-        assert math.isfinite(ndtri(1.0 - 2.0**-53))
-        assert ndtri(1.0 - 2.0**-53) < 9.0
+    def test_ndtri_is_the_normal_quantile(self):
+        assert S.ndtri(0.999) == 3.090232306167813  # scipy.special.ndtri's value, bit for bit
+        assert S.ndtri(0.5) == 0.0
+        for p in (1e-12, 0.01, 0.3, 0.975, 1.0 - 1e-9):
+            assert S.ndtri(p) == pytest.approx(norm.ppf(p), rel=1e-14)
 
 
 class TestTransition:
@@ -168,9 +179,10 @@ class TestRecursionSampler:
     # lam = 256 is the top rate of n^2:16; m = 2 is the smallest grid
     @pytest.mark.parametrize("lam, m, horizon", [(1.7, 64, 1.0), (256.0, 4096, 1.0), (0.05, 2, 1.0), (9.0, 1000, 0.5)])
     def test_matches_scalar_transition_chain(self, lam, m, horizon):
-        # a path from the dgttrs solve must equal the literal state
-        # recursion driven by the same normals, bitwise, whether it comes
-        # from the whole block, from a row range or from the one-path sampler
+        # the whole block, a row range and the one-path sampler give the same
+        # path bitwise; it is the literal state recursion driven by the same
+        # normals to within 1e-13 of the path's scale, and bitwise up to
+        # SCAN_STEPS steps, where the scan is that loop
         seed, row = 31, 40
         w = S.block_normals(seed, 0, 0, m)[row]
         dt = horizon / m
@@ -183,20 +195,36 @@ class TestRecursionSampler:
             manual.append(state)
         manual = np.asarray(manual)
         whole = S.block_paths_1d(lam, m, seed, component=0, block=0, horizon=horizon)[row]
-        np.testing.assert_array_equal(whole, manual)
+        np.testing.assert_allclose(whole, manual, rtol=0, atol=1e-13 * np.max(np.abs(manual)))
+        if m <= S.SCAN_STEPS:
+            np.testing.assert_array_equal(whole, manual)
         chunk = S.block_paths_1d(lam, m, seed, component=0, block=0, horizon=horizon, rows=(row - 7, row + 3))
-        np.testing.assert_array_equal(chunk[7], manual)
+        np.testing.assert_array_equal(chunk[7], whole)
         one = S.sample_path_1d(lam, m, S.PathStream(seed=seed, path=row), horizon=horizon)
-        np.testing.assert_array_equal(one.values, manual)
+        np.testing.assert_array_equal(one.values, whole)
 
-    def test_solve_out_of_place_or_failed_raises(self, monkeypatch):
-        real = S.dgttrs
-        monkeypatch.setattr(S, "dgttrs", lambda *args, overwrite_b: real(*args, overwrite_b=0))
-        with pytest.raises(RuntimeError, match="in place"):
-            S.block_paths_1d(1.0, 8, 1, 0, 0)
-        monkeypatch.setattr(S, "dgttrs", lambda *args, overwrite_b: (real(*args, overwrite_b=1)[0], 1))
-        with pytest.raises(RuntimeError, match="info=1"):
-            S.sample_path_1d(1.0, 8, S.PathStream(seed=1, path=0))
+    # chunk shapes of the scan: one partial chunk, exactly one chunk, a chunk
+    # and a remainder, powers of two, odd remainders, many chunks
+    @pytest.mark.parametrize("m", [3, 31, 32, 33, 63, 64, 65, 100, 1024, 1025, 5000])
+    def test_scan_matches_loop_for_any_row_count(self, m):
+        lam, horizon = 2.3, 1.0
+        dt = horizon / m
+        a = math.exp(-lam * dt)
+        sig = math.sqrt(-math.expm1(-2.0 * lam * dt) / (2.0 * lam))
+        normals = np.random.default_rng(m).standard_normal((5, m))
+        paths = S._recursion_paths(lam, m, normals, horizon)
+        assert paths.shape == (5, m + 1)
+        for row in range(5):
+            manual = [0.0]
+            for k in range(m):
+                manual.append(a * manual[-1] + sig * normals[row, k])
+            manual = np.asarray(manual)
+            np.testing.assert_allclose(paths[row], manual, rtol=0, atol=1e-13 * np.max(np.abs(manual)))
+            if m <= S.SCAN_STEPS:
+                np.testing.assert_array_equal(paths[row], manual)
+            # a row's bits do not depend on the rows sharing its array
+            np.testing.assert_array_equal(S._recursion_paths(lam, m, normals[row], horizon), paths[row])
+            np.testing.assert_array_equal(S._recursion_paths(lam, m, normals[row : row + 1], horizon)[0], paths[row])
 
     def test_row_slice_identity(self):
         # sampling one path must be a row of its block, bitwise
@@ -204,7 +232,7 @@ class TestRecursionSampler:
             pg = S.sample_path_1d(0.7, 32, S.PathStream(seed=13, path=path))
             block_rows = S.block_paths_1d(0.7, 32, 13, 0, path // S.BLOCK)
             np.testing.assert_array_equal(pg.values, block_rows[path % S.BLOCK])
-        # row * m mod 4 takes every value, so the skip-ahead's discarded words are exercised
+        # odd, even and tiny m, two components and both domains, rows at both ends of a block
         for m in (2, 3, 5, 7, 32, 64):
             for component in (0, 3):
                 for domain in (S.DOMAIN_PATH, S.DOMAIN_CLOCK):
@@ -284,38 +312,10 @@ class TestGridCache:
             with pytest.raises(DomainError):
                 S.sample_path_timechange(2.0, 8, S.PathStream(seed=21, path=0), horizon=176.0)
 
-    def test_recursion_factors_are_read_only(self):
-        stream = S.PathStream(seed=21, path=300)
-        expected = S.sample_path_1d(0.9, 16, stream).values.copy()
-        a = math.exp(-0.9 * (1.0 / 16))  # the a of lam 0.9 on 16 steps of [0, 1]
-        hits = S._recursion_factors.cache_info().hits
-        factors = S._recursion_factors(a, 16)
-        assert S._recursion_factors.cache_info().hits == hits + 1
-        assert [f.size for f in factors] == [16, 17, 16, 15, 17]
-        for factor in factors:
-            with pytest.raises(ValueError):
-                factor[0] = 5
-        np.testing.assert_array_equal(S.sample_path_1d(0.9, 16, stream).values, expected)
-
-    def test_bad_grids_do_not_reach_the_factor_cache(self):
-        stream = S.PathStream(seed=21, path=0)
-        expected = S.sample_path_1d(2.0, 8, stream).values.copy()
-        S._recursion_factors.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DomainError):
-                S.sample_path_1d(2.0, 1, stream)
-            with pytest.raises(DomainError):
-                S.block_paths_1d(2.0, 1, 21, 0, 0)
-            with pytest.raises(DomainError):
-                S.sample_path_1d(2.0, 8, stream, horizon=math.nan)
-        assert S._recursion_factors.cache_info().currsize == 0
-        np.testing.assert_array_equal(S.sample_path_1d(2.0, 8, stream).values, expected)
-        np.testing.assert_array_equal(S.block_paths_1d(2.0, 8, 21, 0, 0)[0], expected)
-
 
 class TestRowRanges:
-    # (start, stop) pairs: empty ranges, starts inside a 4-word Philox step
-    # for odd m and for m = 2, chunk-sized ranges and the block's end
+    # (start, stop) pairs: empty ranges, single rows, starts at odd rows for
+    # odd m and for m = 2, chunk-sized ranges and the block's end
     RANGES = ((0, 0), (5, 5), (256, 256), (1, 2), (1, 4), (3, 10), (6, 7), (31, 33), (0, 256), (129, 256), (255, 256))
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7, 4096])
@@ -432,6 +432,19 @@ def _hilbert_component_last(lam, component, n_paths, seed):
         z = S.block_paths_1d(lam, 8, seed, component, block)
         cols.append(z[:, -1])
     return np.concatenate(cols)[:n_paths]
+
+
+class TestPathIdentity:
+    def test_paths_hash_and_compare_by_identity(self):
+        stream = S.PathStream(1, 0)
+        first, again = S.sample_path_1d(1.0, 8, stream), S.sample_path_1d(1.0, 8, stream)
+        np.testing.assert_array_equal(first.values, again.values)
+        assert first == first and first != again
+        assert len({first, again, first}) == 2
+        spec = DriftSpectrum((1.0, 2.0))
+        hp, hp_again = S.sample_hilbert(spec, 2, 8, seed=1), S.sample_hilbert(spec, 2, 8, seed=1)
+        assert hp == hp and hp != hp_again
+        assert hash(hp) == hash(hp) and len({hp, hp_again}) == 2
 
 
 class TestShiftedProcess:
