@@ -32,7 +32,10 @@ before it; with the row in counter word 1 it starts at a fixed place,
 2^64 counter steps from the next row.  One path therefore costs O(M)
 draws and O(M) memory, and any grouping of a block's rows (whole block,
 row chunks, one path) and any scheduling of blocks across workers
-reproduce identical paths.
+reproduce identical paths.  No generator is built per row: each thread
+keeps one Philox generator and, before every row, replaces its whole
+state with the fresh state of that row (the key and counter (0, r, 0, 0),
+an empty output buffer), which is bitwise a new generator at the row.
 
 Paths are the recursion Z_{k+1} = a Z_k + sigma xi_k, Z_0 = 0, evaluated
 by a blocked scan (see _recursion_paths): chunks of SCAN_STEPS steps are
@@ -42,6 +45,9 @@ elementwise ufuncs touch the data, so a row's bits depend on its own
 normals and M, never on how many rows share its array.  Up to SCAN_STEPS
 steps the scan is the sequential loop, bit for bit; beyond that it agrees
 with the loop to rounding (about 1e-14 of the path's scale at M = 4096).
+The rate may differ per row: a truncated Hilbert path is one scan over a
+(truncation, M) array whose row n runs at rate lam_n, bitwise the
+one-rate scan of each row.
 
 The bits depend on numpy's Philox and on Generator.standard_normal.
 NEP 19 keeps bit generator streams stable across numpy versions but not
@@ -59,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -95,8 +102,19 @@ def _check_seed(seed):
     return int(seed)
 
 
-def stream_key(seed, component, block, domain=DOMAIN_PATH) -> np.ndarray:
-    """128-bit Philox key: word0 = seed, word1 packs (domain, component, block)."""
+def _check_count(value, name, least) -> int:
+    """value as a Python int of at least `least`; numpy integers pass, floats and strings do not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _key_words(seed, component, block, domain) -> tuple:
+    """The two words of stream_key as Python ints."""
     seed = _check_seed(seed)
     # Python ints, so a narrow numpy integer cannot wrap in the shifts below
     component, block, domain = operator.index(component), operator.index(block), operator.index(domain)
@@ -106,13 +124,46 @@ def stream_key(seed, component, block, domain=DOMAIN_PATH) -> np.ndarray:
         raise DomainError("block index must fit in 32 bits")
     if not 0 <= domain < 2**8:
         raise DomainError("domain must fit in 8 bits")
-    word1 = (domain << 56) | (component << 32) | block
-    return np.array([seed, word1], dtype=np.uint64)
+    return seed, (domain << 56) | (component << 32) | block
+
+
+def stream_key(seed, component, block, domain=DOMAIN_PATH) -> np.ndarray:
+    """128-bit Philox key: word0 = seed, word1 packs (domain, component, block)."""
+    return np.array(_key_words(seed, component, block, domain), dtype=np.uint64)
 
 
 def substream(seed, component=0, block=0, domain=DOMAIN_PATH, row=0) -> Generator:
     """Fresh generator at the start of row `row` of one block's stream."""
     return Generator(Philox(key=stream_key(seed, component, block, domain), counter=[0, row, 0, 0]))
+
+
+class _ThreadGenerator(threading.local):
+    """The calling thread's one generator for row draws; see _row_generator."""
+
+    def __init__(self):
+        self.gen = Generator(Philox(0))
+
+
+_THREAD = _ThreadGenerator()
+
+
+def _row_generator(key_words, row) -> Generator:
+    """This thread's generator at the start of row `row` of the stream keyed key_words.
+
+    Bitwise substream(..., row=row): the whole Philox state is replaced by
+    the state of a fresh generator there (the key, counter (0, row, 0, 0),
+    an empty output buffer), so nothing of an earlier draw carries over.
+    """
+    gen = _THREAD.gen
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, row, 0, 0], "key": key_words},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def standard_normal(gen: Generator, size=None, out=None):
@@ -159,18 +210,14 @@ def _row_range(rows) -> tuple:
 def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None) -> np.ndarray:
     """Rows [start, stop) of the (BLOCK, m) standard normal matrix of one block.
 
-    rows=(start, stop) defaults to the whole block.  One generator serves
-    every row: resetting it to a fresh state with the row's counter is
-    bitwise substream(..., row=r), without building a generator per row.
+    rows=(start, stop) defaults to the whole block.  Each row is drawn by
+    the thread's generator set to that row, bitwise substream(..., row=r).
     """
     start, stop = _row_range(rows)
-    gen = substream(seed, component, block, domain)
-    state = gen.bit_generator.state  # fresh: empty output buffer
-    out = np.empty((stop - start, operator.index(m)))
+    key_words = _key_words(seed, component, block, domain)
+    out = np.empty((stop - start, _check_count(m, "m", 0)))
     for row in range(start, stop):
-        state["state"]["counter"][1] = row
-        gen.bit_generator.state = state
-        standard_normal(gen, out=out[row - start])
+        standard_normal(_row_generator(key_words, row), out=out[row - start])
     return out
 
 
@@ -201,8 +248,9 @@ class PathStream:
 
 def path_normals(stream: PathStream, m, domain=DOMAIN_PATH) -> np.ndarray:
     """One path's m Gaussians, bitwise its row of block_normals, in O(m) draws."""
-    gen = substream(stream.seed, stream.component, stream.block, domain, row=stream.row)
-    return standard_normal(gen, m)
+    m = _check_count(m, "m", 0)
+    key_words = _key_words(stream.seed, stream.component, stream.block, domain)
+    return standard_normal(_row_generator(key_words, stream.row), m)
 
 
 # ----------------------------------------------------------------------
@@ -270,14 +318,18 @@ class PathGrid:
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
 def _grid(m, horizon):
     """The read-only uniform grid 0 = t_0 < ... < t_m = horizon."""
-    if m < 2:
-        raise DomainError("need at least 2 steps")
+    m = _check_count(m, "m", 2)
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0:
         raise DomainError("horizon must be positive")
     times = np.linspace(0.0, horizon, m + 1)
     times.setflags(write=False)
     return times
+
+
+def _step_coefficients(lam, dt) -> tuple:
+    """(a, sigma) of one exact step: a = e^(-lam dt), sigma^2 = (1 - e^(-2 lam dt)) / (2 lam)."""
+    return math.exp(-lam * dt), math.sqrt(-math.expm1(-2.0 * lam * dt) / (2.0 * lam))
 
 
 def _recursion_paths(lam, m, normals, horizon):
@@ -291,20 +343,29 @@ def _recursion_paths(lam, m, normals, horizon):
     log2(chunks) elementwise steps.  Finally step j of chunk c gains
     a^(j+1) end_{c-1}.  The last chunk is padded with zeros, which only
     reach the steps after them.
+
+    lam is one rate, or an array of one rate per row (shape
+    normals.shape[:-1]).  Per row, a, sigma and the powers of a become
+    (..., 1) columns of the same libm calls and float products, so each
+    row's bits are those of a one-rate call at its rate.
     """
     dt = horizon / m
-    a = math.exp(-lam * dt)
-    sigma = math.sqrt(-math.expm1(-2.0 * lam * dt) / (2.0 * lam))
     lead = normals.shape[:-1]
+    if isinstance(lam, np.ndarray):
+        column = lead + (1,)
+        a, sigma = np.reshape(np.transpose([_step_coefficients(rate, dt) for rate in lam.ravel()]), (2,) + column)
+    else:
+        column = (1,) * (len(lead) + 1)  # a scalar rate broadcasts as a column of ones
+        a, sigma = _step_coefficients(lam, dt)
     steps = min(SCAN_STEPS, m)
     full, rem = divmod(m, steps)
     chunks = full + (rem > 0)
     t = np.empty((steps,) + lead + (chunks,))
-    by_chunk = t.transpose(tuple(range(1, t.ndim)) + (0,))  # (..., chunks, steps) view of t
-    np.multiply(sigma, normals[..., : full * steps].reshape(lead + (full, steps)), out=by_chunk[..., :full, :])
+    to_t = (t.ndim - 1,) + tuple(range(t.ndim - 1))  # (..., chunks, steps) axes -> t's (steps, ..., chunks)
+    np.multiply(sigma, normals[..., : full * steps].reshape(lead + (full, steps)).transpose(to_t), out=t[..., :full])
     if rem:
-        np.multiply(sigma, normals[..., full * steps :], out=by_chunk[..., full, :rem])
-        by_chunk[..., full, rem:] = 0.0
+        np.multiply(sigma, normals[..., full * steps :].reshape(lead + (1, rem)).transpose(to_t), out=t[:rem, ..., full:])
+        t[rem:, ..., full] = 0.0
     for j in range(1, steps):
         t[j] += a * t[j - 1]
     if chunks > 1:
@@ -316,12 +377,12 @@ def _recursion_paths(lam, m, normals, horizon):
         while shift < chunks:
             ends[..., shift:] += factor * ends[..., :-shift]
             shift, factor = 2 * shift, factor * factor
-        t[:-1, ..., 1:] += np.reshape(powers[:-1], (steps - 1,) + (1,) * ends.ndim) * ends[..., :-1]
+        t[:-1, ..., 1:] += np.reshape(powers[:-1], (steps - 1,) + column) * ends[..., :-1]
     out = np.empty(lead + (m + 1,))
     out[..., 0] = 0.0
-    out[..., 1 : full * steps + 1].reshape(lead + (full, steps))[...] = by_chunk[..., :full, :]
+    out[..., 1 : full * steps + 1].reshape(lead + (full, steps)).transpose(to_t)[...] = t[..., :full]
     if rem:
-        out[..., full * steps + 1 :] = by_chunk[..., full, :rem]
+        out[..., full * steps + 1 :].reshape(lead + (1, rem)).transpose(to_t)[...] = t[:rem, ..., full:]
     return out
 
 
@@ -381,9 +442,13 @@ def sample_path_timechange(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
     lam = _check_rate(lam)
     times, sqrt_dtau, decay = _clock_grid(lam, m, horizon)
     normals = path_normals(stream, m, domain=DOMAIN_CLOCK)
-    brownian = np.concatenate(([0.0], np.cumsum(sqrt_dtau * normals)))
-    values = decay * brownian / math.sqrt(2.0 * lam)
+    values = np.empty(times.size)
     values[0] = 0.0
+    brownian = values[1:]
+    np.multiply(sqrt_dtau, normals, out=brownian)
+    np.cumsum(brownian, out=brownian)
+    values *= decay
+    values /= math.sqrt(2.0 * lam)
     return PathGrid(lam=lam, times=times, values=values)
 
 
@@ -438,16 +503,21 @@ class HilbertPath:
 
 
 def sample_hilbert(spectrum, truncation, m, seed, path=0, horizon=1.0) -> HilbertPath:
-    """Truncated Hilbert path: one substream per (path, component)."""
+    """Truncated Hilbert path: one substream per (path, component).
+
+    Component n is bitwise sample_path_1d(lam_n, m, PathStream(seed, path, n)):
+    its normals come from path_normals, and one scan with a rate per row
+    evolves all components at once.
+    """
     spec = _coerce_spectrum(spectrum)
-    if truncation == 0:
-        raise DomainError("truncation must be at least 1")
-    if not 1 <= truncation <= len(spec):
+    truncation = _check_count(truncation, "truncation", 1)
+    if truncation > len(spec):
         raise DomainError(f"truncation {truncation} exceeds the listed spectrum ({len(spec)})")
-    comps = tuple(
-        sample_path_1d(spec.eigenvalues[n], m, PathStream(seed=seed, path=path, component=n), horizon=horizon)
-        for n in range(truncation)
-    )
+    times = _grid(m, horizon)
+    rates = spec.eigenvalues[:truncation]
+    normals = np.stack([path_normals(PathStream(seed=seed, path=path, component=n), m) for n in range(truncation)])
+    values = _recursion_paths(np.array(rates), m, normals, horizon)
+    comps = tuple(PathGrid(lam=lam, times=times, values=row) for lam, row in zip(rates, values))
     return HilbertPath(spectrum=spec, truncation=truncation, component_paths=comps)
 
 

@@ -1,6 +1,8 @@
 """Sampler correctness: exact laws, stream discipline, bitwise contracts."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -69,6 +71,55 @@ class TestStreamKeys:
                 S.PathStream(seed=1, **bad)
         ps = S.PathStream(seed=1, path=np.int64(517), component=np.uint8(3))
         np.testing.assert_array_equal(S.path_normals(ps, 5), S.block_normals(1, 3, 2, 5)[5])
+
+
+class TestThreadGenerator:
+    def test_interleaved_threads_reproduce_serial_rows(self):
+        # each thread reuses one generator and resets it per row, so threads
+        # drawing different streams at once must not see each other's state
+        addresses = [
+            (seed, component, path, domain, m)
+            for seed, component, domain in ((1, 0, S.DOMAIN_PATH), (2**63 + 5, 3, S.DOMAIN_CLOCK), (7, 2, S.DOMAIN_AUX), (7, 2, S.DOMAIN_PATH))
+            for path, m in ((0, 3), (255, 64), (256, 9), (1000, 33))
+        ]
+
+        def draw(address):
+            seed, component, path, domain, m = address
+            return S.path_normals(S.PathStream(seed=seed, path=path, component=component), m, domain)
+
+        serial = [draw(address) for address in addresses]
+        for (seed, component, path, domain, m), row in zip(addresses, serial):
+            want = S.standard_normal(S.substream(seed, component, path // S.BLOCK, domain, row=path % S.BLOCK), m)
+            np.testing.assert_array_equal(row, want)
+
+        results = {}
+        errors = []
+
+        def worker(index):
+            try:
+                for rep in range(200):
+                    # each thread walks the addresses from its own offset
+                    k = (index * 5 + rep) % len(addresses)
+                    results.setdefault((index, k), []).append(draw(addresses[k]))
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,)) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(len(rows) for rows in results.values()) == 4 * 200
+        for (_, k), rows in results.items():
+            for row in rows:
+                np.testing.assert_array_equal(row, serial[k])
 
 
 class TestStandardNormal:
@@ -225,6 +276,16 @@ class TestRecursionSampler:
             # a row's bits do not depend on the rows sharing its array
             np.testing.assert_array_equal(S._recursion_paths(lam, m, normals[row], horizon), paths[row])
             np.testing.assert_array_equal(S._recursion_paths(lam, m, normals[row : row + 1], horizon)[0], paths[row])
+        # one rate per row: each row is bitwise the one-rate scan at its rate,
+        # as a (5,) vector of rates and as a (5, 1) grid of them
+        rates = np.array([0.05, 1.0, 2.3, 17.0, 256.0])
+        per_row = S._recursion_paths(rates, m, normals, horizon)
+        assert per_row.shape == (5, m + 1)
+        np.testing.assert_array_equal(per_row[2], paths[2])
+        for row, rate in enumerate(rates):
+            np.testing.assert_array_equal(per_row[row], S._recursion_paths(rate, m, normals[row], horizon))
+        grid = S._recursion_paths(rates[:, None], m, normals[:, None, :], horizon)
+        np.testing.assert_array_equal(grid[:, 0], per_row)
 
     def test_row_slice_identity(self):
         # sampling one path must be a row of its block, bitwise
@@ -301,12 +362,28 @@ class TestGridCache:
     def test_bad_grids_raise_after_a_valid_call(self):
         for sampler in self.SAMPLERS:
             stream = S.PathStream(seed=21, path=0)
-            sampler(2.0, 8, stream)
+            first = sampler(2.0, 8, stream)
             for _ in range(2):
                 with pytest.raises(DomainError):
                     sampler(2.0, 1, stream)
                 with pytest.raises(DomainError):
                     sampler(2.0, 8, stream, horizon=0.0)
+                for bad_m in (8.0, "8", None):
+                    with pytest.raises(DomainError, match="m must be an integer"):
+                        sampler(2.0, bad_m, stream)
+                np.testing.assert_array_equal(sampler(2.0, np.int64(8), stream).values, first.values)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="m must be an integer"):
+                S.block_paths_1d(1.0, 8.0, 21, 0, 0)
+            with pytest.raises(DomainError, match="m must be an integer"):
+                S.block_normals(21, 0, 0, 8.0)
+            with pytest.raises(DomainError, match="m must be an integer"):
+                S.path_normals(S.PathStream(seed=21, path=0), 8.0)
+            with pytest.raises(DomainError, match="m must be at least 0"):
+                S.path_normals(S.PathStream(seed=21, path=0), -1)
+            with pytest.raises(DomainError, match="m must be at least 0"):
+                S.block_normals(21, 0, 0, -1)
+        np.testing.assert_array_equal(S.path_normals(S.PathStream(seed=21, path=0), np.uint8(8)), S.block_normals(21, 0, 0, 8)[0])
         S.sample_path_timechange(2.0, 8, S.PathStream(seed=21, path=0), horizon=100.0)
         for _ in range(2):
             with pytest.raises(DomainError):
@@ -391,10 +468,12 @@ class TestHilbertSampler:
 
     def test_components_are_block_rows(self):
         spec = DriftSpectrum((1.0, 3.0, 9.0))
-        hp = S.sample_hilbert(spec, truncation=3, m=8, seed=19, path=300)
-        for n_comp, lam in enumerate(spec.eigenvalues):
-            block_rows = S.block_paths_1d(lam, 8, 19, n_comp, 300 // S.BLOCK)
-            np.testing.assert_array_equal(hp.component_values(n_comp), block_rows[300 % S.BLOCK])
+        # one chunk of the scan, then the doubling carry and the fix-up across chunks
+        for m in (8, 33, 1000, 1025):
+            hp = S.sample_hilbert(spec, truncation=3, m=m, seed=19, path=300)
+            for n_comp, lam in enumerate(spec.eigenvalues):
+                block_rows = S.block_paths_1d(lam, m, 19, n_comp, 300 // S.BLOCK)
+                np.testing.assert_array_equal(hp.component_values(n_comp), block_rows[300 % S.BLOCK])
 
     def test_mean_square_norm(self):
         # E |Z_1|^2 = sum_n (1 - e^(-2 lam_n)) / (2 lam_n)
@@ -417,6 +496,31 @@ class TestHilbertSampler:
     def test_rejects_zero_truncation(self):
         with pytest.raises(DomainError):
             S.sample_hilbert(DriftSpectrum((1.0,)), truncation=0, m=4, seed=0)
+        spec = DriftSpectrum((1.0, 2.0, 4.0))
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(DomainError, match="truncation must be an integer"):
+                S.sample_hilbert(spec, bad, 8, 1)
+        for bad in (-1, 4):
+            with pytest.raises(DomainError, match="truncation"):
+                S.sample_hilbert(spec, bad, 8, 1)
+        with pytest.raises(DomainError, match="m must be an integer"):
+            S.sample_hilbert(spec, 2, 8.0, 1)
+        hp = S.sample_hilbert(spec, np.int32(2), np.int64(8), 1)
+        np.testing.assert_array_equal(hp.state_matrix(), S.sample_hilbert(spec, 2, 8, 1).state_matrix())
+
+    def test_draws_go_through_the_module_path_normals(self, monkeypatch):
+        # perfbench's reference run swaps ousim.path_normals for block rows;
+        # that swap must reach every component draw
+        calls = []
+        real = S.path_normals
+
+        def counting(stream, m, domain=S.DOMAIN_PATH):
+            calls.append((stream.component, m, domain))
+            return real(stream, m, domain)
+
+        monkeypatch.setattr(S, "path_normals", counting)
+        S.sample_hilbert(DriftSpectrum.quadratic(5), truncation=4, m=16, seed=3, path=9)
+        assert calls == [(n, 16, S.DOMAIN_PATH) for n in range(4)]
 
     def test_tail_mass_bound(self):
         spec = DriftSpectrum.quadratic(16)
