@@ -54,7 +54,6 @@ from .constants import DriftSpectrum, alpha_components, exp_weighted_alpha
 from .errors import ConfigError, DomainError
 from .fnlib import resolve_b, resolve_h
 from .functionals import (
-    CONFIDENCE,
     STATEMENT_DECOMPOSITION,
     STATEMENT_GAMMA,
     ExperimentSpec,
@@ -428,10 +427,9 @@ def _prop21(cfg: RunConfig, seed):
     b = resolve_b(cfg.get("b"), [lam])
     res = check_prop21(lam, b, **sizes)
     est, m = res.estimate, sizes["m"]
-    upper = est.upper(CONFIDENCE)
-    row = (res.statement, lam, res.alpha, b.name, est.n, m, est.mean, est.stderr, upper, res.bound,
+    row = (res.statement, lam, res.alpha, b.name, est.n, m, est.mean, est.stderr, res.upper999, res.bound,
            est.max_summand, res.passed)
-    detail = f"lambda={lam:g} upper999={upper:.6g} bound={res.bound:g}"
+    detail = f"lambda={lam:g} upper999={res.upper999:.6g} bound={res.bound:g}"
     return Outcome([row], [(res.passed, res.statement, detail)], dump=(lam, m, b.direction))
 
 
@@ -440,10 +438,9 @@ def _thm23(cfg: RunConfig, seed):
     h = resolve_h(cfg.get("h"), live)
     res = check_thm23(spec, h, cfg.get_float("ell", positive=True))
     est, b = res.estimate, spec.b
-    upper = est.upper(CONFIDENCE)
     row = (res.statement, cfg.get("spectrum"), spec.truncation, b.name, h.name, res.ell, res.beta, res.rate,
-           res.h_sup, est.n, spec.m, est.mean, est.stderr, upper, res.bound, est.max_summand, res.passed)
-    detail = f"b={b.name} upper999={upper:.6g} bound={res.bound:g}"
+           res.h_sup, est.n, spec.m, est.mean, est.stderr, res.upper999, res.bound, est.max_summand, res.passed)
+    detail = f"b={b.name} upper999={res.upper999:.6g} bound={res.bound:g}"
     dump = (res.ell * spec.spectrum.eigenvalues[b.direction], spec.m, b.direction)
     return Outcome([row], [(res.passed, res.statement, detail)], dump=dump)
 

@@ -38,7 +38,7 @@ import numpy as np
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, shift_difference_norm
-from .ousim import HilbertPath, _as_vector, _grid, block_paths_1d, ndtri, row_chunks
+from .ousim import HilbertPath, _as_vector, _check_count, _grid, block_paths_1d, ndtri, row_chunks
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -254,6 +254,7 @@ class Prop21Result:
     lam: float
     alpha: float
     estimate: McEstimate
+    upper999: float
     bound: float
     passed: bool
 
@@ -265,18 +266,20 @@ def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, seed=0, wo
     _check_certified(b, need_a_norm=False)
     lam = float(lam)
     a = alpha_of(lam)
-    values = run_blocks(_prop21_block, n_paths, workers, (seed, lam, int(m), b))
+    values = run_blocks(_prop21_block, n_paths, workers, (seed, lam, _check_count(m, "m", 2), b))
     cap = None
     if b.profile_dx_sup is not None:
         cap = math.exp(a * (b.profile_dx_sup * b.vector_norm) ** 2) * (1.0 + 1e-9)
     est = exp_moment(values, a, summand_cap=cap)
+    upper = est.upper(CONFIDENCE)
     return Prop21Result(
         statement=STATEMENT_PROP21,
         lam=lam,
         alpha=a,
         estimate=est,
+        upper999=upper,
         bound=EXP_BOUND,
-        passed=bool(est.upper(CONFIDENCE) <= EXP_BOUND),
+        passed=bool(upper <= EXP_BOUND),
     )
 
 
@@ -288,6 +291,7 @@ class Thm23Result:
     h_sup: float
     ell: float
     estimate: McEstimate
+    upper999: float
     bound: float
     passed: bool
 
@@ -311,6 +315,7 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
     rate = beta_val / h.norm_inf**2
     cap = math.exp(rate * (2.0 * spec.b.norm_inf) ** 2) * (1.0 + 1e-9)
     est = exp_moment(values, rate, summand_cap=cap)
+    upper = est.upper(CONFIDENCE)
     return Thm23Result(
         statement=STATEMENT_THM23,
         beta=beta_val,
@@ -318,8 +323,9 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
         h_sup=h.norm_inf,
         ell=ell,
         estimate=est,
+        upper999=upper,
         bound=EXP_BOUND,
-        passed=bool(est.upper(CONFIDENCE) <= EXP_BOUND),
+        passed=bool(upper <= EXP_BOUND),
     )
 
 
@@ -424,9 +430,7 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
     bound_derived only.
     """
     x0_dir = _start_value(spec, r, u, x0)
-    ps = [int(p) for p in ps]
-    if any(p < 1 for p in ps):
-        raise DomainError("moment orders must be positive integers")
+    ps = [_check_count(p, "moment order p", 1) for p in ps]
     x = _as_vector(x, spec.truncation, "x")
     y = _as_vector(y, spec.truncation, "y")
     beta_val = beta_of(spec.truncated_spectrum())

@@ -6,22 +6,25 @@ in any order on any number of processes; results are reassembled in
 block order, so every statistic downstream sees the same concatenated
 array regardless of scheduling, and numpy's pairwise reductions then
 give bitwise identical aggregates.
+
+Each run makes one run_blocks call and therefore starts at most one
+process pool; a check that needs several grid sizes computes them all
+inside one block task.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError
-from .ousim import BLOCK
+from .ousim import BLOCK, _check_count
 
 
 def block_layout(n_paths: int):
     """(block_index, count) pairs covering path indices 0..n_paths-1."""
-    if n_paths < 1:
-        raise DomainError("need at least one path")
+    n_paths = _check_count(n_paths, "n_paths", 1)
     full, rem = divmod(n_paths, BLOCK)
     layout = [(b, BLOCK) for b in range(full)]
     if rem:
@@ -32,16 +35,9 @@ def block_layout(n_paths: int):
 def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
     """worker(block, count, *args) -> (count, ...) array; concatenated in
     block order."""
-    layout = block_layout(n_paths)
-    if workers is None or workers <= 1 or len(layout) == 1:
-        parts = [worker(block, count, *args) for block, count in layout]
-    else:
-        parts = [None] * len(layout)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(worker, block, count, *args): i
-                for i, (block, count) in enumerate(layout)
-            }
-            for fut, i in futures.items():
-                parts[i] = fut.result()
-    return np.concatenate(parts, axis=0)
+    blocks, counts = zip(*block_layout(n_paths))
+    columns = (blocks, counts, *map(repeat, args))
+    if workers <= 1 or len(blocks) == 1:
+        return np.concatenate(list(map(worker, *columns)), axis=0)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(worker, *columns)), axis=0)

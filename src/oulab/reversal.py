@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fnlib import FunctionDescriptor
-from .ousim import PathGrid, _check_rate, _grid, block_paths_1d, row_chunks
+from .ousim import PathGrid, _check_count, _check_rate, _grid, block_paths_1d, row_chunks
 from .parallel import run_blocks
 
 EPS_PIN = 1e-9
@@ -70,28 +70,28 @@ def _check_path(path: PathGrid):
         raise DomainError("path values must be finite")
 
 
+def _endpoint_terms(b: FunctionDescriptor, path: PathGrid):
+    """(phi, dz): the profile at every grid point and the path's increments."""
+    _check_path(path)
+    return np.asarray(b.profile(path.times, path.values), dtype=np.float64), np.diff(path.values)
+
+
 def forward_integral(b: FunctionDescriptor, path: PathGrid) -> np.ndarray:
     """Left-endpoint sum: sum_k b(t_k, Z_k) (Z_{k+1} - Z_k), a vector in H."""
-    _check_path(path)
-    phi = np.asarray(b.profile(path.times, path.values), dtype=np.float64)
-    dz = np.diff(path.values)
+    phi, dz = _endpoint_terms(b, path)
     return float(np.sum(phi[:-1] * dz)) * b.vector
 
 
 def backward_integral(b: FunctionDescriptor, path: PathGrid) -> np.ndarray:
     """Right-endpoint sum: sum_k b(t_{k+1}, Z_{k+1}) (Z_{k+1} - Z_k)."""
-    _check_path(path)
-    phi = np.asarray(b.profile(path.times, path.values), dtype=np.float64)
-    dz = np.diff(path.values)
+    phi, dz = _endpoint_terms(b, path)
     return float(np.sum(phi[1:] * dz)) * b.vector
 
 
 def discrete_covariation(b: FunctionDescriptor, path: PathGrid) -> np.ndarray:
     """sum_k [b(t_{k+1}, Z_{k+1}) - b(t_k, Z_k)] (Z_{k+1} - Z_k);
     equals backward - forward to rounding."""
-    _check_path(path)
-    phi = np.asarray(b.profile(path.times, path.values), dtype=np.float64)
-    dz = np.diff(path.values)
+    phi, dz = _endpoint_terms(b, path)
     return float(np.sum(np.diff(phi) * dz)) * b.vector
 
 
@@ -172,6 +172,23 @@ def _split_arrays(b: FunctionDescriptor, times, values, weights):
     return np.stack([lhs, cov, i1, i2, i3], axis=-1)
 
 
+def _report(b: FunctionDescriptor, lam, times, split) -> DecompositionReport:
+    """Report of an (n, 5) split (_split_arrays) on the grid times; a single path is n = 1."""
+    lhs, cov, i1, i2, i3 = (split[:, j] * b.vector_norm for j in range(5))
+    return DecompositionReport(
+        m=times.size - 1,
+        n_paths=split.shape[0],
+        lhs=float(np.mean(lhs)),
+        covariation=float(np.mean(cov)),
+        i1=float(np.mean(i1)),
+        i2=float(np.mean(i2)),
+        i3=float(np.mean(i3)),
+        residual=float(np.mean(np.abs(lhs + i1 + i2 + i3))),
+        cov_residual=float(np.mean(np.abs(cov - lhs))),
+        i2_head_mass=_i2_head_mass(lam, times[1]),
+    )
+
+
 def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport:
     """Covariation split of one path on [0, 1]; b must be smooth."""
     _check_path(path)
@@ -179,21 +196,8 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
         raise DomainError(f"descriptor {b.name!r} has no derivative; the split needs b'")
     if abs(path.horizon - 1.0) > 1e-12:
         raise DomainError("the reversal formulas live on the unit interval")
-    vals = _split_arrays(b, path.times, path.values[np.newaxis, :], _split_weights(path.lam, path.times))[0]
-    scale = b.vector_norm
-    lhs, cov, i1, i2, i3 = (float(v) * scale for v in vals)
-    return DecompositionReport(
-        m=path.m,
-        n_paths=1,
-        lhs=lhs,
-        covariation=cov,
-        i1=i1,
-        i2=i2,
-        i3=i3,
-        residual=abs(lhs + i1 + i2 + i3),
-        cov_residual=abs(cov - lhs),
-        i2_head_mass=_i2_head_mass(path.lam, path.times[1]),
-    )
+    split = _split_arrays(b, path.times, path.values[np.newaxis, :], _split_weights(path.lam, path.times))
+    return _report(b, path.lam, path.times, split)
 
 
 def _covariation_block(block, count, seed, lam, m, b):
@@ -207,40 +211,32 @@ def _covariation_block(block, count, seed, lam, m, b):
     return out
 
 
+def _covariation_levels(block, count, seed, lam, m_list, b):
+    """_covariation_block at every M of m_list: (count, len(m_list), 5)."""
+    return np.stack([_covariation_block(block, count, seed, lam, m, b) for m in m_list], axis=1)
+
+
 def covariation_check(b: FunctionDescriptor, lam, m_list, n_paths, seed, workers=1):
     """Refinement trend of the covariation identity.
 
-    For each M, samples n_paths fresh paths, averages the split, and
-    reports mean |backward - forward - int b' dt| as cov_residual.  The
-    sequence of cov_residual means should decrease along m_list (the
-    claim is convergence in probability; no rate is asserted).
+    For each M, takes n_paths paths, averages the split, and reports
+    mean |backward - forward - int b' dt| as cov_residual.  The sequence
+    of cov_residual means should decrease along m_list (the claim is
+    convergence in probability; no rate is asserted).
+
+    The levels are not independent samples: path r of every level reads
+    the same stream row, so the level-M2 path starts with exactly the
+    M1 normals of the level-M1 path and the levels are correlated.  Every
+    level of a block is one task, so a run makes one run_blocks call.
     """
     if not b.smooth:
         raise DomainError(f"descriptor {b.name!r} has no derivative; the split needs b'")
-    m_list = [int(m) for m in m_list]
-    if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
-        raise DomainError("m_list must be strictly increasing")
+    m_list = [_check_count(m, "m", 2) for m in m_list]
+    if not m_list or any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
+        raise DomainError("m_list must be nonempty and strictly increasing")
     lam = float(lam)
-    reports = []
-    for m in m_list:
-        arr = run_blocks(_covariation_block, n_paths, workers, (seed, lam, m, b))
-        scale = b.vector_norm
-        lhs, cov, i1, i2, i3 = (arr[:, j] * scale for j in range(5))
-        reports.append(
-            DecompositionReport(
-                m=m,
-                n_paths=n_paths,
-                lhs=float(np.mean(lhs)),
-                covariation=float(np.mean(cov)),
-                i1=float(np.mean(i1)),
-                i2=float(np.mean(i2)),
-                i3=float(np.mean(i3)),
-                residual=float(np.mean(np.abs(lhs + i1 + i2 + i3))),
-                cov_residual=float(np.mean(np.abs(cov - lhs))),
-                i2_head_mass=_i2_head_mass(lam, 1.0 / m),
-            )
-        )
-    return reports
+    split = run_blocks(_covariation_levels, n_paths, workers, (seed, lam, m_list, b))
+    return [_report(b, lam, _grid(m, 1.0), split[:, k]) for k, m in enumerate(m_list)]
 
 
 def trend_decreasing(values, allowed_violations=1) -> bool:

@@ -16,6 +16,7 @@ import pytest
 
 import oulab
 import oulab.cli as cli
+import oulab.parallel
 from oulab.cli import (
     CONSTANTS_COLUMNS,
     ConfigError,
@@ -347,16 +348,17 @@ class TestPayload:
         assert all(row["statement"] for row in doc["results"])
 
     @pytest.mark.parametrize("argv", [
-        ("moments", "--x", "0.5", "--y", "-0.5"),
-        ("concentration", "--h1", "e1:sin_pi_t", "--x0", "0.3,-0.2", "--r", "0.25", "--u", "0.75"),
-        ("verify-thm23", "--spectrum", "1,4", "--ell", "0.5"),
+        ("moments", "--M", "64", "--x", "0.5", "--y", "-0.5"),
+        ("concentration", "--M", "64", "--h1", "e1:sin_pi_t", "--x0", "0.3,-0.2", "--r", "0.25", "--u", "0.75"),
+        ("verify-thm23", "--M", "64", "--spectrum", "1,4", "--ell", "0.5"),
+        ("decomposition", "--lambda", "1", "--m-list", "16,64"),
     ], ids=lambda argv: argv[0])
     def test_workers_do_not_change_payload(self, capsys, tmp_path, argv):
         outs = []
         for workers in ("1", "3"):
             path = tmp_path / f"w{workers}.json"
             code, _, _ = _run(
-                capsys, *argv, "--seed", "21", "--n", "600", "--M", "64",
+                capsys, *argv, "--seed", "21", "--n", "600",
                 "--workers", workers, "--out", str(path),
             )
             assert code == 0
@@ -366,6 +368,23 @@ class TestPayload:
             outs.append(doc)
         assert outs[0] == outs[1]
         assert outs[0]["spec_hash"] == outs[1]["spec_hash"]
+
+    def test_decomposition_starts_one_pool(self, capsys, monkeypatch):
+        # every grid size of a block is one task, so the run needs one pool
+        pools = []
+
+        class CountedPool(oulab.parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(oulab.parallel, "ProcessPoolExecutor", CountedPool)
+        code, _, err = _run(
+            capsys, "decomposition", "--lambda", "1", "--m-list", "16,32,64", "--seed", "21", "--n", "600",
+            "--workers", "2",
+        )
+        assert code == 0, err
+        assert pools == [2]
 
     def test_csv_format(self, capsys):
         code, out, _ = _run(

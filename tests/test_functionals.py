@@ -35,7 +35,7 @@ from oulab.functionals import (
     shift_functional,
 )
 from oulab.ousim import block_paths_1d, sample_hilbert, standard_normal, substream
-from oulab.parallel import run_blocks
+from oulab.parallel import block_layout, run_blocks
 
 
 class TestMcEstimate:
@@ -224,8 +224,16 @@ class TestCheckProp21:
     def test_smoke_run_passes(self):
         res = check_prop21(1.0, make_b_weighted([1.0], profile="sin"), m=256, n_paths=2048, seed=11)
         assert res.passed
-        assert res.estimate.upper(CONFIDENCE) <= EXP_BOUND
+        assert res.upper999 == res.estimate.upper(CONFIDENCE) <= EXP_BOUND
         assert res.estimate.n == 2048
+
+    def test_rejects_non_integer_m(self, monkeypatch):
+        b = make_b_weighted([1.0], profile="sin")
+        want = check_prop21(1.0, b, m=32, n_paths=16)
+        assert check_prop21(1.0, b, m=np.int64(32), n_paths=16) == want
+        _refuse_sampling(monkeypatch)
+        with pytest.raises(DomainError, match="integer"):
+            check_prop21(1.0, b, m=64.7, n_paths=16)
 
     def test_rejects_non_smooth(self):
         with pytest.raises(DomainError):
@@ -263,6 +271,7 @@ class TestCheckThm23:
     def test_smoke_run_passes(self):
         res = check_thm23(self._spec(), self.H)
         assert res.passed
+        assert res.upper999 == res.estimate.upper(CONFIDENCE)
         assert res.beta == pytest.approx(beta(DriftSpectrum((1.0, 4.0))), rel=1e-15)
         assert res.rate == pytest.approx(res.beta / self.H.norm_inf**2, rel=1e-15)
         assert res.h_sup == 1.0
@@ -357,6 +366,12 @@ class TestMoments:
         with pytest.raises(DomainError):
             self._run(ps=(1,), x=(1.0,))
 
+    def test_rejects_non_integer_orders(self, monkeypatch):
+        assert [row.p for row in self._run(ps=(np.int64(1),), y=(0.5, 0.0)).rows] == [1]
+        _refuse_sampling(monkeypatch)
+        with pytest.raises(DomainError, match="integer"):
+            self._run(ps=(2.5,))
+
 
 class TestGammaStep:
     def test_all_orders_hold(self):
@@ -449,6 +464,14 @@ class TestReducedSamplingMatchesFullPaths:
         one = run_blocks(FN._prop21_block, 600, 1, args)
         three = run_blocks(FN._prop21_block, 600, 3, args)
         np.testing.assert_array_equal(one, three)
+
+
+class TestBlockLayout:
+    def test_path_counts_must_be_integers(self):
+        assert block_layout(np.int64(300)) == block_layout(300) == [(0, 256), (1, 44)]
+        for bad in (300.0, "300", 0):
+            with pytest.raises(DomainError):
+                block_layout(bad)
 
 
 class TestChecksMatchHandBuiltBlocks:

@@ -209,6 +209,15 @@ class TestDecomposition:
             R.covariation_check(b, 1.0, [256, 256], n_paths=256, seed=0)
         with pytest.raises(DomainError):
             R.covariation_check(b, 1.0, [256, 64], n_paths=256, seed=0)
+        with pytest.raises(DomainError):
+            R.covariation_check(b, 1.0, [], n_paths=256, seed=0)
+
+    def test_m_list_must_be_integers(self):
+        b = make_b_weighted([1.0])
+        with pytest.raises(DomainError, match="integer"):
+            R.covariation_check(b, 1.0, [64.9, 128], n_paths=256, seed=0)
+        want = R.covariation_check(b, 1.0, [8, 16], n_paths=16, seed=0)
+        assert R.covariation_check(b, 1.0, np.array([8, 16]), n_paths=16, seed=0) == want
 
     def test_workers_do_not_change_results(self):
         b = make_b_weighted([1.0])
