@@ -483,6 +483,8 @@ def _moments(cfg: RunConfig, seed):
 def _decomposition(cfg: RunConfig, seed):
     lam = cfg.get_float("lambda", positive=True)
     m_list = cfg.get_ints("m_list")
+    if len(m_list) < 2:
+        raise ConfigError(f"m_list needs at least two grid sizes for a refinement trend, got {m_list}")
     n, workers = cfg.get_int("n", minimum=2), cfg.get_int("workers")
     b = resolve_b(cfg.get("b"), [lam])
     reports = covariation_check(b, lam, m_list, n_paths=n, seed=seed, workers=workers)

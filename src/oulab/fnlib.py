@@ -46,29 +46,43 @@ SHIFT_SUP_GRID = 4097  # 2^12 intervals, endpoints included, hits t = 1/2 exactl
 # ----------------------------------------------------------------------
 
 
+def _scaled(factor, x):
+    """(factor * x, out): factor * x in a new float64 array, which a profile
+    then finishes in place through out=; a scalar x gives a numpy scalar
+    and out=None, so a scalar state still returns a scalar."""
+    y = factor * np.asarray(x, dtype=np.float64)
+    return y, (y if isinstance(y, np.ndarray) else None)
+
+
 def _phi_sin(t, xi, omega=1.0):
-    return np.sin(omega * np.asarray(xi, dtype=np.float64))
+    y, out = _scaled(omega, xi)
+    return np.sin(y, out=out)
 
 
 def _dphi_sin(t, xi, omega=1.0):
-    return omega * np.cos(omega * np.asarray(xi, dtype=np.float64))
+    y, out = _scaled(omega, xi)
+    return np.multiply(omega, np.cos(y, out=out), out=out)
 
 
 def _phi_cos(t, xi, omega=1.0):
-    return np.cos(omega * np.asarray(xi, dtype=np.float64))
+    y, out = _scaled(omega, xi)
+    return np.cos(y, out=out)
 
 
 def _dphi_cos(t, xi, omega=1.0):
-    return -omega * np.sin(omega * np.asarray(xi, dtype=np.float64))
+    y, out = _scaled(omega, xi)
+    return np.multiply(-omega, np.sin(y, out=out), out=out)
 
 
 def _phi_tanh(t, xi, omega=1.0):
-    return np.tanh(omega * np.asarray(xi, dtype=np.float64))
+    y, out = _scaled(omega, xi)
+    return np.tanh(y, out=out)
 
 
 def _dphi_tanh(t, xi, omega=1.0):
-    y = np.tanh(omega * np.asarray(xi, dtype=np.float64))
-    return omega * (1.0 - y * y)
+    y, out = _scaled(omega, xi)
+    y = np.tanh(y, out=out)
+    return np.multiply(omega, np.subtract(1.0, np.multiply(y, y, out=out), out=out), out=out)
 
 
 def _phi_sign(t, xi):
@@ -86,7 +100,8 @@ def _phi_zero(t, xi):
 def _phi_time_sin(t, xi):
     # depends on t only; broadcast to the state's shape
     t_arr, xi_arr = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(xi, dtype=np.float64))
-    return np.sin(math.pi * t_arr)
+    y, out = _scaled(math.pi, t_arr)
+    return np.sin(y, out=out)
 
 
 def _dphi_zero(t, xi):

@@ -147,10 +147,10 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.truncation <= len(self.spectrum):
+        if _check_count(self.truncation, "truncation", 1) > len(self.spectrum):
             raise DomainError(f"truncation {self.truncation} outside the listed spectrum")
-        if self.m < 2 or self.n_paths < 2:
-            raise DomainError("need m >= 2 and n_paths >= 2")
+        _check_count(self.m, "m", 2)
+        _check_count(self.n_paths, "n_paths", 2)
         _check_certified(self.b, need_a_norm=True)
         if self.b.direction >= self.truncation:
             raise DomainError("descriptor direction outside the truncation")
@@ -360,8 +360,8 @@ def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescr
     x0_dir = _start_value(spec, r, u, x0)
     _check_shifts(spec, h1=h1, h2=h2)
     etas = [float(e) for e in etas]
-    if any(e < 0 or not math.isfinite(e) for e in etas):
-        raise DomainError("eta grid must be nonnegative and finite")
+    if not etas or any(e < 0 or not math.isfinite(e) for e in etas):
+        raise DomainError("eta grid must be nonempty, nonnegative and finite")
     beta_val = beta_of(spec.truncated_spectrum())
     ell = u - r
     diff_sup = shift_difference_norm(h1, h2, r, u)
@@ -431,6 +431,8 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
     """
     x0_dir = _start_value(spec, r, u, x0)
     ps = [_check_count(p, "moment order p", 1) for p in ps]
+    if not ps:
+        raise DomainError("need at least one moment order p")
     x = _as_vector(x, spec.truncation, "x")
     y = _as_vector(y, spec.truncation, "y")
     beta_val = beta_of(spec.truncated_spectrum())
@@ -470,8 +472,7 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
 
 def gamma_step_check(p_max=20):
     """(3p/2) Gamma(p/2) <= 3 p^(p/2) for p = 1..p_max, by direct evaluation."""
-    if p_max < 1:
-        raise DomainError("need p_max >= 1")
+    p_max = _check_count(p_max, "p_max", 1)
     rows = []
     for p in range(1, p_max + 1):
         lhs = 1.5 * p * math.gamma(p / 2.0)

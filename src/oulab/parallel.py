@@ -35,9 +35,10 @@ def block_layout(n_paths: int):
 def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
     """worker(block, count, *args) -> (count, ...) array; concatenated in
     block order."""
+    workers = _check_count(workers, "workers", 1)
     blocks, counts = zip(*block_layout(n_paths))
     columns = (blocks, counts, *map(repeat, args))
-    if workers <= 1 or len(blocks) == 1:
+    if workers == 1 or len(blocks) == 1:
         return np.concatenate(list(map(worker, *columns)), axis=0)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(worker, *columns)), axis=0)

@@ -144,30 +144,54 @@ def _split_weights(lam, times):
     return w, reversed_drift_coefficient(lam, s_left)
 
 
-def _split_arrays(b: FunctionDescriptor, times, values, weights):
+def _split_scratch(rows, m):
+    """Work arrays of _split_arrays for up to `rows` paths on m steps: three (rows, m+1)."""
+    return np.empty((3, rows, m + 1))
+
+
+def _trapezoid_rows(y, dx, out):
+    """np.trapezoid(y, dx=dx, axis=-1) of (n, k) y, the same operations in order, through out (n, k-1)."""
+    np.add(y[..., 1:], y[..., :-1], out=out)
+    np.multiply(dx, out, out=out)
+    np.divide(out, 2.0, out=out)
+    return out.sum(-1)
+
+
+def _split_arrays(b: FunctionDescriptor, times, values, weights, scratch=None):
     """Per-path signed amplitudes of (lhs, covariation, i1, i2, i3).
 
-    values: (n, m+1); weights: _split_weights(lam, times); returns (n, 5).
+    values: (n, m+1); weights: _split_weights(lam, times); scratch:
+    _split_scratch(rows, m) with rows >= n, allocated here when None.
+    Returns (n, 5).  Every elementwise step writes into the scratch; the
+    profiles' arrays are only read, as a profile may return a view of
+    its input.  Each reduction reads a forward, row-contiguous operand,
+    so the sums come out as np.diff/np.trapezoid on fresh arrays.
     """
-    m = times.size - 1
+    n, m = values.shape[0], times.size - 1
     dt = 1.0 / m
     w, c_rev = weights
+    if scratch is None:
+        scratch = _split_scratch(n, m)
+    dz, prod, trap = (s[:n, :m] for s in scratch)
     phi = np.asarray(b.profile(times, values), dtype=np.float64)
     dphi = np.asarray(b.profile_dx(times, values), dtype=np.float64)
-    dz = np.diff(values, axis=-1)
+    np.subtract(values[:, 1:], values[:, :-1], out=dz)
 
-    lhs = np.trapezoid(dphi, dx=dt, axis=-1)
-    cov = np.sum(np.diff(phi, axis=-1) * dz, axis=-1)
-    i3 = np.sum(phi[..., :-1] * dz, axis=-1)
+    lhs = _trapezoid_rows(dphi, dt, trap)
+    np.subtract(phi[..., 1:], phi[..., :-1], out=prod)
+    cov = np.multiply(prod, dz, out=prod).sum(-1)
+    i3 = np.multiply(phi[..., :-1], dz, out=prod).sum(-1)
 
-    integrand = phi[..., 1:] * values[..., 1:] * w
-    i2 = np.trapezoid(integrand, dx=dt, axis=-1)
+    np.multiply(phi[..., 1:], values[:, 1:], out=prod)
+    i2 = _trapezoid_rows(np.multiply(prod, w, out=prod), dt, trap[:, : m - 1])
 
-    # I1 on the reversed path: dW-bar_k = dZ-bar_k - c(s_k) Z-bar_k ds
-    zbar = values[..., ::-1]
-    phibar = phi[..., ::-1]
-    dwbar = np.diff(zbar, axis=-1) - c_rev * zbar[..., :-1] * dt
-    i1 = np.sum(phibar[..., :-1] * dwbar, axis=-1)
+    # I1 on the reversed path: dW-bar_k = dZ-bar_k - c(s_k) Z-bar_k ds,
+    # Z-bar_k = Z_{m-k}, so Z-bar_{k+1} - Z-bar_k reads values[m-1-k] - values[m-k]
+    np.multiply(c_rev, values[:, :0:-1], out=prod)
+    np.multiply(prod, dt, out=prod)
+    dwbar = np.subtract(values[:, -2::-1], values[:, :0:-1], out=trap)
+    np.subtract(dwbar, prod, out=dwbar)
+    i1 = np.multiply(phi[..., :0:-1], dwbar, out=dwbar).sum(-1)
 
     return np.stack([lhs, cov, i1, i2, i3], axis=-1)
 
@@ -201,13 +225,15 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
 
 
 def _covariation_block(block, count, seed, lam, m, b):
-    """The split of the block's first count paths, in row chunks (ousim.row_chunks)."""
+    """The split of the block's first count paths, in row chunks (ousim.row_chunks) sharing one scratch."""
     times = _grid(m, 1.0)
     weights = _split_weights(lam, times)
+    chunks = row_chunks(count, m)
+    scratch = _split_scratch(chunks[0][1], m)  # the first chunk has the most rows
     out = np.empty((count, 5))
-    for start, stop in row_chunks(count, m):
+    for start, stop in chunks:
         values = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop))
-        out[start:stop] = _split_arrays(b, times, values, weights)
+        out[start:stop] = _split_arrays(b, times, values, weights, scratch)
     return out
 
 
@@ -240,6 +266,12 @@ def covariation_check(b: FunctionDescriptor, lam, m_list, n_paths, seed, workers
 
 
 def trend_decreasing(values, allowed_violations=1) -> bool:
-    """Monotone-decrease check with a tolerance for MC noise."""
+    """Monotone-decrease check with a tolerance for MC noise.
+
+    At most len(values) - 2 violations are forgiven, so at least one step
+    must decrease: two values must decrease, and one value is no trend.
+    """
+    if len(values) < 2:
+        raise DomainError("a trend needs at least two values")
     violations = sum(1 for a, b in zip(values, values[1:]) if b >= a)
-    return violations <= allowed_violations
+    return violations <= min(allowed_violations, len(values) - 2)

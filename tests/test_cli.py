@@ -482,6 +482,17 @@ class TestDecompositionCommand:
         res = [row["cov_residual_mean"] for row in doc["results"]]
         assert res[0] > res[-1]
 
+    def test_one_grid_size_is_config_error(self, capsys, monkeypatch):
+        # one size has no trend, and the verdict would pass over nothing
+        def never(*a, **kw):
+            raise AssertionError("sampled before the m-list was checked")
+
+        monkeypatch.setattr(cli, "covariation_check", never)
+        code, _, err = _run(capsys, "decomposition", "--seed", "2", "--lambda", "1", "--n", "256", "--m-list", "8")
+        assert code == 2
+        assert "at least two grid sizes" in err
+        assert "Traceback" not in err
+
     def test_rejects_unordered_m_list(self, capsys):
         code, _, _ = _run(
             capsys, "decomposition", "--seed", "2", "--lambda", "1", "--n", "256",

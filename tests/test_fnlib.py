@@ -109,6 +109,56 @@ class TestMakeBWeighted:
         np.testing.assert_array_equal(one, arr)
 
 
+def _one_line_profiles(omega):
+    """The profiles as one expression each on fresh arrays; the registry
+    finishes them in place and must give the same bits."""
+    def arr(xi):
+        return np.asarray(xi, dtype=np.float64)
+
+    def dtanh(xi):
+        y = np.tanh(omega * arr(xi))
+        return omega * (1.0 - y * y)
+
+    return {
+        "sin": (lambda xi: np.sin(omega * arr(xi)), lambda xi: omega * np.cos(omega * arr(xi))),
+        "cos": (lambda xi: np.cos(omega * arr(xi)), lambda xi: -omega * np.sin(omega * arr(xi))),
+        "tanh": (lambda xi: np.tanh(omega * arr(xi)), dtanh),
+    }
+
+
+class TestProfilesInPlace:
+    STATES = [
+        0.7,
+        np.float64(-1.3),
+        np.asarray(2.1),
+        np.linspace(-4.0, 4.0, 101),
+        np.random.default_rng(5).standard_normal((7, 33)) * 3.0,
+    ]
+
+    @pytest.mark.parametrize("omega", [1.0, 1.7])
+    @pytest.mark.parametrize("profile", ["sin", "cos", "tanh"])
+    def test_match_the_one_line_formulas_bitwise(self, profile, omega):
+        b = F.make_b_weighted([1.0], profile=profile, omega=omega)
+        for got_fn, want_fn in zip((b.profile, b.profile_dx), _one_line_profiles(omega)[profile]):
+            for xi in self.STATES:
+                before = np.array(xi, copy=True)
+                got, want = got_fn(0.5, xi), want_fn(xi)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(xi)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                np.testing.assert_array_equal(xi, before)  # the input is never written
+        assert isinstance(b.profile(0.5, 0.7), np.float64)
+        assert isinstance(b.profile_dx(0.5, 0.7), np.float64)
+
+    def test_time_profile_matches_its_formula(self):
+        b = F.make_b_weighted([1.0], profile="time_sin")
+        t = np.linspace(0.0, 1.0, 33)
+        xi = np.zeros((4, 33))
+        assert b.profile(t, xi).tobytes() == np.sin(math.pi * np.broadcast_to(t, xi.shape)).tobytes()
+        assert isinstance(b.profile(0.25, 0.7), np.float64)
+        assert b.profile(0.25, 0.7) == np.sin(math.pi * 0.25)
+
+
 class TestRawProfile:
     def test_uncertified_norms(self):
         b = F.raw_profile_b(lambda t, xi: xi, None, [2.0], name="bare")

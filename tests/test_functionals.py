@@ -168,6 +168,16 @@ class TestExperimentSpec:
             with pytest.raises(DomainError, match="y must"):
                 moment_bound(spec, (0.5, 0.0), bad, (1,))
 
+    def test_sizes_must_be_integers(self):
+        for kw, message in ((dict(m=64.0), "m must be an integer"), (dict(m=64.5), "m must be an integer"),
+                            (dict(truncation=2.0), "truncation must be an integer"),
+                            (dict(n_paths=16.0), "n_paths must be an integer"), (dict(m=1), "m must be at least 2"),
+                            (dict(n_paths=1), "n_paths must be at least 2")):
+            with pytest.raises(DomainError, match=message):
+                self._spec(**kw)
+        spec = self._spec(truncation=np.int64(2), m=np.int64(64), n_paths=np.int32(16))
+        assert (spec.truncation, spec.m, spec.n_paths) == (2, 64, 16)
+
     def test_picklable(self):
         spec = self._spec()
         spec2 = pickle.loads(pickle.dumps(spec))
@@ -323,6 +333,12 @@ class TestConcentration:
         with pytest.raises(DomainError):
             self._run(etas=(math.inf,))
 
+    def test_rejects_empty_etas(self, monkeypatch):
+        # no eta means no row, and a verdict over no rows would pass
+        _refuse_sampling(monkeypatch)
+        with pytest.raises(DomainError, match="nonempty"):
+            self._run(etas=[])
+
 
 class TestMoments:
     LAM = (1.0, 4.0)
@@ -372,6 +388,11 @@ class TestMoments:
         with pytest.raises(DomainError, match="integer"):
             self._run(ps=(2.5,))
 
+    def test_rejects_empty_orders(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
+        with pytest.raises(DomainError, match="at least one moment order"):
+            self._run(ps=[])
+
 
 class TestGammaStep:
     def test_all_orders_hold(self):
@@ -390,6 +411,11 @@ class TestGammaStep:
     def test_rejects_empty_range(self):
         with pytest.raises(DomainError):
             gamma_step_check(0)
+
+    def test_p_max_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="p_max must be an integer"):
+            gamma_step_check(p_max=2.5)
+        assert gamma_step_check(np.int64(2)) == gamma_step_check(2)
 
 
 class TestWindowRescalingLaw:
@@ -472,6 +498,14 @@ class TestBlockLayout:
         for bad in (300.0, "300", 0):
             with pytest.raises(DomainError):
                 block_layout(bad)
+
+    def test_worker_counts_must_be_positive_integers(self):
+        args = (7, 1.0, 8, make_b_weighted([1.0]))
+        for bad, message in ((0, "must be at least 1"), (-1, "must be at least 1"), (1.5, "must be an integer")):
+            with pytest.raises(DomainError, match=f"workers {message}"):
+                run_blocks(FN._prop21_block, 300, bad, args)
+        np.testing.assert_array_equal(run_blocks(FN._prop21_block, 300, np.int64(1), args),
+                                      run_blocks(FN._prop21_block, 300, 1, args))
 
 
 class TestChecksMatchHandBuiltBlocks:

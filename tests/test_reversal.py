@@ -227,20 +227,56 @@ class TestDecomposition:
             assert a == c
 
 
+def _reference_split(b, times, values, weights):
+    """The split as np.diff/np.trapezoid/np.stack on fresh arrays: the
+    formulation the in-place _split_arrays must reproduce bitwise."""
+    m = times.size - 1
+    dt = 1.0 / m
+    w, c_rev = weights
+    phi = np.asarray(b.profile(times, values), dtype=np.float64)
+    dphi = np.asarray(b.profile_dx(times, values), dtype=np.float64)
+    dz = np.diff(values, axis=-1)
+    lhs = np.trapezoid(dphi, dx=dt, axis=-1)
+    cov = np.sum(np.diff(phi, axis=-1) * dz, axis=-1)
+    i3 = np.sum(phi[..., :-1] * dz, axis=-1)
+    i2 = np.trapezoid(phi[..., 1:] * values[..., 1:] * w, dx=dt, axis=-1)
+    zbar = values[..., ::-1]
+    dwbar = np.diff(zbar, axis=-1) - c_rev * zbar[..., :-1] * dt
+    i1 = np.sum(phi[..., ::-1][..., :-1] * dwbar, axis=-1)
+    return np.stack([lhs, cov, i1, i2, i3], axis=-1)
+
+
+# every smooth registry profile, and one that returns its input itself
+_SPLIT_PROFILES = [
+    *(make_b_weighted([2.0], profile=p, omega=w) for p in ("sin", "cos", "tanh") for w in (1.0, 1.7)),
+    *(make_b_weighted([2.0], profile=p) for p in ("one", "zero", "time_sin")),
+    _identity_b(),
+]
+
+
 class TestChunkedBlock:
-    @pytest.mark.parametrize("m", [4096, 1000])
+    @pytest.mark.parametrize("m", [4096, 1000, 33, 8, 2])
     def test_matches_the_whole_block_split(self, m):
-        # at these M a block spans several row chunks; the split of the
-        # whole block, cut to count rows, must come out bitwise
-        b = make_b_weighted([2.0], profile="sin")
+        # a block spans several row chunks at the larger M, and all chunks
+        # share one scratch; the reference split of the whole block, cut
+        # to count rows, must come out bitwise
         times = np.linspace(0.0, 1.0, m + 1)
         whole = block_paths_1d(2.0, m, 47, 0, 3)
         weights = R._split_weights(2.0, times)
-        for count in (1, 31, 32, 33, 100, 256):
-            want = R._split_arrays(b, times, whole[:count], weights)
-            got = R._covariation_block(3, count, 47, 2.0, m, b)
-            assert got.shape == (count, 5)
-            np.testing.assert_array_equal(got, want)
+        for b in _SPLIT_PROFILES:
+            for count in (1, 31, 32, 33, 100, 256):
+                want = _reference_split(b, times, whole[:count], weights)
+                got = R._covariation_block(3, count, 47, 2.0, m, b)
+                assert got.shape == (count, 5)
+                np.testing.assert_array_equal(got, want, err_msg=f"{b.name} count={count}")
+
+    @pytest.mark.parametrize("m", [2, 33, 2048])
+    def test_decompose_path_matches_the_reference_split(self, m):
+        pg = _path(lam=2.0, m=m)
+        weights = R._split_weights(2.0, pg.times)
+        for b in _SPLIT_PROFILES:
+            want = R._report(b, 2.0, pg.times, _reference_split(b, pg.times, pg.values[np.newaxis, :], weights))
+            assert R.decompose_path(b, pg) == want, b.name
 
 
 class TestTrendHelper:
@@ -249,3 +285,16 @@ class TestTrendHelper:
         assert R.trend_decreasing([3.0, 3.5, 1.0], allowed_violations=1)
         assert not R.trend_decreasing([3.0, 3.5, 1.0], allowed_violations=0)
         assert not R.trend_decreasing([1.0, 2.0, 3.0], allowed_violations=1)
+
+    def test_two_values_must_decrease(self):
+        # at most len - 2 violations are forgiven, so a pair cannot pass by tolerance
+        assert not R.trend_decreasing([1.0, 2.0], allowed_violations=1)
+        assert not R.trend_decreasing([1.0, 1.0], allowed_violations=5)
+        assert R.trend_decreasing([2.0, 1.0], allowed_violations=1)
+        assert R.trend_decreasing([3.0, 3.5, 1.0], allowed_violations=3)
+        assert not R.trend_decreasing([1.0, 2.0, 3.0], allowed_violations=3)
+
+    def test_needs_two_values(self):
+        for values in ([], [1.0]):
+            with pytest.raises(DomainError, match="at least two values"):
+                R.trend_decreasing(values)
