@@ -150,9 +150,7 @@ def alpha_components(lam) -> AlphaBreakdown:
 
 def alpha(lam):
     """(1/9) min(alpha1, alpha2, alpha3); equals 1/2304 on (0, 1]."""
-    arr = _as_rates(lam)
-    out = np.minimum(np.minimum(ALPHA1, alpha2(arr)), alpha3(arr)) / 9.0
-    return _maybe_scalar(out, lam)
+    return alpha_components(lam).alpha
 
 
 def alpha2_exp_ratio(lam):

@@ -8,21 +8,29 @@ The exponential-moment theorems hypothesize sup-norm certificates:
 
 and the last holds by construction on the finite truncations built here.
 
-Everything built here is rank-one,
+Every drift built here is rank-one, b(t, x) = phi(t, <x, e_d>) * v,
+with phi a scalar profile of the table _PROFILES, e_d a coordinate
+direction and v a fixed vector.  One builder, _certified, makes every
+certified descriptor.  It reads sup |phi| (0 for zero, 1 otherwise),
+sup |d phi / d xi| and whether phi takes a frequency omega from the
+table, and sets
 
-    b(t, x) = phi(t, <x, e_d>) * v,     v_n = s_n c_n,
+    sup |b|_H = sup |phi| |v|,
+    weighted norm = sup |phi| (sum_n lam_n e^(2 lam_n) v_n^2)^(1/2),
 
-with |phi| <= 1 a scalar profile, e_d a coordinate direction, and
-per-component scales
+from v and the terms lam_n e^(2 lam_n) v_n^2, which each caller writes
+in the form that stays finite for its family:
 
-    s_n = min(lam_n^(-1/2) e^(-lam_n), 1).
+    weighted:<profile>  v_n = s_n c_n, s_n = min(lam_n^(-1/2) e^(-lam_n), 1),
+                        terms min(1, lam_n e^(2 lam_n)) c_n^2;
+    const:<c>           v = c e_1, one term lam_1 e^(2 lam_1) c^2.
 
-The scale makes lam_n e^(2 lam_n) v_n^2 = min(1, lam_n e^(2 lam_n)) c_n^2,
-so sum c_n^2 <= 1 certifies both norms at once.  (Without the cap at 1
-the weighted scale alone exceeds one below lam ~ 0.4263, which would
-break the plain sup-norm hypothesis for small rates.)  Certificates are
-computed from the construction, never estimated from samples; sampling
-only audits them.
+So sum c_n^2 <= 1 certifies both weighted norms at once.  (Without the
+cap at 1 the weighted scale alone exceeds one below lam ~ 0.4263, which
+would break the plain sup-norm hypothesis for small rates.)  The const
+term overflows past lam_1 ~ 354, and an infinite weighted norm is
+uncertified.  Certificates are computed from the construction, never
+estimated from samples; sampling only audits them.
 
 Profiles are module-level functions (partial-bound for parameters) so
 descriptors pickle cleanly into worker processes.
@@ -108,15 +116,15 @@ def _dphi_zero(t, xi):
     return np.zeros_like(np.asarray(xi, dtype=np.float64))
 
 
-# name -> (phi, dphi or None, sup |dphi/dxi| or None)
+# name -> (phi, dphi or None, sup |dphi/dxi| at omega = 1 or None, sup |phi|, whether phi reads omega * xi)
 _PROFILES = {
-    "sin": (_phi_sin, _dphi_sin, 1.0),
-    "cos": (_phi_cos, _dphi_cos, 1.0),
-    "tanh": (_phi_tanh, _dphi_tanh, 1.0),
-    "sign": (_phi_sign, None, None),
-    "one": (_phi_one, _dphi_zero, 0.0),
-    "zero": (_phi_zero, _dphi_zero, 0.0),
-    "time_sin": (_phi_time_sin, _dphi_zero, 0.0),
+    "sin": (_phi_sin, _dphi_sin, 1.0, 1.0, True),
+    "cos": (_phi_cos, _dphi_cos, 1.0, 1.0, True),
+    "tanh": (_phi_tanh, _dphi_tanh, 1.0, 1.0, True),
+    "sign": (_phi_sign, None, None, 1.0, False),
+    "one": (_phi_one, _dphi_zero, 0.0, 1.0, False),
+    "zero": (_phi_zero, _dphi_zero, 0.0, 0.0, False),
+    "time_sin": (_phi_time_sin, _dphi_zero, 0.0, 1.0, False),
 }
 
 
@@ -168,6 +176,31 @@ class FunctionDescriptor:
         return self.profile_dx is not None
 
 
+def _certified(name, profile, omega, vector, weighted_terms, direction) -> FunctionDescriptor:
+    """phi * vector for a profile of _PROFILES, with both norm certificates.
+
+    weighted_terms are lam_n e^(2 lam_n) vector_n^2 in the caller's form;
+    an infinite term leaves the weighted norm infinite, so uncertified.
+    """
+    phi, dphi, dsup, sup, takes_omega = _PROFILES[profile]
+    if takes_omega:
+        if not (math.isfinite(omega) and omega > 0):
+            raise DomainError("omega must be positive and finite")
+        phi, dphi, dsup = partial(phi, omega=omega), partial(dphi, omega=omega), omega * dsup
+        if omega != 1.0:
+            name += f":omega={omega:g}"
+    return FunctionDescriptor(
+        name=name,
+        profile=phi,
+        profile_dx=dphi,
+        vector=vector,
+        direction=direction,
+        norm_inf=sup * float(np.linalg.norm(vector)),
+        norm_inf_A=sup * math.sqrt(np.sum(weighted_terms)),
+        profile_dx_sup=dsup,
+    )
+
+
 def weighted_scales(spectrum_values) -> np.ndarray:
     """s_n = min(lam_n^(-1/2) e^(-lam_n), 1)."""
     lam = np.asarray(spectrum_values, dtype=np.float64)
@@ -197,39 +230,9 @@ def make_b_weighted(spectrum_values, profile="sin", coefficients=None, direction
         raise DomainError(f"direction {direction} outside spectrum of size {n}")
     if profile not in _PROFILES:
         raise DomainError(f"unknown profile {profile!r}; have {sorted(_PROFILES)}")
-
-    phi, dphi, dsup = _PROFILES[profile]
-    if profile in ("sin", "cos", "tanh"):
-        if not (math.isfinite(omega) and omega > 0):
-            raise DomainError("omega must be positive and finite")
-        phi = partial(phi, omega=omega)
-        dphi = partial(dphi, omega=omega)
-        dsup = omega
-
-    scales = weighted_scales(lam)
-    vector = scales * c
     with np.errstate(over="ignore"):
         weights = np.minimum(1.0, lam * np.exp(2.0 * lam))  # lam e^(2 lam) s_n^2
-    norm = float(np.linalg.norm(vector))
-    anorm = float(math.sqrt(np.sum(weights * c * c)))
-    if profile == "zero":
-        norm = 0.0
-        anorm = 0.0
-        dsup = 0.0
-
-    name = f"weighted:{profile}"
-    if omega != 1.0 and profile in ("sin", "cos", "tanh"):
-        name += f":omega={omega:g}"
-    return FunctionDescriptor(
-        name=name,
-        profile=phi,
-        profile_dx=dphi,
-        vector=vector,
-        direction=direction,
-        norm_inf=norm,
-        norm_inf_A=anorm,
-        profile_dx_sup=dsup,
-    )
+    return _certified(f"weighted:{profile}", profile, omega, weighted_scales(lam) * c, weights * c * c, direction)
 
 
 def raw_profile_b(profile, profile_dx, vector, direction=0, name="raw") -> FunctionDescriptor:
@@ -479,16 +482,8 @@ def resolve_b(name: str, spectrum_values) -> FunctionDescriptor:
         vector[0] = c
         with np.errstate(over="ignore"):
             w0 = lam[0] * np.exp(2.0 * lam[0])
-        return FunctionDescriptor(
-            name=f"const:{c:g}",
-            profile=_phi_one,
-            profile_dx=_dphi_zero,
-            vector=vector,
-            direction=0,
-            norm_inf=abs(c),
-            norm_inf_A=float(abs(c) * math.sqrt(w0)) if math.isfinite(w0) else math.inf,
-            profile_dx_sup=0.0,
-        )
+        # the zero vector has weighted norm 0 even where lam_1 e^(2 lam_1) overflows
+        return _certified(f"const:{c:g}", "one", 1.0, vector, [w0 * c * c] if c else [], 0)
     if family == "zero":
         return make_b_weighted(spectrum_values, profile="zero")
     if family == "time":

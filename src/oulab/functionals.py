@@ -259,7 +259,7 @@ class Prop21Result:
     passed: bool
 
 
-def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, seed=0, workers=1) -> Prop21Result:
+def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, workers=1) -> Prop21Result:
     """E exp(alpha |int b'(t, Z_t) dt|^2) <= 3 for a smooth certified b."""
     if not b.smooth:
         raise DomainError(f"descriptor {b.name!r} has no derivative; the functional needs b'")

@@ -524,10 +524,7 @@ def sample_hilbert(spectrum, truncation, m, seed, path=0, horizon=1.0) -> Hilber
 def tail_mass_bound(spectrum, truncation) -> float:
     """Invariant mass dropped by the truncation: sum_{n>N} 1/(2 lam_n)
     over the listed tail, plus any certified mass beyond the list."""
-    spec = _coerce_spectrum(spectrum)
-    arr = spec.array
-    listed = float(np.sum(0.5 / arr[truncation:])) if truncation < len(spec) else 0.0
-    return listed + spec.tail_inverse_mass
+    return _coerce_spectrum(spectrum).truncate(_check_count(truncation, "truncation", 1)).tail_inverse_mass
 
 
 def _as_vector(v, n, name) -> np.ndarray:

@@ -459,6 +459,41 @@ class TestDump:
             assert comp == 0
             assert value == want[pid, k]  # repr round-trips exactly
 
+    @staticmethod
+    def _read(dump):
+        with open(dump) as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["path_id", "component", "t", "value"]
+            return [(int(p), int(c), float(t), float(v)) for p, c, t, v in reader]
+
+    def test_thm23_dump_reads_the_window_rate(self, capsys, tmp_path):
+        dump = tmp_path / "paths.csv"
+        code, _, _ = _run(
+            capsys, "verify-thm23", "--seed", "17", "--spectrum", "1,4", "--ell", "0.5", "--n", "300",
+            "--M", "32", "--dump", str(dump), "--dump-paths", "3",
+        )
+        assert code == 0
+        rows = self._read(dump)
+        want = block_paths_1d(0.5 * 1.0, 32, 17, 0, 0)[:3]
+        tau = np.linspace(0.0, 1.0, 33)
+        assert [(p, c) for p, c, _, _ in rows] == [(p, 0) for p in range(3) for _ in range(33)]
+        assert [t for _, _, t, _ in rows] == list(tau) * 3
+        assert [v for _, _, _, v in rows] == list(want.ravel())
+
+    def test_concentration_dump_reads_the_window(self, capsys, tmp_path):
+        dump = tmp_path / "paths.csv"
+        code, _, _ = _run(
+            capsys, "concentration", "--seed", "19", "--h1", "e1:sin_pi_t", "--x0", "0.3,-0.2", "--r", "0.25",
+            "--u", "0.75", "--n", "300", "--M", "32", "--dump", str(dump), "--dump-paths", "3",
+        )
+        assert code == 0
+        rows = self._read(dump)
+        tau = np.linspace(0.0, 0.5, 33)
+        want = block_paths_1d(1.0, 32, 19, 0, 0, horizon=0.5)[:3] + np.exp(-1.0 * tau) * 0.3
+        assert [(p, c) for p, c, _, _ in rows] == [(p, 0) for p in range(3) for _ in range(33)]
+        assert [t for _, _, t, _ in rows] == list(0.25 + tau) * 3
+        assert [v for _, _, _, v in rows] == list(want.ravel())
+
     def test_dump_paths_capped(self, capsys, tmp_path):
         code, _, err = _run(
             capsys, "verify-prop21", "--seed", "13", "--lambda", "2", "--n", "512",

@@ -286,6 +286,8 @@ class TestResolvers:
         np.testing.assert_array_equal(b.vector, [0.5, 0.0])
         with pytest.raises(DomainError):
             F.resolve_b("const:1.5", [1.0])
+        # the zero vector is certified even where lam_1 e^(2 lam_1) overflows
+        assert F.resolve_b("const:0", [800.0]).norm_inf_A == 0.0
 
     def test_zero_and_time(self):
         assert F.resolve_b("zero", [1.0]).norm_inf == 0.0
@@ -311,6 +313,53 @@ class TestResolvers:
         for bad in ("q1:sin_pi_t", "e1", "e0:sin_pi_t", "e9:sin_pi_t"):
             with pytest.raises(DomainError):
                 F.resolve_h(bad, [1.0, 4.0])
+
+
+# (name, spectrum) -> (descriptor name, vector, norm_inf, norm_inf_A, profile_dx_sup), as the
+# certificates were before every family was built by one function
+_CERTIFICATE_PINS = [
+    (("weighted:sin", (1.0, 4.0)),
+     ("weighted:sin", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367, 0.9999999999999999, 1.0)),
+    (("weighted:cos", (1.0, 4.0)),
+     ("weighted:cos", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367, 0.9999999999999999, 1.0)),
+    (("weighted:tanh", (1.0, 4.0)),
+     ("weighted:tanh", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367, 0.9999999999999999, 1.0)),
+    (("weighted:sin:omega=2.5", (1.0, 4.0)),
+     ("weighted:sin:omega=2.5", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367,
+      0.9999999999999999, 2.5)),
+    (("weighted:cos:omega=0.5", (1.0, 4.0)),
+     ("weighted:cos:omega=0.5", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367,
+      0.9999999999999999, 0.5)),
+    (("weighted:tanh:omega=3", (1.0, 4.0)),
+     ("weighted:tanh:omega=3", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367,
+      0.9999999999999999, 3.0)),
+    (("weighted:sign", (1.0, 4.0)),
+     ("weighted:sign", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367, 0.9999999999999999, None)),
+    (("weighted:one", (1.0, 4.0)),
+     ("weighted:one", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367, 0.9999999999999999, 0.0)),
+    (("zero", (1.0, 4.0)),
+     ("weighted:zero", (0.2601300475114444, 0.0064755562299939895), 0.0, 0.0, 0.0)),
+    (("time:sin_pi", (1.0, 4.0)),
+     ("weighted:time_sin", (0.2601300475114444, 0.0064755562299939895), 0.26021063476882367, 0.9999999999999999,
+      0.0)),
+    (("const", (1.0, 4.0)), ("const:1", (1.0, 0.0), 1.0, 2.718281828459045, 0.0)),
+    (("const:0", (1.0, 4.0)), ("const:0", (0.0, 0.0), 0.0, 0.0, 0.0)),
+    (("const:0.5", (1.0, 4.0)), ("const:0.5", (0.5, 0.0), 0.5, 1.3591409142295225, 0.0)),
+    # lam e^(2 lam) overflows: the weighted norm is infinite, so the descriptor is refused
+    (("const:1", (800.0, 900.0)), ("const:1", (1.0, 0.0), 1.0, math.inf, 0.0)),
+    # the capped weights keep a component past lam ~ 354 finite
+    (("weighted:sin", (0.1, 400.0)),
+     ("weighted:sin", (0.7071067811865475, 6.771147044793894e-176), 0.7071067811865475, 0.7490461520547371, 1.0)),
+]
+
+
+class TestCertificatePins:
+    @pytest.mark.parametrize("spec, want", _CERTIFICATE_PINS, ids=[f"{n}@{lam}" for (n, lam), _ in _CERTIFICATE_PINS])
+    def test_certificates_are_bitwise_pinned(self, spec, want):
+        b = F.resolve_b(*spec)
+        got = (b.name, tuple(float(v) for v in b.vector), b.norm_inf, b.norm_inf_A, b.profile_dx_sup)
+        assert got == want
+        assert all(type(v) is float for v in got[2:] if v is not None)
 
 
 class TestDescriptorPickling:

@@ -239,20 +239,24 @@ class TestCheckProp21:
 
     def test_rejects_non_integer_m(self, monkeypatch):
         b = make_b_weighted([1.0], profile="sin")
-        want = check_prop21(1.0, b, m=32, n_paths=16)
-        assert check_prop21(1.0, b, m=np.int64(32), n_paths=16) == want
+        want = check_prop21(1.0, b, m=32, n_paths=16, seed=0)
+        assert check_prop21(1.0, b, m=np.int64(32), n_paths=16, seed=0) == want
         _refuse_sampling(monkeypatch)
         with pytest.raises(DomainError, match="integer"):
-            check_prop21(1.0, b, m=64.7, n_paths=16)
+            check_prop21(1.0, b, m=64.7, n_paths=16, seed=0)
+
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError, match="seed"):
+            check_prop21(1.0, make_b_weighted([1.0], profile="sin"), m=32, n_paths=16)
 
     def test_rejects_non_smooth(self):
         with pytest.raises(DomainError):
-            check_prop21(1.0, make_b_weighted([1.0], profile="sign"), m=32, n_paths=16)
+            check_prop21(1.0, make_b_weighted([1.0], profile="sign"), m=32, n_paths=16, seed=0)
 
     def test_rejects_uncertified(self):
         bare = raw_profile_b(lambda t, xi: np.sin(xi), lambda t, xi: np.cos(xi), [1.0], name="bare")
         with pytest.raises(DomainError):
-            check_prop21(1.0, bare, m=32, n_paths=16)
+            check_prop21(1.0, bare, m=32, n_paths=16, seed=0)
 
 
 class TestCheckThm23:

@@ -529,6 +529,12 @@ class TestHilbertSampler:
         dropped = sum(0.5 / (k * k) for k in range(9, 17))
         assert cut == pytest.approx(0.5 / 16 + dropped, rel=1e-14)
 
+    def test_tail_mass_bound_rejects_invalid_truncations(self):
+        spec = DriftSpectrum((1.0, 4.0))
+        for bad in (0, -1, 2.5, len(spec) + 1):
+            with pytest.raises(DomainError, match="truncation"):
+                S.tail_mass_bound(spec, bad)
+
 
 def _hilbert_component_last(lam, component, n_paths, seed):
     cols = []
