@@ -78,6 +78,12 @@ def _maybe_scalar(out, template):
     return out
 
 
+def _arctan_root(arr):
+    # arctan(sqrt(e^(2 lam) - 1)) = lam * D(lam), increasing to pi/2
+    with np.errstate(over="ignore"):
+        return np.arctan(np.sqrt(np.expm1(2.0 * arr)))
+
+
 def d_lambda(lam):
     """arctan(sqrt(e^(2 lam) - 1)) / lam.
 
@@ -86,15 +92,7 @@ def d_lambda(lam):
     2 lam beyond the overflow threshold arctan(inf) = pi/2 is exact.
     """
     arr = _as_rates(lam)
-    with np.errstate(over="ignore"):
-        out = np.arctan(np.sqrt(np.expm1(2.0 * arr))) / arr
-    return _maybe_scalar(out, lam)
-
-
-def _arctan_root(arr):
-    # arctan(sqrt(e^(2 lam) - 1)) = lam * D(lam), increasing to pi/2
-    with np.errstate(over="ignore"):
-        return np.arctan(np.sqrt(np.expm1(2.0 * arr)))
+    return _maybe_scalar(_arctan_root(arr) / arr, lam)
 
 
 def alpha2(lam):
@@ -274,15 +272,9 @@ def _coerce_spectrum(spectrum) -> DriftSpectrum:
     return DriftSpectrum(eigenvalues=tuple(np.atleast_1d(np.asarray(spectrum, dtype=np.float64))))
 
 
-def capital_lambda(spectrum) -> float:
-    """LAM = sum of 1/lam_n over the listed eigenvalues."""
-    return _coerce_spectrum(spectrum).inverse_sum
-
-
 def beta_floor(spectrum) -> float:
-    """(1/4) LAM^-2 e/1152: the spectrum-independent part of the rate."""
-    lam_sum = capital_lambda(spectrum)
-    return 0.25 * lam_sum**-2 * RATE_FLOOR
+    """(1/4) LAM^-2 e/1152 with LAM = sum of 1/lam_n: the spectrum-independent part of the rate."""
+    return 0.25 * _coerce_spectrum(spectrum).inverse_sum**-2 * RATE_FLOOR
 
 
 def beta(spectrum) -> float:

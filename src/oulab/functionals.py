@@ -38,7 +38,7 @@ import numpy as np
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, shift_difference_norm
-from .ousim import HilbertPath, _as_vector, _check_count, _grid, block_paths_1d, ndtri, row_chunks
+from .ousim import _as_vector, _check_count, _grid, block_paths_1d, ndtri, row_chunks
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -174,20 +174,6 @@ def _start_value(spec: ExperimentSpec, r, u, x0) -> float:
     if x0 is None:
         return 0.0
     return float(_as_vector(x0, spec.truncation, "x0")[spec.b.direction])
-
-
-def shift_functional(b: FunctionDescriptor, h: ShiftDescriptor, path: HilbertPath) -> np.ndarray:
-    """J = int [b(t, Z_t + h(t)) - b(t, Z_t)] dt by trapezoid, a vector in H."""
-    if h.truncation != path.truncation:
-        raise DomainError(f"shift truncation {h.truncation} != path truncation {path.truncation}")
-    if b.direction >= path.truncation:
-        raise DomainError("descriptor direction outside the path truncation")
-    t = path.times
-    xi = path.component_values(b.direction)
-    hv = h.component(b.direction, t)
-    phi_shift = np.asarray(b.profile(t, xi + hv), dtype=np.float64)
-    phi_base = np.asarray(b.profile(t, xi), dtype=np.float64)
-    return float(np.trapezoid(phi_shift - phi_base, x=t)) * b.vector
 
 
 # ----------------------------------------------------------------------

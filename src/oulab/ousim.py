@@ -265,32 +265,12 @@ def _check_rate(lam) -> float:
     return lam
 
 
-def transition_mean_var(lam, z_current, dt):
-    """Closed-form mean and variance of the one-step transition."""
-    lam = _check_rate(lam)
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0:
-        raise DomainError("dt must be positive and finite")
-    if not np.all(np.isfinite(z_current)):
-        raise DomainError("state must be finite")
-    mean = math.exp(-lam * dt) * np.asarray(z_current, dtype=np.float64)
-    var = -math.expm1(-2.0 * lam * dt) / (2.0 * lam)
-    return mean, var
-
-
-def transition_sample(lam, z_current, dt, substream: Generator):
-    """One exact transition draw per state entry, one uniform each."""
-    mean, var = transition_mean_var(lam, z_current, dt)
-    size = None if np.ndim(z_current) == 0 else np.shape(z_current)
-    return mean + math.sqrt(var) * standard_normal(substream, size)
-
-
 @dataclass(frozen=True, eq=False)
 class PathGrid:
     """A sampled path on a uniform grid.
 
     Sampler output always has values[0] = 0 (the processes start at the
-    origin); shifted paths carry their start value instead.  Equality and
+    origin); a path built by hand may start elsewhere.  Equality and
     hashing are by identity.
     """
 
@@ -395,12 +375,13 @@ def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PA
 
 
 def sample_path_1d(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
-    """One exact path; marginal of values[k] is N(0, (1-e^(-2 lam t_k))/(2 lam))."""
-    lam = _check_rate(lam)
-    times = _grid(m, horizon)
-    normals = path_normals(stream, m)
-    values = _recursion_paths(lam, m, normals, horizon)
-    return PathGrid(lam=lam, times=times, values=values)
+    """One exact path: row stream.row of its block's block_paths_1d, bitwise.
+
+    The marginal of values[k] is N(0, (1-e^(-2 lam t_k))/(2 lam)).
+    """
+    rows = (stream.row, stream.row + 1)
+    values = block_paths_1d(lam, m, stream.seed, stream.component, stream.block, horizon, rows=rows)[0]
+    return PathGrid(lam=float(lam), times=_grid(m, horizon), values=values)  # both checked by block_paths_1d
 
 
 def deformed_clock(lam, t):
@@ -535,13 +516,3 @@ def _as_vector(v, n, name) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     return arr
-
-
-def shifted_process(path: HilbertPath, x) -> HilbertPath:
-    """Z(t, x) = Z_t + e^(-tA) x, the process started at x."""
-    x_arr = _as_vector(x, path.truncation, "start value")
-    comps = tuple(
-        PathGrid(lam=comp.lam, times=comp.times, values=comp.values + np.exp(-comp.lam * comp.times) * x_arr[n])
-        for n, comp in enumerate(path.component_paths)
-    )
-    return HilbertPath(spectrum=path.spectrum, truncation=path.truncation, component_paths=comps)

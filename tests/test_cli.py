@@ -244,6 +244,17 @@ class TestExitCodes:
         assert code == 2
         assert "at least one number" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--M", "32", "--x", "0.5", "--y", "-0.5", "--ps", "inf"],
+        ["moments", "--M", "32", "--x", "0.5", "--y", "-0.5", "--ps", "nan"],
+        ["decomposition", "--lambda", "1", "--m-list", "8,inf"],
+    ])
+    def test_non_finite_integer_list_is_config_error(self, capsys, argv):
+        code, _, err = _run(capsys, *argv, "--seed", "1", "--n", "64")
+        assert code == 2
+        assert "must contain integers" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("setting, message", [
         ("format=xml", "format must be json or csv"),
         ("dump=d.csv\ndump_paths=300", "capped at 256"),
@@ -527,6 +538,35 @@ class TestDecompositionCommand:
         assert code == 2
         assert "at least two grid sizes" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("b", ["const:0.3", "zero", "weighted:one"])
+    def test_exactly_zero_residuals_pass(self, capsys, b):
+        # b' = 0: the decomposition holds exactly at every M, with no trend to see
+        code, out, err = _run(capsys, "decomposition", "--seed", "1", "--n", "300", "--lambda", "1",
+                              "--m-list", "16,64,256", "--b", b)
+        assert [row["cov_residual_mean"] for row in json.loads(out)["results"]] == [0.0, 0.0, 0.0]
+        assert code == 0
+        assert "PASS decomposition:" in err
+
+    def test_smooth_time_drift_keeps_its_trend_test(self, capsys, monkeypatch):
+        argv = ("decomposition", "--seed", "1", "--n", "300", "--lambda", "1", "--m-list", "16,64,256",
+                "--b", "time:sin_pi")
+        code, out, err = _run(capsys, *argv)
+        residuals = [row["cov_residual_mean"] for row in json.loads(out)["results"]]
+        assert residuals[0] > residuals[1] > residuals[2] > 0.0
+        assert code == 0
+        assert "PASS decomposition:" in err
+        # the same residuals in rising order fail
+        real = cli.covariation_check
+
+        def rising(*args, **kwargs):
+            reports = real(*args, **kwargs)
+            return [dataclasses.replace(r, cov_residual=v) for r, v in zip(reports, residuals[::-1])]
+
+        monkeypatch.setattr(cli, "covariation_check", rising)
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        assert "FAIL decomposition:" in err
 
     def test_rejects_unordered_m_list(self, capsys):
         code, _, _ = _run(

@@ -32,7 +32,6 @@ from oulab.functionals import (
     exp_moment,
     gamma_step_check,
     moment_bound,
-    shift_functional,
 )
 from oulab.ousim import block_paths_1d, sample_hilbert, standard_normal, substream
 from oulab.parallel import block_layout, run_blocks
@@ -194,32 +193,6 @@ class TestExperimentSpec:
             assert obj in {obj}
             assert obj == obj
         assert spec != self._spec()
-
-
-class TestShiftFunctional:
-    def test_zero_shift_gives_zero_vector(self):
-        lam = (1.0, 4.0)
-        path = sample_hilbert(lam, 2, 128, seed=3)
-        b = make_b_weighted(lam)
-        out = shift_functional(b, zero_shift(lam), path)
-        np.testing.assert_array_equal(out, np.zeros(2))
-
-    def test_norm_bounded_by_two_sup(self):
-        lam = (1.0, 4.0)
-        b = make_b_weighted(lam, profile="sin")
-        h = make_h(lam, {0: "sin_pi_t"})
-        for p in range(8):
-            path = sample_hilbert(lam, 2, 128, seed=3, path=p)
-            out = shift_functional(b, h, path)
-            assert np.linalg.norm(out) <= 2.0 * b.norm_inf + 1e-12
-
-    def test_rejects_mismatches(self):
-        lam = (1.0, 4.0)
-        path = sample_hilbert(lam, 1, 64, seed=0)
-        with pytest.raises(DomainError):
-            shift_functional(make_b_weighted(lam), make_h(lam, {0: "const"}), path)
-        with pytest.raises(DomainError):
-            shift_functional(make_b_weighted(lam, direction=1), make_h([1.0], {0: "const"}), path)
 
 
 class TestCheckProp21:

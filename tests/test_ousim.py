@@ -158,41 +158,6 @@ class TestStandardNormal:
             assert S.ndtri(p) == pytest.approx(norm.ppf(p), rel=1e-14)
 
 
-class TestTransition:
-    def test_mean_var_formulas(self):
-        mean, var = S.transition_mean_var(2.0, 0.7, 0.25)
-        assert mean == pytest.approx(0.7 * math.exp(-0.5), rel=1e-15)
-        assert var == pytest.approx(-math.expm1(-1.0) / 4.0, rel=1e-15)
-
-    def test_variance_below_dt_for_small_steps(self):
-        for lam in (0.1, 1.0, 10.0):
-            for dt in (1e-4, 1e-2):
-                _, var = S.transition_mean_var(lam, 0.0, dt)
-                assert 0.0 < var < dt
-
-    def test_vectorized_states(self):
-        mean, var = S.transition_mean_var(1.0, np.array([0.0, 1.0, -2.0]), 0.5)
-        assert mean.shape == (3,)
-        assert np.isscalar(var) or var.shape == ()
-
-    def test_sample_statistics(self):
-        gen = S.substream(21, domain=S.DOMAIN_AUX)
-        z0 = np.zeros(50_000)
-        z1 = S.transition_sample(1.0, z0, 0.5, gen)
-        _, var = S.transition_mean_var(1.0, 0.0, 0.5)
-        assert abs(z1.mean()) < 4.0 * math.sqrt(var / z1.size)
-        assert abs(z1.var() - var) < 4.0 * var * math.sqrt(2.0 / z1.size)
-
-    def test_rejects_bad_arguments(self):
-        gen = S.substream(0)
-        with pytest.raises(DomainError):
-            S.transition_mean_var(1.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            S.transition_mean_var(-1.0, 0.0, 0.1)
-        with pytest.raises(DomainError):
-            S.transition_sample(1.0, math.nan, 0.1, gen)
-
-
 class TestRecursionSampler:
     def test_paths_start_at_zero(self):
         z = S.block_paths_1d(1.0, 16, seed=5, component=0, block=0)
@@ -389,6 +354,15 @@ class TestGridCache:
             with pytest.raises(DomainError):
                 S.sample_path_timechange(2.0, 8, S.PathStream(seed=21, path=0), horizon=176.0)
 
+    def test_rejects_bad_rates(self):
+        stream = S.PathStream(seed=21, path=0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            for sampler in self.SAMPLERS:
+                with pytest.raises(DomainError, match="rate must be positive and finite"):
+                    sampler(bad, 8, stream)
+            with pytest.raises(DomainError, match="rate must be positive and finite"):
+                S.block_paths_1d(bad, 8, 21, 0, 0)
+
 
 class TestRowRanges:
     # (start, stop) pairs: empty ranges, single rows, starts at odd rows for
@@ -555,35 +529,3 @@ class TestPathIdentity:
         hp, hp_again = S.sample_hilbert(spec, 2, 8, seed=1), S.sample_hilbert(spec, 2, 8, seed=1)
         assert hp == hp and hp != hp_again
         assert hash(hp) == hash(hp) and len({hp, hp_again}) == 2
-
-
-class TestShiftedProcess:
-    def test_start_value_exact(self):
-        spec = DriftSpectrum((1.0, 2.0))
-        hp = S.sample_hilbert(spec, truncation=2, m=8, seed=1, path=0)
-        moved = S.shifted_process(hp, np.array([0.5, -1.0]))
-        np.testing.assert_array_equal(moved.state_matrix()[0], [0.5, -1.0])
-
-    def test_decay_profile(self):
-        spec = DriftSpectrum((1.0, 2.0))
-        hp = S.sample_hilbert(spec, truncation=2, m=8, seed=1, path=0)
-        x = np.array([1.0, 1.0])
-        moved = S.shifted_process(hp, x)
-        t = hp.times
-        for comp, lam in enumerate(spec.eigenvalues):
-            want = hp.component_values(comp) + np.exp(-lam * t)
-            np.testing.assert_allclose(moved.component_values(comp), want, rtol=0, atol=0)
-
-    def test_zero_shift_is_identity(self):
-        spec = DriftSpectrum((1.0,))
-        hp = S.sample_hilbert(spec, truncation=1, m=8, seed=1, path=0)
-        same = S.shifted_process(hp, np.zeros(1))
-        np.testing.assert_array_equal(same.state_matrix(), hp.state_matrix())
-
-    def test_rejects_bad_shape(self):
-        spec = DriftSpectrum((1.0, 2.0))
-        hp = S.sample_hilbert(spec, truncation=2, m=8, seed=1, path=0)
-        with pytest.raises(DomainError, match=r"start value must have shape \(2,\), got \(3,\)"):
-            S.shifted_process(hp, np.zeros(3))
-        with pytest.raises(DomainError, match="start value must be finite"):
-            S.shifted_process(hp, np.array([np.nan, 0.0]))

@@ -63,3 +63,25 @@ def payload_digest(capsys, argv) -> str:
 @pytest.mark.parametrize("argv, digest", PINS, ids=[" ".join(a[:1] + a[-2:]) for a, _ in PINS])
 def test_payload_is_pinned(capsys, argv, digest):
     assert payload_digest(capsys, argv) == digest
+
+
+# (argv, sha256 of the --dump CSV); each run dumps the first 8 paths it sampled
+DUMP_PINS = [
+    (("verify-prop21", *SMALL, "--lambda", "1", "--b", "weighted:cos"),
+     "21c8a60ec70c58c239899a87e44b423634e2a3c41e8bd4405b275d1b43435507"),
+    (("verify-thm23", *SMALL, "--spectrum", "1,4", "--b", "weighted:sin", "--ell", "0.5"),
+     "e2a5b77b3dfcebe309e129fa58c49f7706bec49f8ec9225b27aa570f9e8e1007"),
+    (("concentration", *SMALL, "--h1", "e1:sin_pi_t", "--x0", "0.3,-0.2", "--r", "0.25", "--u", "0.75"),
+     "8aaa764e691f874793f779c0ad3d140e85f4cc472374df51e740ff969e0fb986"),
+    (("moments", *SMALL, "--x", "0.2,0", "--y", "0,0.1", "--ps", "1,2", "--x0", "0.4,0", "--u", "0.5"),
+     "de4ea4a459f0ae03b51a6370b9a0507d8c836d045b7a7d23d2b2cee56aad229c"),
+]
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION, reason=f"pins recorded under numpy {NUMPY_VERSION}")
+@pytest.mark.parametrize("argv, digest", DUMP_PINS, ids=[a[0] for a, _ in DUMP_PINS])
+def test_dump_is_pinned(capsys, tmp_path, argv, digest):
+    dump = tmp_path / "paths.csv"
+    assert cli.main([*argv, "--dump", str(dump)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
