@@ -15,11 +15,11 @@ import numpy as np
 from oulab import (
     backward_integral,
     covariation_check,
+    decomposition_verdict,
     forward_integral,
     make_b_weighted,
     reversed_drift_coefficient,
     sample_path_1d,
-    trend_decreasing,
     PathStream,
 )
 
@@ -44,5 +44,5 @@ reports = covariation_check(b, lam, m_list=[64, 256, 1024, 4096], n_paths=2000, 
 print("\n    M   mean |backward - forward - int b' dt|    head mass of the singular window")
 for r in reports:
     print(f"{r.m:5d}   {r.cov_residual:24.6e}   {r.i2_head_mass:20.6e}")
-ok = trend_decreasing([r.cov_residual for r in reports], allowed_violations=1)
+ok = decomposition_verdict([r.cov_residual for r in reports])
 print(f"\nresidual decreasing under refinement: {ok}")

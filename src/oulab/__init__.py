@@ -45,9 +45,9 @@ from .ousim import (
 from .reversal import (
     backward_integral,
     covariation_check,
+    decomposition_verdict,
     forward_integral,
     reversed_drift_coefficient,
-    trend_decreasing,
 )
 
 __version__ = "0.1.0"

@@ -56,6 +56,7 @@ from .fnlib import resolve_b, resolve_h
 from .functionals import (
     STATEMENT_DECOMPOSITION,
     STATEMENT_GAMMA,
+    Coordinate,
     ExperimentSpec,
     check_prop21,
     check_thm23,
@@ -64,8 +65,8 @@ from .functionals import (
     moment_bound,
 )
 from . import __version__
-from .ousim import STREAM_CONTRACT, block_paths_1d
-from .reversal import covariation_check, trend_decreasing
+from .ousim import STREAM_CONTRACT
+from .reversal import covariation_check, decomposition_verdict
 
 SCHEMA = 1
 MAX_DUMP_ROWS = 2_000_000
@@ -355,18 +356,15 @@ def _dump_paths(cfg: RunConfig) -> int:
     return k
 
 
-def _write_dump(path, k, seed, rate, m, component, horizon=1.0, t_offset=0.0, x0_dir=0.0):
-    """CSV of the state values the run consumed, first k paths."""
-    tau = np.linspace(0.0, horizon, m + 1)
-    values = block_paths_1d(rate, m, seed, component, 0, horizon=horizon, rows=(0, k))
-    if x0_dir != 0.0:
-        values = values + np.exp(-rate * tau) * x0_dir
+def _write_dump(path, k, seed, coord: Coordinate):
+    """CSV of the state values the run consumed: the first k paths of block 0 of coord."""
+    times, values = coord.times(), coord.paths(seed, 0, (0, k))
     with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "component", "t", "value"])
         for pid in range(k):
-            for t, v in zip(t_offset + tau, values[pid]):
-                writer.writerow([pid, component, repr(float(t)), repr(float(v))])
+            for t, v in zip(times, values[pid]):
+                writer.writerow([pid, coord.component, repr(float(t)), repr(float(v))])
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +380,7 @@ class Outcome(NamedTuple):
     rows: list  # one value sequence per row, in the command's column order
     verdicts: list  # (passed, statement, detail), one stderr line each; none for a table
     extra: dict = None  # payload fields placed before the results
-    dump: tuple = None  # block_paths_1d rate, m, component [, horizon, t_offset, x0_dir] of the dump
+    coordinate: Coordinate = None  # the coordinate the check sampled, which --dump writes
 
 
 def _sampling(cfg: RunConfig, seed):
@@ -406,11 +404,6 @@ def _window(cfg: RunConfig, truncation):
     return dict(x0=parse_vector(cfg.get("x0"), truncation, "x0"), r=cfg.get_float("r"), u=cfg.get_float("u"))
 
 
-def _window_dump(spec: ExperimentSpec, r, u, x0):
-    d = spec.b.direction
-    return spec.spectrum.eigenvalues[d], spec.m, d, u - r, r, x0[d] if x0 else 0.0
-
-
 def _constants(cfg: RunConfig, seed):
     grid = parse_grid(cfg.get("lambda_grid"))
     if np.any(grid <= 0):
@@ -429,7 +422,7 @@ def _prop21(cfg: RunConfig, seed):
     row = (res.statement, lam, res.alpha, b.name, est.n, m, est.mean, est.stderr, res.upper999, res.bound,
            est.max_summand, res.passed)
     detail = f"lambda={lam:g} upper999={res.upper999:.6g} bound={res.bound:g}"
-    return Outcome([row], [(res.passed, res.statement, detail)], dump=(lam, m, b.direction))
+    return Outcome([row], [(res.passed, res.statement, detail)], coordinate=res.coordinate)
 
 
 def _thm23(cfg: RunConfig, seed):
@@ -440,8 +433,7 @@ def _thm23(cfg: RunConfig, seed):
     row = (res.statement, cfg.get("spectrum"), spec.truncation, b.name, h.name, res.ell, res.beta, res.rate,
            res.h_sup, est.n, spec.m, est.mean, est.stderr, res.upper999, res.bound, est.max_summand, res.passed)
     detail = f"b={b.name} upper999={res.upper999:.6g} bound={res.bound:g}"
-    dump = (res.ell * spec.spectrum.eigenvalues[b.direction], spec.m, b.direction)
-    return Outcome([row], [(res.passed, res.statement, detail)], dump=dump)
+    return Outcome([row], [(res.passed, res.statement, detail)], coordinate=res.coordinate)
 
 
 def _concentration(cfg: RunConfig, seed):
@@ -449,14 +441,13 @@ def _concentration(cfg: RunConfig, seed):
     h1 = cfg.require("h1")
     spec, live = _hilbert(cfg, seed)
     h1, h2 = resolve_h(h1, live), resolve_h(cfg.get("h2"), live)
-    window = _window(cfg, spec.truncation)
-    res = concentration_tail(spec, h1, h2, etas, **window)
+    res = concentration_tail(spec, h1, h2, etas, **_window(cfg, spec.truncation))
     rows = [(res.statement, r.eta, r.threshold, r.empirical, r.stderr, r.bound, r.passed) for r in res.rows]
     extra = dict(beta=res.beta, ell=res.ell, diff_sup=res.diff_sup, degenerate=res.degenerate, note=res.note,
                  n=spec.n_paths, m=spec.m)
     worst = max(r.empirical - r.bound for r in res.rows)
     detail = f"etas={','.join(f'{e:g}' for e in etas)} worst_excess={worst:.3g}"
-    return Outcome(rows, [(res.passed, res.statement, detail)], extra, _window_dump(spec, **window))
+    return Outcome(rows, [(res.passed, res.statement, detail)], extra, res.coordinate)
 
 
 def _moments(cfg: RunConfig, seed):
@@ -466,8 +457,7 @@ def _moments(cfg: RunConfig, seed):
         raise ConfigError("moments needs both constant shifts: x=<list> and y=<list>")
     spec, live = _hilbert(cfg, seed)
     x, y = parse_vector(x, spec.truncation, "x"), parse_vector(y, spec.truncation, "y")
-    window = _window(cfg, spec.truncation)
-    res = moment_bound(spec, x, y, ps, **window)
+    res = moment_bound(spec, x, y, ps, **_window(cfg, spec.truncation))
     rows = [(res.statement, r.p, r.moment, r.stderr, r.upper999, r.bound_derived, r.bound_stated, r.passed)
             for r in res.rows]
     gamma_rows = [{"statement": STATEMENT_GAMMA, "p": p, "lhs": lhs, "rhs": rhs, "pass": ok}
@@ -476,7 +466,7 @@ def _moments(cfg: RunConfig, seed):
                  n=spec.n_paths, m=spec.m, gamma_results=gamma_rows)
     verdicts = [(res.passed, res.statement, f"ps={','.join(map(str, ps))} sep={res.separation:g}"),
                 (all(r["pass"] for r in gamma_rows), STATEMENT_GAMMA, "p=1..20")]
-    return Outcome(rows, verdicts, extra, _window_dump(spec, **window))
+    return Outcome(rows, verdicts, extra, res.coordinate)
 
 
 def _decomposition(cfg: RunConfig, seed):
@@ -489,10 +479,8 @@ def _decomposition(cfg: RunConfig, seed):
     reports = covariation_check(b, lam, m_list, n_paths=n, seed=seed, workers=workers)
     rows = [(STATEMENT_DECOMPOSITION, r.m, r.n_paths, r.lhs, r.covariation, r.i1, r.i2, r.i3, r.residual,
              r.cov_residual, r.i2_head_mass) for r in reports]
-    # the verdict quantity is mean |backward - forward - int b' dt|; b' = 0 makes it exactly 0 at
-    # every M, where the decomposition holds exactly (the convention of h1 = h2 and x = y)
     residuals = [r.cov_residual for r in reports]
-    passed = all(v == 0.0 for v in residuals) or trend_decreasing(residuals, allowed_violations=1)
+    passed = decomposition_verdict(residuals)
     detail = f"lambda={lam:g} residuals {' -> '.join(f'{v:.3e}' for v in residuals)}"
     return Outcome(rows, [(passed, STATEMENT_DECOMPOSITION, detail)])
 
@@ -640,9 +628,10 @@ CONSTANTS_COLUMNS = list(COMMANDS["constants"].columns)
 def _run(cfg: RunConfig) -> bool:
     """Run cfg's command; True when every verdict passed.
 
-    Settings the command does not read, a bad format, an oversized dump
-    and an output path that cannot be created are rejected before the
-    check, so they cost no Monte Carlo run.
+    Settings the command does not read, a bad format, an oversized dump,
+    an output path that cannot be created and --out and --dump naming
+    one file are rejected before the check, so they cost no Monte Carlo
+    run.
     """
     t0 = time.perf_counter()
     cmd = COMMANDS[cfg.command]
@@ -654,13 +643,15 @@ def _run(cfg: RunConfig) -> bool:
         if f.choices and cfg.get(f.key) not in f.choices:
             raise ConfigError(f"{f.key} must be {' or '.join(f.choices)}, got {cfg.get(f.key)!r}")
     dump_paths = _dump_paths(cfg)
-    for path in (cfg.get("out"), cfg.get("dump") if dump_paths else None):
-        if path:
-            _check_writable(path)
+    outputs = [path for path in (cfg.get("out"), cfg.get("dump") if dump_paths else None) if path]
+    for path in outputs:
+        _check_writable(path)
+    if len(outputs) == 2 and os.path.realpath(outputs[0]) == os.path.realpath(outputs[1]):
+        raise ConfigError(f"--out and --dump both name {outputs[0]}; the dump would be overwritten by the payload")
     out = cmd.check(cfg, seed)
     rows = [dict(zip(cmd.columns, row, strict=True)) for row in out.rows]
     if dump_paths:
-        _write_dump(cfg.get("dump"), dump_paths, seed, *out.dump)
+        _write_dump(cfg.get("dump"), dump_paths, seed, out.coordinate)
     passed = all(ok for ok, _, _ in out.verdicts)
     payload = _payload(cfg, rows, passed if out.verdicts else None, time.perf_counter() - t0, seed, out.extra)
     _emit(cfg, payload, rows, cmd.columns)

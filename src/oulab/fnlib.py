@@ -112,20 +112,29 @@ def _phi_time_sin(t, xi):
     return np.sin(y, out=out)
 
 
-def _dphi_zero(t, xi):
-    return np.zeros_like(np.asarray(xi, dtype=np.float64))
-
-
 # name -> (phi, dphi or None, sup |dphi/dxi| at omega = 1 or None, sup |phi|, whether phi reads omega * xi)
 _PROFILES = {
     "sin": (_phi_sin, _dphi_sin, 1.0, 1.0, True),
     "cos": (_phi_cos, _dphi_cos, 1.0, 1.0, True),
     "tanh": (_phi_tanh, _dphi_tanh, 1.0, 1.0, True),
     "sign": (_phi_sign, None, None, 1.0, False),
-    "one": (_phi_one, _dphi_zero, 0.0, 1.0, False),
-    "zero": (_phi_zero, _dphi_zero, 0.0, 0.0, False),
-    "time_sin": (_phi_time_sin, _dphi_zero, 0.0, 1.0, False),
+    "one": (_phi_one, _phi_zero, 0.0, 1.0, False),
+    "zero": (_phi_zero, _phi_zero, 0.0, 0.0, False),
+    "time_sin": (_phi_time_sin, _phi_zero, 0.0, 1.0, False),
 }
+
+
+def _norm(vector) -> float:
+    """Euclidean norm of a float vector, with no underflow or overflow of its squares.
+
+    np.linalg.norm squares unscaled entries, so it returns 0 for [1e-200].
+    Here the vector is first scaled by the power of two 2^-e that brings
+    its largest entry into [1/2, 1).  That scaling is exact, so wherever
+    np.linalg.norm neither underflows nor overflows the bits are its own.
+    """
+    v = np.asarray(vector, dtype=np.float64)
+    e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +160,7 @@ class FunctionDescriptor:
 
     @property
     def vector_norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        return _norm(self.vector)
 
     def _xi(self, x):
         arr = np.asarray(x, dtype=np.float64)
@@ -195,7 +204,7 @@ def _certified(name, profile, omega, vector, weighted_terms, direction) -> Funct
         profile_dx=dphi,
         vector=vector,
         direction=direction,
-        norm_inf=sup * float(np.linalg.norm(vector)),
+        norm_inf=sup * _norm(vector),
         norm_inf_A=sup * math.sqrt(np.sum(weighted_terms)),
         profile_dx_sup=dsup,
     )

@@ -25,24 +25,28 @@ state coordinate (the descriptor's direction), so only that component is
 materialized.  Components never read would be sampled from their own
 independent substreams and then discarded; skipping them leaves every
 number bitwise unchanged, which test_functionals pins against the full
-Hilbert sampler.
+Hilbert sampler.  Each check builds the Coordinate it samples once (the
+last three through ExperimentSpec.coordinate) and returns it with its
+result.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
-from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, shift_difference_norm
+from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, _norm, shift_difference_norm
 from .ousim import _as_vector, _check_count, _grid, block_paths_1d, ndtri, row_chunks
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
 EXP_BOUND = 3.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 STATEMENT_PROP21 = "E exp(alpha |int_0^1 b'(t, Z_t) dt|^2) <= 3"
 STATEMENT_THM23 = "E exp(beta/sup|h|^2 |int_0^1 b(t, Z_t + h(t)) - b(t, Z_t) dt|^2) <= 3"
@@ -85,13 +89,13 @@ class McEstimate:
         return self.mean + ndtri(conf) * self.stderr
 
 
-def exp_moment(values, alpha, summand_cap=None) -> McEstimate:
+def exp_moment(values, alpha, value_cap=None) -> McEstimate:
     """MC mean of exp(alpha |S_i|^2) with its standard error.
 
     values are the per-path amplitudes S_i (signs are irrelevant).  When
-    a hard bound on the summand is known, pass it as summand_cap: any
-    summand above it means the functional left its certified range,
-    which is a bug, not noise.
+    a hard bound on |S_i| is known, pass it as value_cap: any summand
+    above exp(alpha value_cap^2) (1 + 1e-9) means the functional left its
+    certified range, which is a bug, not noise.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
@@ -103,9 +107,10 @@ def exp_moment(values, alpha, summand_cap=None) -> McEstimate:
         raise DomainError("functional values must be finite")
     summands = np.exp(alpha * arr * arr)
     top = float(np.max(summands))
-    if summand_cap is not None and top > summand_cap:
+    cap = math.inf if value_cap is None else math.exp(alpha * value_cap**2) * (1.0 + 1e-9)
+    if top > cap:
         raise RuntimeError(
-            f"summand {top:.6g} exceeds the certified cap {summand_cap:.6g}; "
+            f"summand {top:.6g} exceeds the certified cap {cap:.6g}; "
             "a functional value escaped its hard bound"
         )
     return McEstimate.from_samples(summands, max_summand=top)
@@ -158,6 +163,13 @@ class ExperimentSpec:
     def truncated_spectrum(self) -> DriftSpectrum:
         return self.spectrum.truncate(self.truncation)
 
+    def coordinate(self, ell=1.0, r=0.0, u=1.0, x0=None) -> Coordinate:
+        """b's coordinate at rate ell * lam_d on the window [r, u], started at x0 along it (0 without x0)."""
+        _check_window(r, u)
+        d = self.b.direction
+        x0_dir = 0.0 if x0 is None else float(_as_vector(x0, self.truncation, "x0")[d])
+        return Coordinate(ell * self.spectrum.eigenvalues[d], self.m, d, u - r, r, x0_dir)
+
 
 def _check_shifts(spec: ExperimentSpec, **shifts):
     """Refuse a shift built on another truncation or spectrum than spec's."""
@@ -168,64 +180,84 @@ def _check_shifts(spec: ExperimentSpec, **shifts):
             raise DomainError(f"{name} was built on a different spectrum")
 
 
-def _start_value(spec: ExperimentSpec, r, u, x0) -> float:
-    """x0 along b's direction (0 without x0), once the window [r, u] and x0 are checked."""
-    _check_window(r, u)
-    if x0 is None:
-        return 0.0
-    return float(_as_vector(x0, spec.truncation, "x0")[spec.b.direction])
-
-
 # ----------------------------------------------------------------------
 # block workers (module level so they pickle into worker processes)
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Coordinate:
+    """The one OU state coordinate a check samples, picklable.
+
+    Component `component` at rate `rate` on m steps of the window
+    [t0, t0 + horizon], started at x0 at time t0: its paths are the
+    component's block paths plus the start decay exp(-rate (t - t0)) x0.
+    times() and paths() are the only copies of the window grid and the
+    start decay; the block workers and the CLI's --dump read them here.
+    """
+
+    rate: float
+    m: int
+    component: int
+    horizon: float = 1.0
+    t0: float = 0.0
+    x0: float = 0.0
+
+    def times(self) -> np.ndarray:
+        """The absolute grid times t0 + [0, horizon], m + 1 of them."""
+        return self.t0 + _grid(self.m, self.horizon)
+
+    def paths(self, seed, block, rows) -> np.ndarray:
+        """Rows (start, stop) of the block's paths on the grid, start decay included."""
+        z = block_paths_1d(self.rate, self.m, seed, self.component, block, horizon=self.horizon, rows=rows)
+        if self.x0 != 0.0:
+            z += np.exp(-self.rate * _grid(self.m, self.horizon)) * self.x0
+        return z
 
 
 # Each worker samples the first count paths of its block in row chunks
 # (ousim.row_chunks) and writes each chunk's per-path values into one
 # preallocated array.  Every row's recursion, profile evaluation and
 # reduction along the last axis is independent of the rows sharing its
-# array, so the values are bitwise those of one whole-block pass.
+# array, so the values are bitwise those of one whole-block pass.  A
+# chunk's arrays stay bound until the next chunk replaces them: freeing
+# them inside the chunk (say, behind a helper call) tripled the page
+# faults of a thm23 block at M = 4096.
 
 
-def _prop21_block(block, count, seed, lam, m, b):
-    times = _grid(m, 1.0)
+def _prop21_block(block, count, seed, coord: Coordinate, b):
+    """|int b'(t, xi_t) dt| for one block, xi the coordinate's paths."""
+    times = coord.times()
     out = np.empty(count)
-    for start, stop in row_chunks(count, m):
-        z = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop))
+    for start, stop in row_chunks(count, coord.m):
+        z = coord.paths(seed, block, (start, stop))
         dphi = np.asarray(b.profile_dx(times, z), dtype=np.float64)
-        out[start:stop] = np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * b.vector_norm
+        out[start:stop] = np.abs(np.trapezoid(dphi, dx=coord.horizon / coord.m, axis=-1)) * b.vector_norm
     return out
 
 
-def _shifted_pair_block(block, count, seed, rate, horizon, m, b, h1_vals, h2_vals, x0_dir, t_abs):
-    """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for one block.
-
-    xi is the descriptor's state coordinate started at x0_dir; t_abs are
-    the absolute times fed to the profile (the window offset for
-    conditional runs, plain [0,1] otherwise).
-    """
-    start_decay = np.exp(-rate * _grid(m, horizon)) * x0_dir if x0_dir != 0.0 else None
+def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals):
+    """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for one block, h1_vals and h2_vals at coord.times()."""
+    t_abs = coord.times()
     out = np.empty(count)
-    for start, stop in row_chunks(count, m):
-        z = block_paths_1d(rate, m, seed, b.direction, block, horizon=horizon, rows=(start, stop))
-        if start_decay is not None:
-            z += start_decay
+    for start, stop in row_chunks(count, coord.m):
+        z = coord.paths(seed, block, (start, stop))
         phi1 = np.asarray(b.profile(t_abs, z + h1_vals), dtype=np.float64)
         phi2 = np.asarray(b.profile(t_abs, z + h2_vals), dtype=np.float64)
-        j = np.trapezoid(phi1 - phi2, dx=horizon / m, axis=-1)
+        j = np.trapezoid(phi1 - phi2, dx=coord.horizon / coord.m, axis=-1)
         out[start:stop] = np.abs(j) * b.vector_norm
     return out
 
 
-def _pair_values(spec: ExperimentSpec, rate, r, u, x0_dir, h1, h2):
+def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):
     """|int_r^u [b(s, xi_s + h1(s)) - b(s, xi_s + h2(s))] ds| per path.
 
-    xi is b's state coordinate at rate `rate`, started at x0_dir at time
-    r; h1 and h2 map absolute times to that coordinate's shift values.
+    xi is the coordinate (spec.coordinate) on its window [r, u]; h1 and
+    h2 map (component, absolute times) to shift values, as
+    ShiftDescriptor.component does.
     """
-    t_abs = r + np.linspace(0.0, u - r, spec.m + 1)
-    args = (spec.seed, rate, u - r, spec.m, spec.b, h1(t_abs), h2(t_abs), x0_dir, t_abs)
+    t_abs = coord.times()
+    args = (spec.seed, coord, spec.b, h1(coord.component, t_abs), h2(coord.component, t_abs))
     return run_blocks(_shifted_pair_block, spec.n_paths, spec.workers, args)
 
 
@@ -237,12 +269,12 @@ def _pair_values(spec: ExperimentSpec, rate, r, u, x0_dir, h1, h2):
 @dataclass(frozen=True)
 class Prop21Result:
     statement: str
-    lam: float
     alpha: float
     estimate: McEstimate
     upper999: float
     bound: float
     passed: bool
+    coordinate: Coordinate
 
 
 def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, workers=1) -> Prop21Result:
@@ -252,20 +284,19 @@ def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, w
     _check_certified(b, need_a_norm=False)
     lam = float(lam)
     a = alpha_of(lam)
-    values = run_blocks(_prop21_block, n_paths, workers, (seed, lam, _check_count(m, "m", 2), b))
-    cap = None
-    if b.profile_dx_sup is not None:
-        cap = math.exp(a * (b.profile_dx_sup * b.vector_norm) ** 2) * (1.0 + 1e-9)
-    est = exp_moment(values, a, summand_cap=cap)
+    coord = Coordinate(lam, _check_count(m, "m", 2), b.direction)
+    values = run_blocks(_prop21_block, n_paths, workers, (seed, coord, b))
+    cap = None if b.profile_dx_sup is None else b.profile_dx_sup * b.vector_norm
+    est = exp_moment(values, a, value_cap=cap)
     upper = est.upper(CONFIDENCE)
     return Prop21Result(
         statement=STATEMENT_PROP21,
-        lam=lam,
         alpha=a,
         estimate=est,
         upper999=upper,
         bound=EXP_BOUND,
         passed=bool(upper <= EXP_BOUND),
+        coordinate=coord,
     )
 
 
@@ -280,6 +311,7 @@ class Thm23Result:
     upper999: float
     bound: float
     passed: bool
+    coordinate: Coordinate
 
 
 def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Result:
@@ -294,13 +326,11 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
     _check_shifts(spec, h=h)
     if h.norm_inf <= 0.0:
         raise DomainError("sup |h| must be positive (and finite)")
-    d = spec.b.direction
-    rate_dir = ell * spec.spectrum.eigenvalues[d]
-    values = _pair_values(spec, rate_dir, 0.0, 1.0, 0.0, lambda t: h.component(d, t), np.zeros_like)
+    coord = spec.coordinate(ell)
+    values = _pair_values(spec, coord, h.component, lambda d, t: np.zeros_like(t))
     beta_val = beta_of(spec.truncated_spectrum())
     rate = beta_val / h.norm_inf**2
-    cap = math.exp(rate * (2.0 * spec.b.norm_inf) ** 2) * (1.0 + 1e-9)
-    est = exp_moment(values, rate, summand_cap=cap)
+    est = exp_moment(values, rate, value_cap=2.0 * spec.b.norm_inf)
     upper = est.upper(CONFIDENCE)
     return Thm23Result(
         statement=STATEMENT_THM23,
@@ -312,6 +342,7 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
         upper999=upper,
         bound=EXP_BOUND,
         passed=bool(upper <= EXP_BOUND),
+        coordinate=coord,
     )
 
 
@@ -335,6 +366,7 @@ class ConcentrationResult:
     degenerate: bool
     note: str
     passed: bool
+    coordinate: Coordinate
 
 
 def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescriptor, etas, r=0.0, u=1.0,
@@ -343,34 +375,28 @@ def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescr
 
     The run starts from the fixed point x0 (default 0) at time r; l = u - r.
     """
-    x0_dir = _start_value(spec, r, u, x0)
+    coord = spec.coordinate(1.0, r, u, x0)
     _check_shifts(spec, h1=h1, h2=h2)
     etas = [float(e) for e in etas]
     if not etas or any(e < 0 or not math.isfinite(e) for e in etas):
         raise DomainError("eta grid must be nonempty, nonnegative and finite")
     beta_val = beta_of(spec.truncated_spectrum())
-    ell = u - r
+    ell = coord.horizon
     diff_sup = shift_difference_norm(h1, h2, r, u)
-    if diff_sup == 0.0:
-        rows = [
-            ConcentrationRow(eta=e, threshold=0.0, empirical=0.0, stderr=0.0,
-                             bound=3.0 * math.exp(-beta_val * e * e), passed=True)
-            for e in etas
-        ]
+    if diff_sup == 0.0:  # the functional vanishes: no sampling
+        values = np.zeros(spec.n_paths)
     else:
-        d = spec.b.direction
-        values = _pair_values(spec, spec.spectrum.eigenvalues[d], r, u, x0_dir,
-                              lambda t: h1.component(d, t), lambda t: h2.component(d, t))
-        n = values.size
-        rows = []
-        for e in etas:
-            thr = e * math.sqrt(ell) * diff_sup
-            emp = float(np.mean(values > thr))
-            bound = 3.0 * math.exp(-beta_val * e * e)
-            rows.append(
-                ConcentrationRow(eta=e, threshold=thr, empirical=emp, stderr=math.sqrt(emp * (1.0 - emp) / n),
-                                 bound=bound, passed=bool(emp <= bound))
-            )
+        values = _pair_values(spec, coord, h1.component, h2.component)
+    n = values.size
+    rows = []
+    for e in etas:
+        thr = e * math.sqrt(ell) * diff_sup
+        emp = float(np.mean(values > thr))
+        bound = 3.0 * math.exp(-beta_val * e * e)
+        rows.append(
+            ConcentrationRow(eta=e, threshold=thr, empirical=emp, stderr=math.sqrt(emp * (1.0 - emp) / n),
+                             bound=bound, passed=bool(emp <= bound))
+        )
     return ConcentrationResult(
         statement=STATEMENT_CONCENTRATION,
         beta=beta_val,
@@ -380,6 +406,7 @@ def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescr
         degenerate=diff_sup == 0.0,
         note="h1 = h2 on the window: the functional vanishes and the statement is trivial" if diff_sup == 0.0 else "",
         passed=all(r.passed for r in rows),
+        coordinate=coord,
     )
 
 
@@ -404,6 +431,24 @@ class MomentResult:
     degenerate: bool
     note: str
     passed: bool
+    coordinate: Coordinate
+
+
+def _moment_bound(p, ell, sep, beta_val, sign) -> float:
+    """3 p^(p/2) l^(p/2) sep^p beta^(sign p/2), inf where that value overflows a float.
+
+    The product is taken left to right.  Where a power or the product
+    overflows or underflows (to inf, 0 or NaN; every factor is positive),
+    it is taken from its logarithm instead.
+    """
+    try:
+        value = 3.0 * p ** (p / 2.0) * ell ** (p / 2.0) * sep**p * beta_val ** (sign * p / 2.0)
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    log = math.log(3.0) + p / 2.0 * (math.log(p) + math.log(ell) + sign * math.log(beta_val)) + p * math.log(sep)
+    return math.exp(log) if log <= _LOG_FLOAT_MAX else math.inf
 
 
 def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> MomentResult:
@@ -415,31 +460,28 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
     beta^(p/2) as printed in the target inequality.  PASS compares with
     bound_derived only.
     """
-    x0_dir = _start_value(spec, r, u, x0)
+    coord = spec.coordinate(1.0, r, u, x0)
     ps = [_check_count(p, "moment order p", 1) for p in ps]
     if not ps:
         raise DomainError("need at least one moment order p")
     x = _as_vector(x, spec.truncation, "x")
     y = _as_vector(y, spec.truncation, "y")
     beta_val = beta_of(spec.truncated_spectrum())
-    ell = u - r
-    sep = float(np.linalg.norm(x - y))
+    ell = coord.horizon
+    sep = _norm(x - y)
     if sep == 0.0:
         rows = [
             MomentRow(p=p, moment=0.0, stderr=0.0, upper999=0.0, bound_derived=0.0, bound_stated=0.0, passed=True)
             for p in ps
         ]
     else:
-        d = spec.b.direction
-        values = _pair_values(spec, spec.spectrum.eigenvalues[d], r, u, x0_dir,
-                              lambda t: np.full_like(t, x[d]), lambda t: np.full_like(t, y[d]))
+        values = _pair_values(spec, coord, lambda d, t: np.full_like(t, x[d]), lambda d, t: np.full_like(t, y[d]))
         rows = []
         for p in ps:
             est = McEstimate.from_samples(values**p)
             upper = est.upper(CONFIDENCE)
-            scale = 3.0 * p ** (p / 2.0) * ell ** (p / 2.0) * sep**p
-            derived = scale * beta_val ** (-p / 2.0)
-            stated = scale * beta_val ** (p / 2.0)
+            derived = _moment_bound(p, ell, sep, beta_val, -1)
+            stated = _moment_bound(p, ell, sep, beta_val, 1)
             rows.append(
                 MomentRow(p=p, moment=est.mean, stderr=est.stderr, upper999=upper, bound_derived=derived,
                           bound_stated=stated, passed=bool(upper <= derived))
@@ -453,6 +495,7 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
         degenerate=sep == 0.0,
         note="x = y: the functional vanishes and every moment is zero" if sep == 0.0 else "",
         passed=all(r.passed for r in rows),
+        coordinate=coord,
     )
 
 

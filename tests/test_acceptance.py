@@ -43,7 +43,7 @@ from oulab.ousim import (
     substream,
 )
 from oulab.parallel import block_layout
-from oulab.reversal import covariation_check, trend_decreasing
+from oulab.reversal import covariation_check, decomposition_verdict
 
 N_FULL = 100_000
 M_FULL = 4096
@@ -157,7 +157,7 @@ def test_criterion_07_decomposition_residual_shrinks():
         workers=WORKERS,
     )
     residuals = [r.cov_residual for r in reports]
-    assert trend_decreasing(residuals, allowed_violations=1), residuals
+    assert decomposition_verdict(residuals), residuals
     _verdict(
         7,
         "mean |backward - forward - int b' dt| over M = 256, 1024, 4096: "

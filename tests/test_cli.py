@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import re
@@ -286,6 +287,20 @@ class TestExitCodes:
         assert code == 2
         assert f"cannot write {path}" in err
 
+    @pytest.mark.parametrize("dump_name", ["same.txt", "./sub/../same.txt"])
+    def test_out_and_dump_naming_one_file_are_refused(self, capsys, monkeypatch, tmp_path, dump_name):
+        def never(*args, **kwargs):
+            raise AssertionError("check ran before the output paths were compared")
+
+        monkeypatch.setattr(cli, "check_prop21", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, _, err = _run(capsys, "verify-prop21", "--lambda", "1", "--seed", "1", "--n", "300", "--M", "16",
+                            "--out", "same.txt", "--dump", dump_name)
+        assert code == 2
+        assert "--out and --dump both name" in err
+        assert not (tmp_path / "same.txt").exists()
+
     def test_decomposition_has_no_dump_flag(self, capsys, tmp_path):
         dump = tmp_path / "d.csv"
         with pytest.raises(SystemExit) as exc:
@@ -309,6 +324,20 @@ class TestExitCodes:
         code, _, err = _run(capsys, "verify-prop21", "--config", str(conf), "--lambda", "1")
         assert code == 2
         assert "'lamda'" in err
+
+
+class TestMomentOverflow:
+    def test_large_order_reports_an_infinite_bound(self, capsys, tmp_path):
+        # 300^150 overflows a float: the derived bound is inf, the stated one finite, and no row holds NaN
+        out = tmp_path / "m.json"
+        code, _, err = _run(capsys, "moments", "--spectrum", "1,4", "--x", "0.5", "--y", "-0.5", "--ps", "300",
+                            "--seed", "1", "--n", "300", "--M", "16", "--out", str(out))
+        assert code == 0, err
+        (row,) = json.loads(out.read_text())["results"]
+        assert row["bound_derived"] == math.inf
+        assert 0.0 < row["bound_stated"] < 1e-100
+        assert not any(isinstance(v, float) and math.isnan(v) for v in row.values())
+        assert "PASS moments:" in err
 
 
 class TestPayload:

@@ -23,7 +23,7 @@ import pytest
 
 from oulab.constants import DriftSpectrum
 from oulab.fnlib import make_b_weighted
-from oulab.functionals import ExperimentSpec, _pair_values, _prop21_block
+from oulab.functionals import Coordinate, ExperimentSpec, _pair_values, _prop21_block
 from oulab.parallel import run_blocks
 
 Z_MAX = 4.5
@@ -74,7 +74,7 @@ PROP21_CASES = [("sin", 64.0, 8.0, 256, 32768), ("cos", 2.0, 3.0, 64, 8192)]
 def test_prop21_block_second_moment(profile, lam, omega, m, n):
     # J = int_0^1 phi'(Z_t) dt; phi = cos(omega xi + theta) has phi' = omega cos(omega xi + theta + pi/2)
     b = make_b_weighted((lam,), profile=profile, omega=omega)
-    values = run_blocks(_prop21_block, n, 1, (SEED, lam, m, b))
+    values = run_blocks(_prop21_block, n, 1, (SEED, Coordinate(lam, m, 0), b))
     alpha = omega * _trapezoid_weights(m, 1.0)
     theta = np.full(m + 1, _phase(profile) + 0.5 * math.pi)
     exact = exact_second_moment(lam, 0.0, 1.0, m, omega, alpha, theta) * b.vector_norm**2
@@ -100,7 +100,7 @@ def test_pair_values_second_moment(profile, lam, omega, m, n, x0, r, u, h1, h2):
     spectrum = DriftSpectrum((lam,))
     b = make_b_weighted(spectrum.eigenvalues, profile=profile, omega=omega)
     spec = ExperimentSpec(spectrum, 1, b, SEED, m=m, n_paths=n)
-    values = _pair_values(spec, lam, r, u, x0, h1, h2)
+    values = _pair_values(spec, Coordinate(lam, m, 0, u - r, r, x0), lambda d, t: h1(t), lambda d, t: h2(t))
     t_abs = r + np.linspace(0.0, u - r, m + 1)
     w = _trapezoid_weights(m, u - r)
     alpha = np.concatenate([w, -w])

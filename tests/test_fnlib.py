@@ -315,6 +315,29 @@ class TestResolvers:
                 F.resolve_h(bad, [1.0, 4.0])
 
 
+class TestNormScaling:
+    def test_tiny_vectors_keep_their_norm(self):
+        # np.linalg.norm squares the entries unscaled and returns 0.0 for both
+        b = F.make_b_weighted([400.0])
+        assert b.vector[0] == pytest.approx(9.58e-176, rel=1e-3)
+        assert np.linalg.norm(b.vector) == 0.0
+        assert b.norm_inf == b.vector_norm == float(b.vector[0])
+        assert F.resolve_b("const:1e-200", [1.0]).norm_inf == 1e-200
+        assert F.resolve_b("const:-1e-160", [1.0]).norm_inf == 1e-160
+
+    def test_huge_vectors_do_not_overflow(self):
+        assert F._norm([3.0 * 2.0**600, 4.0 * 2.0**600]) == 5.0 * 2.0**600
+        assert F._norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+
+    def test_bits_match_numpy_where_it_neither_underflows_nor_overflows(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 17, 100, 4097):
+            for scale in (1e-140, 1e-3, 1.0, 7.3, 1e12, 1e140):
+                v = scale * rng.standard_normal(n) * rng.uniform(0.1, 10.0, n) ** 3
+                assert F._norm(v) == float(np.linalg.norm(v)), (n, scale)
+        assert F._norm(np.zeros(3)) == F._norm([]) == 0.0
+
+
 # (name, spectrum) -> (descriptor name, vector, norm_inf, norm_inf_A, profile_dx_sup), as the
 # certificates were before every family was built by one function
 _CERTIFICATE_PINS = [

@@ -72,11 +72,11 @@ class TestExpMoment:
     def test_cap_trips_on_escape(self):
         values = np.array([0.1, 0.2, 5.0])
         with pytest.raises(RuntimeError, match="cap"):
-            exp_moment(values, alpha=1.0, summand_cap=math.exp(1.0))
+            exp_moment(values, alpha=1.0, value_cap=1.0)
 
     def test_cap_allows_in_range(self):
         values = np.array([0.1, 0.2, 0.9])
-        est = exp_moment(values, alpha=1.0, summand_cap=math.exp(1.0))
+        est = exp_moment(values, alpha=1.0, value_cap=1.0)
         assert est.max_summand <= math.exp(1.0)
 
     def test_rejects_bad_inputs(self):
@@ -195,6 +195,48 @@ class TestExperimentSpec:
         assert spec != self._spec()
 
 
+class TestCoordinate:
+    """The one sampled coordinate: its grid, its paths and which one each check builds."""
+
+    LAM = (1.0, 4.0)
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, direction=1), seed=7,
+                          m=32, n_paths=300)
+
+    def test_times_and_paths_are_the_window_grid_and_the_started_block(self):
+        coord = FN.Coordinate(4.0, 32, 1, horizon=0.5, t0=0.25, x0=-0.2)
+        tau = np.linspace(0.0, 0.5, 33)
+        assert coord.times().tolist() == (0.25 + tau).tolist()
+        want = block_paths_1d(4.0, 32, 9, 1, 2, horizon=0.5)[3:10] + np.exp(-4.0 * tau) * -0.2
+        np.testing.assert_array_equal(coord.paths(9, 2, (3, 10)), want)
+
+    def test_no_start_value_is_the_plain_block(self):
+        coord = FN.Coordinate(4.0, 32, 1)
+        assert coord.times().tolist() == np.linspace(0.0, 1.0, 33).tolist()
+        np.testing.assert_array_equal(coord.paths(9, 2, (0, 256)), block_paths_1d(4.0, 32, 9, 1, 2))
+
+    def test_spec_coordinate_reads_ell_the_window_and_x0_along_b(self):
+        assert self.SPEC.coordinate() == FN.Coordinate(4.0, 32, 1)
+        assert self.SPEC.coordinate(0.5, 0.25, 0.75, (0.3, -0.2)) == FN.Coordinate(2.0, 32, 1, 0.5, 0.25, -0.2)
+        with pytest.raises(DomainError, match="0 <= r < u <= 1"):
+            self.SPEC.coordinate(1.0, 0.5, 0.5)
+        with pytest.raises(DomainError, match="x0"):
+            self.SPEC.coordinate(1.0, 0.0, 1.0, (0.3,))
+
+    def test_each_check_returns_the_coordinate_it_sampled(self):
+        h = make_h(self.LAM, {1: "sin_pi_t"})
+        assert check_thm23(self.SPEC, h, ell=0.5).coordinate == FN.Coordinate(2.0, 32, 1)
+        window = dict(r=0.25, u=0.75, x0=(0.3, -0.2))
+        want = FN.Coordinate(4.0, 32, 1, 0.5, 0.25, -0.2)
+        assert concentration_tail(self.SPEC, h, zero_shift(self.LAM), (1.0,), **window).coordinate == want
+        assert moment_bound(self.SPEC, (0.0, 0.5), (0.0, -0.5), (1,), **window).coordinate == want
+        b = make_b_weighted([2.0])
+        assert check_prop21(2.0, b, m=32, n_paths=300, seed=3).coordinate == FN.Coordinate(2.0, 32, 0)
+
+    def test_picklable(self):
+        coord = FN.Coordinate(4.0, 32, 1, 0.5, 0.25, -0.2)
+        assert pickle.loads(pickle.dumps(coord)) == coord
+
+
 class TestCheckProp21:
     def test_constant_profile_is_exact(self):
         # b' = 0, so every summand is exp(0) = 1 with no MC noise
@@ -296,12 +338,16 @@ class TestConcentration:
         assert row.threshold == 0.0
         assert row.passed
 
-    def test_identical_shifts_degenerate(self):
+    def test_identical_shifts_degenerate(self, monkeypatch):
+        _refuse_sampling(monkeypatch)  # the functional vanishes, so nothing is sampled
         h = resolve_h("e1:sin_pi_t", (1.0, 4.0))
-        res = self._run(etas=(1.0,), h1=h, h2=h)
+        res = self._run(etas=(0.0, 1.0), h1=h, h2=h)
         assert res.degenerate and res.passed
         assert res.diff_sup == 0.0
         assert res.note
+        for row, eta in zip(res.rows, (0.0, 1.0)):
+            assert (row.threshold, row.empirical, row.stderr, row.passed) == (0.0, 0.0, 0.0, True)
+            assert row.bound == 3.0 * math.exp(-res.beta * eta * eta)
 
     def test_rejects_bad_etas_and_missing_shifts(self, monkeypatch):
         _refuse_sampling(monkeypatch)
@@ -346,6 +392,34 @@ class TestMoments:
         assert row.bound_stated < row.bound_derived
         assert row.moment > row.bound_stated
         assert row.upper999 <= row.bound_derived
+
+    def test_large_orders_give_an_infinite_bound_and_no_nan(self):
+        # 300^150 overflows a float and raised OverflowError; beta^(300/2) keeps the stated bound finite
+        res = self._run(ps=(2, 300))
+        low, high = res.rows
+        ell, sep, b = res.ell, res.separation, res.beta
+        assert low.bound_derived == 3.0 * 2 ** (2 / 2.0) * ell ** (2 / 2.0) * sep**2 * b ** (-2 / 2.0)
+        assert high.bound_derived == math.inf
+        want = math.exp(math.log(3.0) + 150.0 * (math.log(300) + math.log(ell) + math.log(b)) + 300 * math.log(sep))
+        assert high.bound_stated == pytest.approx(want, rel=1e-12)
+        assert high.passed and not any(math.isnan(v) for v in vars(high).values())
+
+    @pytest.mark.parametrize("p, ell, sep, beta_val, sign", [
+        (200, 1.0, 10.0, 1e-4, 1),  # 3 p^(p/2) sep^p overflows to inf, beta^(p/2) underflows to 0: NaN
+        (100, 1e-7, 1e3, 0.5, 1),  # l^(p/2) underflows to 0, so the product read 0
+    ])
+    def test_bound_is_taken_from_its_logarithm_where_the_product_fails(self, p, ell, sep, beta_val, sign):
+        log = math.log(3.0) + p / 2.0 * (math.log(p) + math.log(ell) + sign * math.log(beta_val)) + p * math.log(sep)
+        assert FN._moment_bound(p, ell, sep, beta_val, sign) == pytest.approx(math.exp(log), rel=1e-12)
+
+    def test_bound_overflows_to_inf(self):
+        assert FN._moment_bound(1000, 1.0, 2.0, 0.5, -1) == math.inf
+        assert FN._moment_bound(2, 1.0, 1e200, 0.5, -1) == math.inf
+
+    def test_tiny_separation_is_not_degenerate(self):
+        # |x - y| = 1e-200 squares to 0 unscaled, which read as x = y
+        res = self._run(ps=(1,), x=(1e-200, 0.0), y=(0.0, 0.0))
+        assert res.separation == 1e-200 and not res.degenerate
 
     def test_equal_shifts_degenerate(self):
         res = self._run(ps=(1, 2), y=(0.5, 0.0))
@@ -410,7 +484,7 @@ class TestWindowRescalingLaw:
 
         spec = ExperimentSpec(spectrum=DriftSpectrum((lam,)), truncation=1, b=b, seed=101, m=m, n_paths=n)
         window_values = FN._pair_values(
-            spec, lam, r, u, 0.0, lambda t: h1.component(0, t), lambda t: h2.component(0, t)
+            spec, FN.Coordinate(lam, m, 0, ell, r), h1.component, h2.component
         )
 
         rb = window_rescaled_b(b, r, u)
@@ -421,7 +495,7 @@ class TestWindowRescalingLaw:
             FN._shifted_pair_block,
             n,
             1,
-            (202, ell * lam, 1.0, m, rb, rh1.component(0, t01), rh2.component(0, t01), 0.0, t01),
+            (202, FN.Coordinate(ell * lam, m, 0), rb, rh1.component(0, t01), rh2.component(0, t01)),
         )
 
         stat = ks_2samp(window_values, ell * unit_values)
@@ -434,7 +508,7 @@ class TestReducedSamplingMatchesFullPaths:
         # bit-identical to recomputing from full Hilbert paths
         lam = (1.0, 4.0)
         b = make_b_weighted(lam, profile="sin", direction=0)
-        got = FN._prop21_block(0, 5, 23, 1.0, 128, b)
+        got = FN._prop21_block(0, 5, 23, FN.Coordinate(1.0, 128, 0), b)
         times = np.linspace(0.0, 1.0, 129)
         want = np.empty(5)
         for i in range(5):
@@ -451,7 +525,7 @@ class TestReducedSamplingMatchesFullPaths:
         times = np.linspace(0.0, 1.0, 129)
         hv = h.component(1, times)
         zero = np.zeros_like(times)
-        got = FN._shifted_pair_block(0, 4, 29, 9.0, 1.0, 128, b, hv, zero, 0.0, times)
+        got = FN._shifted_pair_block(0, 4, 29, FN.Coordinate(9.0, 128, 1), b, hv, zero)
         want = np.empty(4)
         for i in range(4):
             hp = sample_hilbert(lam, 2, 128, seed=29, path=i)
@@ -463,7 +537,7 @@ class TestReducedSamplingMatchesFullPaths:
 
     def test_worker_count_does_not_change_values(self):
         b = make_b_weighted([1.0], profile="sin")
-        args = (31, 1.0, 64, b)
+        args = (31, FN.Coordinate(1.0, 64, 0), b)
         one = run_blocks(FN._prop21_block, 600, 1, args)
         three = run_blocks(FN._prop21_block, 600, 3, args)
         np.testing.assert_array_equal(one, three)
@@ -477,7 +551,7 @@ class TestBlockLayout:
                 block_layout(bad)
 
     def test_worker_counts_must_be_positive_integers(self):
-        args = (7, 1.0, 8, make_b_weighted([1.0]))
+        args = (7, FN.Coordinate(1.0, 8, 0), make_b_weighted([1.0]))
         for bad, message in ((0, "must be at least 1"), (-1, "must be at least 1"), (1.5, "must be an integer")):
             with pytest.raises(DomainError, match=f"workers {message}"):
                 run_blocks(FN._prop21_block, 300, bad, args)
@@ -487,8 +561,9 @@ class TestBlockLayout:
 
 class TestChecksMatchHandBuiltBlocks:
     """Each Hilbert-space check equals _shifted_pair_block called by hand
-    with the worker's argument layout (seed, rate, horizon, m, b, h1 values,
-    h2 values, x0 along b's direction, absolute times), bitwise."""
+    with the worker's argument layout (seed, the coordinate at its rate,
+    horizon, window start and x0 along b's direction, b, h1 values, h2
+    values at the absolute times), bitwise."""
 
     LAM = (1.0, 4.0)
     B = make_b_weighted(LAM, profile="sin", direction=1)
@@ -496,14 +571,14 @@ class TestChecksMatchHandBuiltBlocks:
     X0 = (0.3, -0.2)
     T_WINDOW = 0.25 + np.linspace(0.0, 0.5, 129)
 
-    def _by_hand(self, rate, horizon, h1_vals, h2_vals, x0_dir, t_abs):
-        args = (37, rate, horizon, 128, self.B, h1_vals, h2_vals, x0_dir, t_abs)
+    def _by_hand(self, rate, horizon, t0, x0_dir, h1_vals, h2_vals):
+        args = (37, FN.Coordinate(rate, 128, 1, horizon, t0, x0_dir), self.B, h1_vals, h2_vals)
         return run_blocks(FN._shifted_pair_block, 600, 1, args)
 
     def test_thm23_is_the_unit_window_at_rate_ell_lambda(self):
         h = make_h(self.LAM, {1: "sin_pi_t"})
         times = np.linspace(0.0, 1.0, 129)
-        values = self._by_hand(0.5 * 4.0, 1.0, h.component(1, times), np.zeros(129), 0.0, times)
+        values = self._by_hand(0.5 * 4.0, 1.0, 0.0, 0.0, h.component(1, times), np.zeros(129))
         rate = beta(DriftSpectrum(self.LAM)) / h.norm_inf**2
         res = check_thm23(self.SPEC, h, ell=0.5)
         assert res.estimate.mean == exp_moment(values, rate).mean
@@ -511,7 +586,7 @@ class TestChecksMatchHandBuiltBlocks:
     def test_concentration_on_a_window_from_x0(self):
         h1, h2 = make_h(self.LAM, {1: "sin_pi_t"}), zero_shift(self.LAM)
         t = self.T_WINDOW
-        values = self._by_hand(4.0, 0.5, h1.component(1, t), h2.component(1, t), -0.2, t)
+        values = self._by_hand(4.0, 0.5, 0.25, -0.2, h1.component(1, t), h2.component(1, t))
         # |J| stays below about 0.12 here, so these thresholds cut through its whole range
         etas = tuple(np.linspace(0.0, 0.2, 41))
         res = concentration_tail(self.SPEC, h1, h2, etas, r=0.25, u=0.75, x0=self.X0)
@@ -520,7 +595,7 @@ class TestChecksMatchHandBuiltBlocks:
         assert [row.empirical for row in res.rows] == want
 
     def test_moments_on_a_window_from_x0(self):
-        values = self._by_hand(4.0, 0.5, np.full(129, 0.5), np.full(129, -0.5), -0.2, self.T_WINDOW)
+        values = self._by_hand(4.0, 0.5, 0.25, -0.2, np.full(129, 0.5), np.full(129, -0.5))
         res = moment_bound(self.SPEC, (0.0, 0.5), (0.0, -0.5), (1, 2, 3), r=0.25, u=0.75, x0=self.X0)
         assert [row.moment for row in res.rows] == [float(np.mean(values**p)) for p in (1, 2, 3)]
 
@@ -542,7 +617,7 @@ class TestChunkedBlocksMatchWholeBlock:
         for count in CHUNK_COUNTS:
             dphi = np.asarray(b.profile_dx(times, whole[:count]), dtype=np.float64)
             want = np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * b.vector_norm
-            np.testing.assert_array_equal(FN._prop21_block(2, count, 41, 4.0, m, b), want)
+            np.testing.assert_array_equal(FN._prop21_block(2, count, 41, FN.Coordinate(4.0, m, 1), b), want)
 
     @pytest.mark.parametrize("m", [4096, 1000])
     @pytest.mark.parametrize("x0_dir, r, horizon", [(0.0, 0.0, 1.0), (0.7, 0.25, 0.5)])
@@ -559,5 +634,5 @@ class TestChunkedBlocksMatchWholeBlock:
             phi1 = np.asarray(b.profile(t_abs, z + h1), dtype=np.float64)
             phi2 = np.asarray(b.profile(t_abs, z + h2), dtype=np.float64)
             want = np.abs(np.trapezoid(phi1 - phi2, dx=horizon / m, axis=-1)) * b.vector_norm
-            got = FN._shifted_pair_block(1, count, 43, 1.0, horizon, m, b, h1, h2, x0_dir, t_abs)
+            got = FN._shifted_pair_block(1, count, 43, FN.Coordinate(1.0, m, 0, horizon, r, x0_dir), b, h1, h2)
             np.testing.assert_array_equal(got, want)

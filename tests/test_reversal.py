@@ -279,6 +279,20 @@ class TestChunkedBlock:
             assert R.decompose_path(b, pg) == want, b.name
 
 
+class TestDecompositionVerdict:
+    def test_exact_zero_residuals_pass(self):
+        assert R.decomposition_verdict([0.0, 0.0, 0.0])
+        assert R.decomposition_verdict([0.0, 0.0])
+
+    def test_otherwise_the_trend_decides_with_one_violation_forgiven(self):
+        assert R.decomposition_verdict([3.0, 3.5, 1.0])
+        assert not R.decomposition_verdict([3.0, 3.5, 4.0, 1.0])
+        assert not R.decomposition_verdict([1.0, 2.0])
+        assert not R.decomposition_verdict([0.0, 1e-300])
+        with pytest.raises(DomainError, match="at least two values"):
+            R.decomposition_verdict([1.0])
+
+
 class TestTrendHelper:
     def test_counts_violations(self):
         assert R.trend_decreasing([3.0, 2.0, 1.0], allowed_violations=0)
