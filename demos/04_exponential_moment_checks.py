@@ -24,10 +24,10 @@ from oulab import (
 # runs the full 10^5
 for lam in (0.25, 1.0, 4.0):
     res = check_prop21(lam, make_b_weighted([lam], profile="sin"), m=512, n_paths=8192, seed=4)
-    est = res.estimate
+    (row,) = res.rows
     print(
-        f"lam={lam:<5g} alpha={res.alpha:.6f}  mean={est.mean:.6f}  "
-        f"upper999={res.upper999:.6f}  bound={res.bound:g}  pass={res.passed}"
+        f"lam={lam:<5g} alpha={res.alpha:.6f}  mean={row.mean:.6f}  "
+        f"upper999={row.upper999:.6f}  bound={row.limit:g}  pass={res.passed}"
     )
 
 # Hilbert-space check on the quadratic spectrum; beta is tiny because
@@ -45,9 +45,9 @@ for b_name in ("weighted:sin", "weighted:sign"):
         n_paths=8192,
     )
     res = check_thm23(spec, resolve_h("e1:sin_pi_t", live))
-    est = res.estimate
+    (row,) = res.rows
     print(
-        f"b={b_name:14s} rate={res.rate:.6e}  mean={est.mean:.6f}  "
-        f"upper999={res.upper999:.6f}  pass={res.passed}"
+        f"b={b_name:14s} rate={res.rate:.6e}  mean={row.mean:.6f}  "
+        f"upper999={row.upper999:.6f}  pass={res.passed}"
     )
 print("\nthe discontinuous profile needs no derivative: the shift functional only evaluates b")

@@ -377,10 +377,16 @@ def _write_dump(path, k, seed, coord: Coordinate):
 class Outcome(NamedTuple):
     """What a check hands to the runner."""
 
-    rows: list  # one value sequence per row, in the command's column order
+    rows: list  # one dict per row holding at least the command's columns
     verdicts: list  # (passed, statement, detail), one stderr line each; none for a table
     extra: dict = None  # payload fields placed before the results
     coordinate: Coordinate = None  # the coordinate the check sampled, which --dump writes
+
+
+def _row(verdict, mean="mean", limit="bound", **labels) -> dict:
+    """A result row: the check's labels, then the verdict's fields; mean and limit name their columns."""
+    return {**labels, mean: verdict.mean, "stderr": verdict.stderr, "n": verdict.n, "upper999": verdict.upper999,
+            limit: verdict.limit, "max_summand": verdict.max_summand, "pass": verdict.passed}
 
 
 def _sampling(cfg: RunConfig, seed):
@@ -410,7 +416,7 @@ def _constants(cfg: RunConfig, seed):
         raise ConfigError("lambda grid must be positive")
     p = alpha_components(grid)
     cols = np.broadcast_arrays(p.lam, p.d_lambda, p.alpha1, p.alpha2, p.alpha3, p.alpha, exp_weighted_alpha(grid))
-    return Outcome(np.column_stack(cols).tolist(), [])
+    return Outcome([dict(zip(CONSTANTS_COLUMNS, row)) for row in np.column_stack(cols).tolist()], [])
 
 
 def _prop21(cfg: RunConfig, seed):
@@ -418,22 +424,21 @@ def _prop21(cfg: RunConfig, seed):
     sizes = _sampling(cfg, seed)
     b = resolve_b(cfg.get("b"), [lam])
     res = check_prop21(lam, b, **sizes)
-    est, m = res.estimate, sizes["m"]
-    row = (res.statement, lam, res.alpha, b.name, est.n, m, est.mean, est.stderr, res.upper999, res.bound,
-           est.max_summand, res.passed)
-    detail = f"lambda={lam:g} upper999={res.upper999:.6g} bound={res.bound:g}"
-    return Outcome([row], [(res.passed, res.statement, detail)], coordinate=res.coordinate)
+    (row,) = res.rows
+    detail = f"lambda={lam:g} upper999={row.upper999:.6g} bound={row.limit:g}"
+    rows = [_row(row, statement=res.statement, **{"lambda": lam}, alpha=res.alpha, b=b.name, m=sizes["m"])]
+    return Outcome(rows, [(res.passed, res.statement, detail)], coordinate=res.coordinate)
 
 
 def _thm23(cfg: RunConfig, seed):
     spec, live = _hilbert(cfg, seed)
     h = resolve_h(cfg.get("h"), live)
     res = check_thm23(spec, h, cfg.get_float("ell", positive=True))
-    est, b = res.estimate, spec.b
-    row = (res.statement, cfg.get("spectrum"), spec.truncation, b.name, h.name, res.ell, res.beta, res.rate,
-           res.h_sup, est.n, spec.m, est.mean, est.stderr, res.upper999, res.bound, est.max_summand, res.passed)
-    detail = f"b={b.name} upper999={res.upper999:.6g} bound={res.bound:g}"
-    return Outcome([row], [(res.passed, res.statement, detail)], coordinate=res.coordinate)
+    (row,) = res.rows
+    detail = f"b={spec.b.name} upper999={row.upper999:.6g} bound={row.limit:g}"
+    rows = [_row(row, statement=res.statement, spectrum=cfg.get("spectrum"), truncation=spec.truncation,
+                 b=spec.b.name, h=h.name, ell=res.ell, beta=res.beta, rate=res.rate, h_sup=res.h_sup, m=spec.m)]
+    return Outcome(rows, [(res.passed, res.statement, detail)], coordinate=res.coordinate)
 
 
 def _concentration(cfg: RunConfig, seed):
@@ -442,10 +447,11 @@ def _concentration(cfg: RunConfig, seed):
     spec, live = _hilbert(cfg, seed)
     h1, h2 = resolve_h(h1, live), resolve_h(cfg.get("h2"), live)
     res = concentration_tail(spec, h1, h2, etas, **_window(cfg, spec.truncation))
-    rows = [(res.statement, r.eta, r.threshold, r.empirical, r.stderr, r.bound, r.passed) for r in res.rows]
+    rows = [_row(row, "empirical", statement=res.statement, eta=eta, threshold=thr)
+            for eta, thr, row in zip(res.etas, res.thresholds, res.rows)]
     extra = dict(beta=res.beta, ell=res.ell, diff_sup=res.diff_sup, degenerate=res.degenerate, note=res.note,
                  n=spec.n_paths, m=spec.m)
-    worst = max(r.empirical - r.bound for r in res.rows)
+    worst = max(row.upper999 - row.limit for row in res.rows)
     detail = f"etas={','.join(f'{e:g}' for e in etas)} worst_excess={worst:.3g}"
     return Outcome(rows, [(res.passed, res.statement, detail)], extra, res.coordinate)
 
@@ -458,8 +464,8 @@ def _moments(cfg: RunConfig, seed):
     spec, live = _hilbert(cfg, seed)
     x, y = parse_vector(x, spec.truncation, "x"), parse_vector(y, spec.truncation, "y")
     res = moment_bound(spec, x, y, ps, **_window(cfg, spec.truncation))
-    rows = [(res.statement, r.p, r.moment, r.stderr, r.upper999, r.bound_derived, r.bound_stated, r.passed)
-            for r in res.rows]
+    rows = [_row(row, "moment", "bound_derived", statement=res.statement, p=p, bound_stated=stated)
+            for p, stated, row in zip(res.ps, res.bounds_stated, res.rows)]
     gamma_rows = [{"statement": STATEMENT_GAMMA, "p": p, "lhs": lhs, "rhs": rhs, "pass": ok}
                   for p, lhs, rhs, ok in gamma_step_check(20)]
     extra = dict(beta=res.beta, ell=res.ell, separation=res.separation, degenerate=res.degenerate, note=res.note,
@@ -477,8 +483,9 @@ def _decomposition(cfg: RunConfig, seed):
     n, workers = cfg.get_int("n", minimum=2), cfg.get_int("workers")
     b = resolve_b(cfg.get("b"), [lam])
     reports = covariation_check(b, lam, m_list, n_paths=n, seed=seed, workers=workers)
-    rows = [(STATEMENT_DECOMPOSITION, r.m, r.n_paths, r.lhs, r.covariation, r.i1, r.i2, r.i3, r.residual,
-             r.cov_residual, r.i2_head_mass) for r in reports]
+    rows = [dict(statement=STATEMENT_DECOMPOSITION, m=r.m, n=r.n_paths, lhs_mean=r.lhs, covariation_mean=r.covariation,
+                 i1_mean=r.i1, i2_mean=r.i2, i3_mean=r.i3, residual_mean=r.residual, cov_residual_mean=r.cov_residual,
+                 i2_head_mass=r.i2_head_mass) for r in reports]
     residuals = [r.cov_residual for r in reports]
     passed = decomposition_verdict(residuals)
     detail = f"lambda={lam:g} residuals {' -> '.join(f'{v:.3e}' for v in residuals)}"
@@ -649,7 +656,7 @@ def _run(cfg: RunConfig) -> bool:
     if len(outputs) == 2 and os.path.realpath(outputs[0]) == os.path.realpath(outputs[1]):
         raise ConfigError(f"--out and --dump both name {outputs[0]}; the dump would be overwritten by the payload")
     out = cmd.check(cfg, seed)
-    rows = [dict(zip(cmd.columns, row, strict=True)) for row in out.rows]
+    rows = [{c: row[c] for c in cmd.columns} for row in out.rows]
     if dump_paths:
         _write_dump(cfg.get("dump"), dump_paths, seed, out.coordinate)
     passed = all(ok for ok, _, _ in out.verdicts)
@@ -676,8 +683,28 @@ def _build_parser():
     return top
 
 
+def _attach_values(argv):
+    """argv with each flag of the command and a '-'-led value after it joined as --flag=value.
+
+    argparse reads a token such as -0.1,0 as an option.  Every flag takes
+    exactly one value, so a token after a flag that is not itself one of
+    the command's flags is that flag's value.
+    """
+    cmd = COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return argv
+    flags = {f.flag for f in cmd.flags} | {"--config", "-h", "--help"}
+    out = argv[:1]
+    for token in argv[1:]:
+        if token.startswith("-") and token not in flags and out[-1] in flags:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     raw = vars(args)
     command = raw.pop("command")
     config_path = raw.pop("config", None)

@@ -124,16 +124,21 @@ _PROFILES = {
 }
 
 
-def _norm(vector) -> float:
-    """Euclidean norm of a float vector, with no underflow or overflow of its squares.
+def _exponent(values) -> int:
+    """The e for which the power of two 2^-e brings the largest |value| into [1/2, 1) (0 for all zeros).
 
-    np.linalg.norm squares unscaled entries, so it returns 0 for [1e-200].
-    Here the vector is first scaled by the power of two 2^-e that brings
-    its largest entry into [1/2, 1).  That scaling is exact, so wherever
-    np.linalg.norm neither underflows nor overflows the bits are its own.
+    Squaring values scaled by 2^-e neither underflows nor overflows, and
+    the scaling is exact, so a norm taken at that scale and multiplied by
+    2^e has the unscaled computation's bits wherever that one neither
+    underflows nor overflows.  np.linalg.norm, say, returns 0 for [1e-200].
     """
+    return math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
+
+
+def _norm(vector) -> float:
+    """Euclidean norm of a float vector, np.linalg.norm at the scale of _exponent."""
     v = np.asarray(vector, dtype=np.float64)
-    e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    e = _exponent(v)
     return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
 
 
@@ -185,10 +190,11 @@ class FunctionDescriptor:
         return self.profile_dx is not None
 
 
-def _certified(name, profile, omega, vector, weighted_terms, direction) -> FunctionDescriptor:
+def _certified(name, profile, omega, vector, weights, coefficients, direction) -> FunctionDescriptor:
     """phi * vector for a profile of _PROFILES, with both norm certificates.
 
-    weighted_terms are lam_n e^(2 lam_n) vector_n^2 in the caller's form;
+    The terms lam_n e^(2 lam_n) vector_n^2 are weights_n coefficients_n^2
+    in the caller's form, summed at the scale of _exponent(coefficients);
     an infinite term leaves the weighted norm infinite, so uncertified.
     """
     phi, dphi, dsup, sup, takes_omega = _PROFILES[profile]
@@ -198,6 +204,8 @@ def _certified(name, profile, omega, vector, weighted_terms, direction) -> Funct
         phi, dphi, dsup = partial(phi, omega=omega), partial(dphi, omega=omega), omega * dsup
         if omega != 1.0:
             name += f":omega={omega:g}"
+    e = _exponent(coefficients)
+    c = np.ldexp(np.asarray(coefficients, dtype=np.float64), -e)
     return FunctionDescriptor(
         name=name,
         profile=phi,
@@ -205,7 +213,7 @@ def _certified(name, profile, omega, vector, weighted_terms, direction) -> Funct
         vector=vector,
         direction=direction,
         norm_inf=sup * _norm(vector),
-        norm_inf_A=sup * math.sqrt(np.sum(weighted_terms)),
+        norm_inf_A=sup * math.ldexp(math.sqrt(np.sum(weights * c * c)), e),
         profile_dx_sup=dsup,
     )
 
@@ -241,7 +249,7 @@ def make_b_weighted(spectrum_values, profile="sin", coefficients=None, direction
         raise DomainError(f"unknown profile {profile!r}; have {sorted(_PROFILES)}")
     with np.errstate(over="ignore"):
         weights = np.minimum(1.0, lam * np.exp(2.0 * lam))  # lam e^(2 lam) s_n^2
-    return _certified(f"weighted:{profile}", profile, omega, weighted_scales(lam) * c, weights * c * c, direction)
+    return _certified(f"weighted:{profile}", profile, omega, weighted_scales(lam) * c, weights, c, direction)
 
 
 def raw_profile_b(profile, profile_dx, vector, direction=0, name="raw") -> FunctionDescriptor:
@@ -338,13 +346,18 @@ def _build_shift(name, spectrum_values, profiles, allow_zero):
             entry = partial(fn, scale=scale) if scale != 1.0 else fn
         comps.append((idx, entry))
     tgrid = np.linspace(0.0, 1.0, SHIFT_SUP_GRID)
-    norm_sq = np.zeros_like(tgrid)
+    values = []
     for idx, fn in comps:
         vals = np.asarray(fn(tgrid), dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"shift component {idx} is not finite on [0,1]")
+        values.append(vals)
+    e = _exponent(values)
+    norm_sq = np.zeros_like(tgrid)
+    for vals in values:
+        vals = np.ldexp(vals, -e)
         norm_sq += vals * vals
-    norm_inf = float(math.sqrt(np.max(norm_sq))) if comps else 0.0
+    norm_inf = math.ldexp(math.sqrt(np.max(norm_sq)), e) if comps else 0.0
     if norm_inf == 0.0 and not allow_zero:
         raise DomainError("shift vanishes identically; the theorems need sup |h| in (0, inf)")
     return ShiftDescriptor(
@@ -389,7 +402,9 @@ def shift_difference_norm(h1: ShiftDescriptor, h2: ShiftDescriptor, r=0.0, u=1.0
     _check_window(r, u)
     tgrid = np.linspace(r, u, grid)
     diff = h1.evaluate(tgrid) - h2.evaluate(tgrid)
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+    e = _exponent(diff)
+    diff = np.ldexp(diff, -e)
+    return math.ldexp(float(np.sqrt(np.max(np.sum(diff * diff, axis=-1)))), e)
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +507,7 @@ def resolve_b(name: str, spectrum_values) -> FunctionDescriptor:
         with np.errstate(over="ignore"):
             w0 = lam[0] * np.exp(2.0 * lam[0])
         # the zero vector has weighted norm 0 even where lam_1 e^(2 lam_1) overflows
-        return _certified(f"const:{c:g}", "one", 1.0, vector, [w0 * c * c] if c else [], 0)
+        return _certified(f"const:{c:g}", "one", 1.0, vector, [w0 if c else 0.0], [c], 0)
     if family == "zero":
         return make_b_weighted(spectrum_values, profile="zero")
     if family == "time":

@@ -1,13 +1,22 @@
 """Shift functionals and Monte Carlo checks of the exponential bounds.
 
-The checks, each a one-sided inequality at 0.999 confidence:
+Each check is a one-sided inequality "E f(S) <= L" at 0.999 confidence
+over one per-path statistic S >= 0, judged in one or more rows:
 
-  prop21         E exp(alpha |int_0^1 b'(t, Z_t) dt|^2)            <= 3
-  thm23          E exp(beta/sup|h|^2 |int b(t,Z+h) - b(t,Z) dt|^2) <= 3
-  concentration  P[|int_r^u b(s,Z+h1) - b(s,Z+h2) ds|
-                     > eta sqrt(l) sup|h1-h2|]                     <= 3 e^(-beta eta^2)
-  moments        E |int_r^u b(s,Z+x) - b(s,Z+y) ds|^p
-                     <= 3 p^(p/2) beta^(-p/2) l^(p/2) |x-y|^p
+  check          f(S)                            L, per row                               S cap
+  prop21         exp(alpha S^2)                  3                                        sup|phi'| |v|
+  thm23          exp(beta/sup|h|^2 S^2)          3                                        2 sup|b|
+  concentration  1{S > eta sqrt(l) sup|h1-h2|}   3 e^(-beta eta^2), one row per eta       2 sup|b| l
+  moments        S^p                             3 p^(p/2) beta^(-p/2) l^(p/2) |x-y|^p,   2 sup|b| l
+                                                 one row per p
+
+with S = |int_0^1 b'(t, Z_t) dt| for prop21 and
+S = |int_r^u b(s, Z_s + h1(s)) - b(s, Z_s + h2(s)) ds| for the others.
+The caps hold by construction (b = phi v with |phi| <= sup|b| / |v|),
+so each check refuses an S above its cap once, before f is applied.
+judge() builds every row, a Verdict: the mean of f(S), its stderr, the
+one-sided CLT bound upper999, the limit L and the row's pass; a check
+passes when all its rows do.
 
 The last three are statements about one random variable,
 |int_r^u b(s, Z_s + h1(s)) - b(s, Z_s + h2(s)) ds|, and _pair_values
@@ -59,61 +68,64 @@ STATEMENT_DECOMPOSITION = "mean |backward - forward - int b'(t, Z_t) dt| decreas
 
 
 @dataclass(frozen=True)
-class McEstimate:
+class Verdict:
+    """One row of a check: the mean of f(S) over n paths, its 0.999 upper bound and the limit L.
+
+    The row passes, and is true, when upper999 <= limit.
+    """
+
     mean: float
     stderr: float
     n: int
-    max_summand: float = math.nan
+    upper999: float
+    limit: float
+    max_summand: float
+    passed: bool
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError("an estimate needs at least 2 samples")
-        if not (self.stderr >= 0.0):
-            raise DomainError("stderr must be nonnegative")
-
-    @classmethod
-    def from_samples(cls, samples, max_summand=math.nan) -> "McEstimate":
-        """Mean and standard error of a sample vector."""
-        n = samples.size
-        return cls(
-            mean=float(np.mean(samples)),
-            stderr=float(np.std(samples, ddof=1) / math.sqrt(n)),
-            n=n,
-            max_summand=max_summand,
-        )
-
-    def upper(self, conf: float) -> float:
-        """One-sided upper confidence bound, non-decreasing in conf."""
-        if not 0.0 < conf < 1.0:
-            raise DomainError("confidence must be in (0, 1)")
-        return self.mean + ndtri(conf) * self.stderr
+    def __bool__(self):
+        return self.passed
 
 
-def exp_moment(values, alpha, value_cap=None) -> McEstimate:
-    """MC mean of exp(alpha |S_i|^2) with its standard error.
+def judge(summands, limit) -> Verdict:
+    """The row of the per-path summands f(S_i) against the limit L.
 
-    values are the per-path amplitudes S_i (signs are irrelevant).  When
-    a hard bound on |S_i| is known, pass it as value_cap: any summand
-    above exp(alpha value_cap^2) (1 + 1e-9) means the functional left its
-    certified range, which is a bug, not noise.
+    The only place a stderr, an upper bound or a row's pass is computed:
+    the one-sided CLT bound mean + ndtri(0.999) std(ddof=1) / sqrt(n).
     """
+    s = np.asarray(summands, dtype=np.float64)
+    if s.ndim != 1 or s.size < 2:
+        raise DomainError("an estimate needs a vector of at least 2 samples")
+    n = s.size
+    mean = float(np.mean(s))
+    stderr = float(np.std(s, ddof=1) / math.sqrt(n))
+    upper = mean + ndtri(CONFIDENCE) * stderr
+    if not math.isfinite(upper):
+        raise DomainError(f"the summands' mean {mean:.6g} or stderr {stderr:.6g} is not finite")
+    return Verdict(mean, stderr, n, upper, limit, float(np.max(s)), bool(upper <= limit))
+
+
+def _in_range(values, cap) -> np.ndarray:
+    """The statistic S as a float array, refused unless every value is finite and at most cap (1 + 1e-9).
+
+    S is bounded by construction: a value above its certified cap left
+    its range, which is a bug, not noise.
+    """
+    s = np.asarray(values, dtype=np.float64)
+    top = float(np.max(s, initial=0.0))
+    if not math.isfinite(top):
+        raise DomainError("functional values must be finite")
+    if top > cap * (1.0 + 1e-9):
+        raise RuntimeError(f"value {top:.6g} exceeds the certified cap {cap:.6g}; a functional value left its range")
+    return s
+
+
+def exp_moment(values, alpha, value_cap=math.inf) -> Verdict:
+    """The row of exp(alpha S_i^2) against EXP_BOUND, S_i >= 0 the per-path values, each at most value_cap."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
         raise DomainError("alpha must be positive and finite")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DomainError("need a vector of at least 2 functional values")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("functional values must be finite")
-    summands = np.exp(alpha * arr * arr)
-    top = float(np.max(summands))
-    cap = math.inf if value_cap is None else math.exp(alpha * value_cap**2) * (1.0 + 1e-9)
-    if top > cap:
-        raise RuntimeError(
-            f"summand {top:.6g} exceeds the certified cap {cap:.6g}; "
-            "a functional value escaped its hard bound"
-        )
-    return McEstimate.from_samples(summands, max_summand=top)
+    s = _in_range(values, value_cap)
+    return judge(np.exp(alpha * s * s), EXP_BOUND)
 
 
 # ----------------------------------------------------------------------
@@ -270,9 +282,7 @@ def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):
 class Prop21Result:
     statement: str
     alpha: float
-    estimate: McEstimate
-    upper999: float
-    bound: float
+    rows: tuple  # one Verdict
     passed: bool
     coordinate: Coordinate
 
@@ -286,18 +296,9 @@ def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, w
     a = alpha_of(lam)
     coord = Coordinate(lam, _check_count(m, "m", 2), b.direction)
     values = run_blocks(_prop21_block, n_paths, workers, (seed, coord, b))
-    cap = None if b.profile_dx_sup is None else b.profile_dx_sup * b.vector_norm
-    est = exp_moment(values, a, value_cap=cap)
-    upper = est.upper(CONFIDENCE)
-    return Prop21Result(
-        statement=STATEMENT_PROP21,
-        alpha=a,
-        estimate=est,
-        upper999=upper,
-        bound=EXP_BOUND,
-        passed=bool(upper <= EXP_BOUND),
-        coordinate=coord,
-    )
+    cap = math.inf if b.profile_dx_sup is None else b.profile_dx_sup * b.vector_norm
+    rows = (exp_moment(values, a, cap),)
+    return Prop21Result(STATEMENT_PROP21, a, rows, all(rows), coord)
 
 
 @dataclass(frozen=True)
@@ -307,9 +308,7 @@ class Thm23Result:
     rate: float
     h_sup: float
     ell: float
-    estimate: McEstimate
-    upper999: float
-    bound: float
+    rows: tuple  # one Verdict
     passed: bool
     coordinate: Coordinate
 
@@ -326,34 +325,18 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
     _check_shifts(spec, h=h)
     if h.norm_inf <= 0.0:
         raise DomainError("sup |h| must be positive (and finite)")
+    beta_val = beta_of(spec.truncated_spectrum())
+    try:
+        rate = beta_val / h.norm_inf**2
+    except (OverflowError, ZeroDivisionError):  # sup|h|^2 leaves the float range
+        rate = math.inf if h.norm_inf < 1.0 else 0.0
+    if not 0.0 < rate < math.inf:
+        raise DomainError(f"rate beta/sup|h|^2 = {beta_val:.6g}/{h.norm_inf:.6g}^2 = {rate:g} "
+                          "is not positive and finite")
     coord = spec.coordinate(ell)
     values = _pair_values(spec, coord, h.component, lambda d, t: np.zeros_like(t))
-    beta_val = beta_of(spec.truncated_spectrum())
-    rate = beta_val / h.norm_inf**2
-    est = exp_moment(values, rate, value_cap=2.0 * spec.b.norm_inf)
-    upper = est.upper(CONFIDENCE)
-    return Thm23Result(
-        statement=STATEMENT_THM23,
-        beta=beta_val,
-        rate=rate,
-        h_sup=h.norm_inf,
-        ell=ell,
-        estimate=est,
-        upper999=upper,
-        bound=EXP_BOUND,
-        passed=bool(upper <= EXP_BOUND),
-        coordinate=coord,
-    )
-
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    eta: float
-    threshold: float
-    empirical: float
-    stderr: float
-    bound: float
-    passed: bool
+    rows = (exp_moment(values, rate, 2.0 * spec.b.norm_inf),)
+    return Thm23Result(STATEMENT_THM23, beta_val, rate, h.norm_inf, ell, rows, all(rows), coord)
 
 
 @dataclass(frozen=True)
@@ -362,7 +345,9 @@ class ConcentrationResult:
     beta: float
     ell: float
     diff_sup: float
-    rows: tuple
+    etas: tuple
+    thresholds: tuple  # eta sqrt(l) sup|h1 - h2|, per eta
+    rows: tuple  # one Verdict per eta
     degenerate: bool
     note: str
     passed: bool
@@ -371,13 +356,13 @@ class ConcentrationResult:
 
 def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescriptor, etas, r=0.0, u=1.0,
                        x0=None) -> ConcentrationResult:
-    """Empirical exceedance of the window functional against 3 e^(-beta eta^2).
+    """Exceedance of the window functional against 3 e^(-beta eta^2), judged by its 0.999 upper bound.
 
     The run starts from the fixed point x0 (default 0) at time r; l = u - r.
     """
     coord = spec.coordinate(1.0, r, u, x0)
     _check_shifts(spec, h1=h1, h2=h2)
-    etas = [float(e) for e in etas]
+    etas = tuple(float(e) for e in etas)
     if not etas or any(e < 0 or not math.isfinite(e) for e in etas):
         raise DomainError("eta grid must be nonempty, nonnegative and finite")
     beta_val = beta_of(spec.truncated_spectrum())
@@ -386,39 +371,12 @@ def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescr
     if diff_sup == 0.0:  # the functional vanishes: no sampling
         values = np.zeros(spec.n_paths)
     else:
-        values = _pair_values(spec, coord, h1.component, h2.component)
-    n = values.size
-    rows = []
-    for e in etas:
-        thr = e * math.sqrt(ell) * diff_sup
-        emp = float(np.mean(values > thr))
-        bound = 3.0 * math.exp(-beta_val * e * e)
-        rows.append(
-            ConcentrationRow(eta=e, threshold=thr, empirical=emp, stderr=math.sqrt(emp * (1.0 - emp) / n),
-                             bound=bound, passed=bool(emp <= bound))
-        )
-    return ConcentrationResult(
-        statement=STATEMENT_CONCENTRATION,
-        beta=beta_val,
-        ell=ell,
-        diff_sup=diff_sup,
-        rows=tuple(rows),
-        degenerate=diff_sup == 0.0,
-        note="h1 = h2 on the window: the functional vanishes and the statement is trivial" if diff_sup == 0.0 else "",
-        passed=all(r.passed for r in rows),
-        coordinate=coord,
-    )
-
-
-@dataclass(frozen=True)
-class MomentRow:
-    p: int
-    moment: float
-    stderr: float
-    upper999: float
-    bound_derived: float
-    bound_stated: float
-    passed: bool
+        values = _in_range(_pair_values(spec, coord, h1.component, h2.component), 2.0 * spec.b.norm_inf * ell)
+    thresholds = tuple(e * math.sqrt(ell) * diff_sup for e in etas)
+    rows = tuple(judge(values > thr, 3.0 * math.exp(-beta_val * e * e)) for e, thr in zip(etas, thresholds))
+    note = "h1 = h2 on the window: the functional vanishes and the statement is trivial" if diff_sup == 0.0 else ""
+    return ConcentrationResult(STATEMENT_CONCENTRATION, beta_val, ell, diff_sup, etas, thresholds, rows,
+                               diff_sup == 0.0, note, all(rows), coord)
 
 
 @dataclass(frozen=True)
@@ -427,7 +385,9 @@ class MomentResult:
     beta: float
     ell: float
     separation: float
-    rows: tuple
+    ps: tuple
+    bounds_stated: tuple  # the bound with beta^(+p/2), per p; each row's limit has beta^(-p/2)
+    rows: tuple  # one Verdict per p
     degenerate: bool
     note: str
     passed: bool
@@ -439,8 +399,10 @@ def _moment_bound(p, ell, sep, beta_val, sign) -> float:
 
     The product is taken left to right.  Where a power or the product
     overflows or underflows (to inf, 0 or NaN; every factor is positive),
-    it is taken from its logarithm instead.
+    it is taken from its logarithm instead.  sep = 0 (x = y) gives 0.
     """
+    if sep == 0.0:
+        return 0.0
     try:
         value = 3.0 * p ** (p / 2.0) * ell ** (p / 2.0) * sep**p * beta_val ** (sign * p / 2.0)
     except OverflowError:
@@ -455,13 +417,13 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
     """E |int_r^u b(s, Z+x) - b(s, Z+y) ds|^p against both exponent readings.
 
     x and y are constant shifts, vectors of the truncation's length.
-    bound_derived carries beta^(-p/2), which is what integrating the
-    tail actually produces; bound_stated carries the positive exponent
+    Each row's limit carries beta^(-p/2), which is what integrating the
+    tail actually produces; bounds_stated carries the positive exponent
     beta^(p/2) as printed in the target inequality.  PASS compares with
-    bound_derived only.
+    the limit only.
     """
     coord = spec.coordinate(1.0, r, u, x0)
-    ps = [_check_count(p, "moment order p", 1) for p in ps]
+    ps = tuple(_check_count(p, "moment order p", 1) for p in ps)
     if not ps:
         raise DomainError("need at least one moment order p")
     x = _as_vector(x, spec.truncation, "x")
@@ -469,34 +431,15 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
     beta_val = beta_of(spec.truncated_spectrum())
     ell = coord.horizon
     sep = _norm(x - y)
-    if sep == 0.0:
-        rows = [
-            MomentRow(p=p, moment=0.0, stderr=0.0, upper999=0.0, bound_derived=0.0, bound_stated=0.0, passed=True)
-            for p in ps
-        ]
+    if sep == 0.0:  # the functional vanishes: no sampling
+        values = np.zeros(spec.n_paths)
     else:
         values = _pair_values(spec, coord, lambda d, t: np.full_like(t, x[d]), lambda d, t: np.full_like(t, y[d]))
-        rows = []
-        for p in ps:
-            est = McEstimate.from_samples(values**p)
-            upper = est.upper(CONFIDENCE)
-            derived = _moment_bound(p, ell, sep, beta_val, -1)
-            stated = _moment_bound(p, ell, sep, beta_val, 1)
-            rows.append(
-                MomentRow(p=p, moment=est.mean, stderr=est.stderr, upper999=upper, bound_derived=derived,
-                          bound_stated=stated, passed=bool(upper <= derived))
-            )
-    return MomentResult(
-        statement=STATEMENT_MOMENTS,
-        beta=beta_val,
-        ell=ell,
-        separation=sep,
-        rows=tuple(rows),
-        degenerate=sep == 0.0,
-        note="x = y: the functional vanishes and every moment is zero" if sep == 0.0 else "",
-        passed=all(r.passed for r in rows),
-        coordinate=coord,
-    )
+        values = _in_range(values, 2.0 * spec.b.norm_inf * ell)
+    rows = tuple(judge(values**p, _moment_bound(p, ell, sep, beta_val, -1)) for p in ps)
+    stated = tuple(_moment_bound(p, ell, sep, beta_val, 1) for p in ps)
+    note = "x = y: the functional vanishes and every moment is zero" if sep == 0.0 else ""
+    return MomentResult(STATEMENT_MOMENTS, beta_val, ell, sep, ps, stated, rows, sep == 0.0, note, all(rows), coord)
 
 
 def gamma_step_check(p_max=20):

@@ -141,7 +141,8 @@ def test_criterion_06_exponential_moment_of_derivative_integral():
         res = check_prop21(
             lam, make_b_weighted([lam], profile="sin"), m=M_FULL, n_paths=N_FULL, seed=606, workers=WORKERS
         )
-        upper = res.estimate.upper(0.999)
+        (row,) = res.rows
+        upper = row.upper999
         assert res.passed and upper <= 3.0, (lam, upper)
         details.append(f"lam={lam:g} upper999={upper:.4f}")
     _verdict(6, "E exp(alpha |int b'|^2) <= 3: " + ", ".join(details))
@@ -180,7 +181,8 @@ def test_criterion_08_shift_functional_exponential_moment():
             workers=WORKERS,
         )
         res = check_thm23(spec, resolve_h("e1:sin_pi_t", live))
-        upper = res.estimate.upper(0.999)
+        (row,) = res.rows
+        upper = row.upper999
         assert res.passed and upper <= 3.0, (b_name, upper)
         details.append(f"b={b_name} upper999={upper:.4f}")
     _verdict(8, "shift-functional moment, spectrum n^2 (N=16): " + ", ".join(details))
@@ -200,7 +202,7 @@ def test_criterion_09_concentration_tails():
     h1, h2 = resolve_h("e1:sin_pi_t", lam), zero_shift(lam)
     res = concentration_tail(spec, h1, h2, etas=(0.5, 1.0, 2.0, 4.0), r=0.25, u=0.75)
     assert res.passed and not res.degenerate
-    pairs = ", ".join(f"eta={r.eta:g}: {r.empirical:.4f} <= {r.bound:.4f}" for r in res.rows)
+    pairs = ", ".join(f"eta={eta:g}: {r.upper999:.4f} <= {r.limit:.4f}" for eta, r in zip(res.etas, res.rows))
     _verdict(9, f"P[window integral > eta sqrt(l) sup|h1-h2|] <= 3 e^(-beta eta^2): {pairs}")
 
 
@@ -217,11 +219,11 @@ def test_criterion_10_moment_bounds_and_gamma_identity():
     )
     res = moment_bound(spec, (0.5, 0.0), (-0.5, 0.0), ps=(1, 2, 4))
     assert res.passed and not res.degenerate
-    for row in res.rows:
-        assert row.upper999 <= row.bound_derived, (row.p, row.upper999, row.bound_derived)
+    for p, row in zip(res.ps, res.rows):
+        assert row.upper999 <= row.limit, (p, row.upper999, row.limit)
     gammas = gamma_step_check(20)
     assert all(ok for (_, _, _, ok) in gammas)
-    pairs = ", ".join(f"p={r.p}: {r.moment:.4f} <= {r.bound_derived:.4f}" for r in res.rows)
+    pairs = ", ".join(f"p={p}: {r.mean:.4f} <= {r.limit:.4f}" for p, r in zip(res.ps, res.rows))
     _verdict(10, f"moments within the beta^(-p/2) bound ({pairs}); (3p/2)Gamma(p/2) <= 3p^(p/2) for p = 1..20")
 
 

@@ -340,6 +340,52 @@ class TestMomentOverflow:
         assert "PASS moments:" in err
 
 
+class TestTinyShifts:
+    SMALL = ("--spectrum", "1,4", "--seed", "1", "--n", "300", "--M", "16")
+
+    def test_concentration_keeps_a_tiny_shift(self, capsys):
+        # 1e-200 squared unscaled to 0 and the shift read as vanishing (exit 2)
+        code, out, err = _run(capsys, "concentration", *self.SMALL, "--h1", "e1:const:1e-200")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["diff_sup"] == 1e-200 and not doc["degenerate"]
+
+    def test_thm23_refuses_the_infinite_rate_before_sampling(self, capsys, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("a refused rate reached the sampler")
+
+        monkeypatch.setattr(oulab.functionals, "run_blocks", sampled)
+        code, _, err = _run(capsys, "verify-thm23", *self.SMALL, "--h", "e1:const:1e-200")
+        assert code == 2
+        assert "rate beta/sup|h|^2" in err and "= inf" in err
+
+
+class TestDashLedValues:
+    BASE = ("moments", "--seed", "1", "--n", "300", "--M", "16", "--x", "0.2,0")
+
+    def test_a_dash_led_value_after_its_flag_is_its_value(self, capsys):
+        docs = []
+        for y in (("--y", "-0.1,0"), ("--y=-0.1,0",)):
+            code, out, err = _run(capsys, *self.BASE, *y)
+            assert code == 0, err
+            doc = json.loads(out)
+            del doc["timing"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["config"]["y"] == "-0.1,0"
+        code, out, err = _run(capsys, "concentration", "--seed", "1", "--n", "300", "--M", "16", "--h1", "e1:sin_pi_t",
+                              "--x0", "-0.3,0.2")
+        assert code == 0, err
+        assert json.loads(out)["config"]["x0"] == "-0.3,0.2"
+
+    @pytest.mark.parametrize("extra", [("--bogus", "1"), ("--y", "-0.1", "--bogus"), ("--y", "--ps")])
+    def test_unknown_or_missing_values_still_exit_two(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*self.BASE, *extra])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
 class TestPayload:
     def test_json_shape(self, capsys, tmp_path):
         out_path = tmp_path / "res.json"

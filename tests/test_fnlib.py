@@ -337,6 +337,35 @@ class TestNormScaling:
                 assert F._norm(v) == float(np.linalg.norm(v)), (n, scale)
         assert F._norm(np.zeros(3)) == F._norm([]) == 0.0
 
+    def test_tiny_weighted_norm_keeps_its_value(self):
+        # the one weighted term lam_1 e^(2 lam_1) c c underflowed at c c
+        b = F.resolve_b("const:1e-200", [1.0])
+        assert b.norm_inf_A == pytest.approx(1e-200 * math.sqrt(1.0 * math.exp(2.0 * 1.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_tiny_and_huge_shifts_keep_their_norms(self, scale):
+        # the shift norms squared unscaled values: 1e-200 read as a vanishing shift
+        lam = [1.0, 4.0]
+        h1, h2 = F.resolve_h(f"e1:const:{scale:g}", lam), F.resolve_h(f"e2:sin_pi_t:{scale:g}", lam)
+        assert h1.norm_inf == h2.norm_inf == scale
+        assert F.shift_difference_norm(h1, F.zero_shift(lam)) == scale
+        assert F.shift_difference_norm(h1, h2) == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15)
+
+    def test_shift_norm_bits_match_the_unscaled_formula(self):
+        lam = [1.0, 4.0, 9.0]
+        t = np.linspace(0.0, 1.0, F.SHIFT_SUP_GRID)
+        zero = F.zero_shift(lam)
+        for profiles in ({0: "sin_pi_t:0.37"}, {0: "sin_pi_t:3.1", 2: "const:-0.2"}, {1: "const:7e-3"}):
+            h = F.make_h(lam, profiles)
+            norm_sq = np.zeros_like(t)
+            for idx, _ in h.components:
+                norm_sq += h.component(idx, t) * h.component(idx, t)
+            assert h.norm_inf == math.sqrt(np.max(norm_sq))
+            for r, u in ((0.0, 1.0), (0.1, 0.6)):
+                diff = h.evaluate(np.linspace(r, u, F.SHIFT_SUP_GRID))
+                want = float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+                assert F.shift_difference_norm(h, zero, r, u) == want
+
 
 # (name, spectrum) -> (descriptor name, vector, norm_inf, norm_inf_A, profile_dx_sup), as the
 # certificates were before every family was built by one function

@@ -25,42 +25,50 @@ from oulab.functionals import (
     CONFIDENCE,
     EXP_BOUND,
     ExperimentSpec,
-    McEstimate,
     check_prop21,
     check_thm23,
     concentration_tail,
     exp_moment,
     gamma_step_check,
+    judge,
     moment_bound,
 )
 from oulab.ousim import block_paths_1d, sample_hilbert, standard_normal, substream
 from oulab.parallel import block_layout, run_blocks
 
 
-class TestMcEstimate:
+class TestJudge:
     def test_upper_is_mean_plus_quantile(self):
-        est = McEstimate(mean=1.0, stderr=0.1, n=100)
-        assert est.upper(0.5) == pytest.approx(1.0, abs=1e-15)
-        assert est.upper(0.999) == pytest.approx(1.0 + 3.090232306167813 * 0.1, rel=1e-12)
-        assert est.upper(0.99) < est.upper(0.999)
+        draws = np.array([0.5, 1.5] * 50)
+        row = judge(draws, limit=2.0)
+        stderr = float(np.std(draws, ddof=1) / math.sqrt(100))
+        assert (row.mean, row.stderr, row.n, row.limit, row.max_summand) == (1.0, stderr, 100, 2.0, 1.5)
+        assert row.upper999 == pytest.approx(1.0 + 3.090232306167813 * stderr, rel=1e-12)
+        assert row.passed and row
 
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # inf and NaN on purpose
     def test_validation(self):
-        with pytest.raises(DomainError):
-            McEstimate(mean=1.0, stderr=0.1, n=1)
-        with pytest.raises(DomainError):
-            McEstimate(mean=1.0, stderr=-0.1, n=10)
-        est = McEstimate(mean=0.0, stderr=1.0, n=10)
-        for bad in (0.0, 1.0, -0.5):
+        for bad in (np.array([1.0]), np.zeros((5, 2)), np.array([1.0, np.inf]), np.array([1.0, np.nan])):
             with pytest.raises(DomainError):
-                est.upper(bad)
+                judge(bad, limit=3.0)
+
+    def test_mean_at_the_limit_fails_on_its_upper_bound(self):
+        # indicators whose mean is exactly the limit: the point estimate
+        # passes, the upper bound lies above the limit, so the row fails
+        draws = np.array([True, False] * 150)
+        row = judge(draws, limit=0.5)
+        assert row.mean == 0.5 <= row.limit < row.upper999
+        assert not row.passed and not row
+
+    def test_constant_draws_have_no_spread(self):
+        row = judge(np.full(10, 3.0), limit=3.0)
+        assert (row.stderr, row.upper999, row.passed) == (0.0, 3.0, True)
 
 
 class TestExpMoment:
     def test_zero_values_give_unit_mean(self):
-        est = exp_moment(np.zeros(100), alpha=0.5)
-        assert est.mean == 1.0
-        assert est.stderr == 0.0
-        assert est.max_summand == 1.0
+        row = exp_moment(np.zeros(100), alpha=0.5)
+        assert (row.mean, row.stderr, row.max_summand, row.limit) == (1.0, 0.0, 1.0, EXP_BOUND)
 
     def test_gaussian_quarter_square(self):
         # E exp(G^2/4) = (1 - 2/4)^(-1/2) = sqrt(2) for standard G
@@ -76,9 +84,11 @@ class TestExpMoment:
 
     def test_cap_allows_in_range(self):
         values = np.array([0.1, 0.2, 0.9])
-        est = exp_moment(values, alpha=1.0, value_cap=1.0)
-        assert est.max_summand <= math.exp(1.0)
+        row = exp_moment(values, alpha=1.0, value_cap=1.0)
+        assert row.max_summand <= math.exp(1.0)
+        assert exp_moment(np.array([0.1, 1.0 + 1e-12]), alpha=1.0, value_cap=1.0).n == 2
 
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # inf and NaN on purpose
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             exp_moment(np.zeros(10), alpha=0.0)
@@ -90,6 +100,10 @@ class TestExpMoment:
             exp_moment(np.array([1.0]), alpha=1.0)
         with pytest.raises(DomainError):
             exp_moment(np.array([1.0, np.inf]), alpha=1.0)
+        with pytest.raises(DomainError):
+            exp_moment(np.array([1.0, np.nan]), alpha=1.0, value_cap=2.0)
+        with pytest.raises(DomainError, match="not finite"):
+            exp_moment(np.array([1.0, 30.0]), alpha=1.0)  # exp(900) overflows
 
 
 def _refuse_sampling(monkeypatch):
@@ -241,16 +255,17 @@ class TestCheckProp21:
     def test_constant_profile_is_exact(self):
         # b' = 0, so every summand is exp(0) = 1 with no MC noise
         res = check_prop21(1.0, resolve_b("const:0.5", [1.0]), m=32, n_paths=512, seed=5)
-        assert res.estimate.mean == 1.0
-        assert res.estimate.stderr == 0.0
+        (row,) = res.rows
+        assert (row.mean, row.stderr, row.upper999) == (1.0, 0.0, 1.0)
         assert res.passed
         assert res.alpha == alpha(1.0)
 
     def test_smoke_run_passes(self):
         res = check_prop21(1.0, make_b_weighted([1.0], profile="sin"), m=256, n_paths=2048, seed=11)
-        assert res.passed
-        assert res.upper999 == res.estimate.upper(CONFIDENCE) <= EXP_BOUND
-        assert res.estimate.n == 2048
+        (row,) = res.rows
+        assert res.passed and row.passed
+        assert row.upper999 == row.mean + FN.ndtri(CONFIDENCE) * row.stderr <= row.limit == EXP_BOUND
+        assert row.n == 2048
 
     def test_rejects_non_integer_m(self, monkeypatch):
         b = make_b_weighted([1.0], profile="sin")
@@ -293,14 +308,15 @@ class TestCheckThm23:
     def test_state_free_profile_is_exact(self):
         spec = self._spec(b=resolve_b("time:sin_pi", (1.0, 4.0)))
         res = check_thm23(spec, self.H)
-        assert res.estimate.mean == 1.0
-        assert res.estimate.stderr == 0.0
+        (row,) = res.rows
+        assert (row.mean, row.stderr) == (1.0, 0.0)
         assert res.passed
 
     def test_smoke_run_passes(self):
         res = check_thm23(self._spec(), self.H)
-        assert res.passed
-        assert res.upper999 == res.estimate.upper(CONFIDENCE)
+        (row,) = res.rows
+        assert res.passed and row.passed
+        assert row.upper999 == row.mean + FN.ndtri(CONFIDENCE) * row.stderr
         assert res.beta == pytest.approx(beta(DriftSpectrum((1.0, 4.0))), rel=1e-15)
         assert res.rate == pytest.approx(res.beta / self.H.norm_inf**2, rel=1e-15)
         assert res.h_sup == 1.0
@@ -309,6 +325,13 @@ class TestCheckThm23:
         _refuse_sampling(monkeypatch)
         with pytest.raises(DomainError, match="sup"):
             check_thm23(self._spec(), zero_shift((1.0, 4.0)))
+
+    @pytest.mark.parametrize("scale, rate", [("1e-200", "inf"), ("1e200", "0")])
+    def test_rejects_a_rate_outside_the_floats_before_sampling(self, monkeypatch, scale, rate):
+        # sup|h|^2 underflows to 0 or overflows: beta/sup|h|^2 is inf or 0
+        _refuse_sampling(monkeypatch)
+        with pytest.raises(DomainError, match=rf"rate beta/sup\|h\|\^2 = .* = {rate} is not positive"):
+            check_thm23(self._spec(), resolve_h(f"e1:const:{scale}", (1.0, 4.0)))
 
 
 class TestConcentration:
@@ -325,17 +348,18 @@ class TestConcentration:
         res = self._run(etas=(0.5, 1.0, 2.0, 4.0))
         assert res.passed and not res.degenerate
         assert res.ell == 0.5
-        emp = [row.empirical for row in res.rows]
+        emp = [row.mean for row in res.rows]
         assert emp == sorted(emp, reverse=True)
-        for row in res.rows:
-            assert row.bound == pytest.approx(3.0 * math.exp(-res.beta * row.eta**2), rel=1e-15)
-            assert row.threshold == pytest.approx(row.eta * math.sqrt(res.ell) * res.diff_sup, rel=1e-15)
+        for eta, thr, row in zip(res.etas, res.thresholds, res.rows):
+            assert row.limit == pytest.approx(3.0 * math.exp(-res.beta * eta**2), rel=1e-15)
+            assert thr == pytest.approx(eta * math.sqrt(res.ell) * res.diff_sup, rel=1e-15)
+            assert row.upper999 == row.mean + FN.ndtri(CONFIDENCE) * row.stderr <= row.limit
 
     def test_eta_zero_is_trivially_true(self):
         res = self._run(etas=(0.0,))
         row = res.rows[0]
-        assert row.bound == 3.0
-        assert row.threshold == 0.0
+        assert row.limit == 3.0
+        assert res.thresholds == (0.0,)
         assert row.passed
 
     def test_identical_shifts_degenerate(self, monkeypatch):
@@ -345,9 +369,10 @@ class TestConcentration:
         assert res.degenerate and res.passed
         assert res.diff_sup == 0.0
         assert res.note
+        assert res.thresholds == (0.0, 0.0)
         for row, eta in zip(res.rows, (0.0, 1.0)):
-            assert (row.threshold, row.empirical, row.stderr, row.passed) == (0.0, 0.0, 0.0, True)
-            assert row.bound == 3.0 * math.exp(-res.beta * eta * eta)
+            assert (row.mean, row.stderr, row.upper999, row.passed) == (0.0, 0.0, 0.0, True)
+            assert row.limit == 3.0 * math.exp(-res.beta * eta * eta)
 
     def test_rejects_bad_etas_and_missing_shifts(self, monkeypatch):
         _refuse_sampling(monkeypatch)
@@ -379,7 +404,7 @@ class TestMoments:
         assert res.separation == 1.0
         for row in res.rows:
             assert row.upper999 == pytest.approx(
-                row.moment + 3.090232306167813 * row.stderr, rel=1e-12
+                row.mean + 3.090232306167813 * row.stderr, rel=1e-12
             )
             assert row.passed
 
@@ -388,20 +413,20 @@ class TestMoments:
         # moment already exceeds it, which is why PASS compares against
         # the beta^(-p/2) form
         res = self._run(ps=(1,))
-        row = res.rows[0]
-        assert row.bound_stated < row.bound_derived
-        assert row.moment > row.bound_stated
-        assert row.upper999 <= row.bound_derived
+        row, (stated,) = res.rows[0], res.bounds_stated
+        assert stated < row.limit
+        assert row.mean > stated
+        assert row.upper999 <= row.limit
 
     def test_large_orders_give_an_infinite_bound_and_no_nan(self):
         # 300^150 overflows a float and raised OverflowError; beta^(300/2) keeps the stated bound finite
         res = self._run(ps=(2, 300))
         low, high = res.rows
         ell, sep, b = res.ell, res.separation, res.beta
-        assert low.bound_derived == 3.0 * 2 ** (2 / 2.0) * ell ** (2 / 2.0) * sep**2 * b ** (-2 / 2.0)
-        assert high.bound_derived == math.inf
+        assert low.limit == 3.0 * 2 ** (2 / 2.0) * ell ** (2 / 2.0) * sep**2 * b ** (-2 / 2.0)
+        assert high.limit == math.inf
         want = math.exp(math.log(3.0) + 150.0 * (math.log(300) + math.log(ell) + math.log(b)) + 300 * math.log(sep))
-        assert high.bound_stated == pytest.approx(want, rel=1e-12)
+        assert res.bounds_stated[1] == pytest.approx(want, rel=1e-12)
         assert high.passed and not any(math.isnan(v) for v in vars(high).values())
 
     @pytest.mark.parametrize("p, ell, sep, beta_val, sign", [
@@ -424,7 +449,8 @@ class TestMoments:
     def test_equal_shifts_degenerate(self):
         res = self._run(ps=(1, 2), y=(0.5, 0.0))
         assert res.degenerate and res.passed
-        assert all(row.moment == 0.0 for row in res.rows)
+        assert res.bounds_stated == (0.0, 0.0)
+        assert all((row.mean, row.upper999, row.limit) == (0.0, 0.0, 0.0) for row in res.rows)
 
     def test_rejects_bad_orders_and_missing_points(self, monkeypatch):
         _refuse_sampling(monkeypatch)
@@ -434,7 +460,7 @@ class TestMoments:
             self._run(ps=(1,), x=(1.0,))
 
     def test_rejects_non_integer_orders(self, monkeypatch):
-        assert [row.p for row in self._run(ps=(np.int64(1),), y=(0.5, 0.0)).rows] == [1]
+        assert self._run(ps=(np.int64(1),), y=(0.5, 0.0)).ps == (1,)
         _refuse_sampling(monkeypatch)
         with pytest.raises(DomainError, match="integer"):
             self._run(ps=(2.5,))
@@ -443,6 +469,42 @@ class TestMoments:
         _refuse_sampling(monkeypatch)
         with pytest.raises(DomainError, match="at least one moment order"):
             self._run(ps=[])
+
+
+class TestCertifiedRange:
+    """Each check refuses a statistic S above its certified cap, before f is applied."""
+
+    LAM = (1.0, 4.0)
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM), seed=3, m=16,
+                          n_paths=300)
+    H = make_h(LAM, {0: "sin_pi_t"})
+
+    def _check(self, name):
+        """(run, S cap) of one check; the window checks run on [0.25, 0.75], so l = 0.5."""
+        spec, h, window = self.SPEC, self.H, dict(r=0.25, u=0.75)
+        if name == "prop21":
+            b = make_b_weighted([1.0])
+            return lambda: check_prop21(1.0, b, m=16, n_paths=300, seed=3), b.profile_dx_sup * b.vector_norm
+        if name == "thm23":
+            return lambda: check_thm23(spec, h), 2.0 * spec.b.norm_inf
+        if name == "concentration":
+            return lambda: concentration_tail(spec, h, zero_shift(self.LAM), (1.0,), **window), spec.b.norm_inf
+        return lambda: moment_bound(spec, (0.5, 0.0), (-0.5, 0.0), (1, 300), **window), spec.b.norm_inf
+
+    @pytest.mark.parametrize("check", ["prop21", "thm23", "concentration", "moments"])
+    def test_a_value_above_the_cap_raises(self, monkeypatch, check):
+        run, cap = self._check(check)
+
+        def sampled(worker, n_paths, workers, args, top=cap):
+            values = np.linspace(0.0, cap / 2, n_paths)
+            values[7] = top
+            return values
+
+        monkeypatch.setattr(FN, "run_blocks", sampled)
+        assert run().rows  # at the cap: in range
+        monkeypatch.setattr(FN, "run_blocks", lambda *args: sampled(*args, top=cap * (1.0 + 1e-6)))
+        with pytest.raises(RuntimeError, match="exceeds the certified cap"):
+            run()
 
 
 class TestGammaStep:
@@ -581,7 +643,7 @@ class TestChecksMatchHandBuiltBlocks:
         values = self._by_hand(0.5 * 4.0, 1.0, 0.0, 0.0, h.component(1, times), np.zeros(129))
         rate = beta(DriftSpectrum(self.LAM)) / h.norm_inf**2
         res = check_thm23(self.SPEC, h, ell=0.5)
-        assert res.estimate.mean == exp_moment(values, rate).mean
+        assert res.rows == (exp_moment(values, rate),)
 
     def test_concentration_on_a_window_from_x0(self):
         h1, h2 = make_h(self.LAM, {1: "sin_pi_t"}), zero_shift(self.LAM)
@@ -592,12 +654,12 @@ class TestChecksMatchHandBuiltBlocks:
         res = concentration_tail(self.SPEC, h1, h2, etas, r=0.25, u=0.75, x0=self.X0)
         sup = shift_difference_norm(h1, h2, 0.25, 0.75)
         want = [float(np.mean(values > e * math.sqrt(0.5) * sup)) for e in etas]
-        assert [row.empirical for row in res.rows] == want
+        assert [row.mean for row in res.rows] == want
 
     def test_moments_on_a_window_from_x0(self):
         values = self._by_hand(4.0, 0.5, 0.25, -0.2, np.full(129, 0.5), np.full(129, -0.5))
         res = moment_bound(self.SPEC, (0.0, 0.5), (0.0, -0.5), (1, 2, 3), r=0.25, u=0.75, x0=self.X0)
-        assert [row.moment for row in res.rows] == [float(np.mean(values**p)) for p in (1, 2, 3)]
+        assert [row.mean for row in res.rows] == [float(np.mean(values**p)) for p in (1, 2, 3)]
 
 
 # partial and whole block sizes around the 32-row chunks of M = 4096

@@ -42,6 +42,9 @@ PINS = [
      "ba8ec840a357b8e501d2695c645a6074ff6502e8eb31bcb7957df3dd5efe3ff3"),
     (("concentration", *SMALL, "--h1", "e1:sin_pi_t", "--x0", "0.3,-0.2", "--r", "0.25", "--u", "0.75"),
      "7c935918bed2e44c83234c083bcebadb6daeefb7b8f78e5763b419f3e1643c9d"),
+    # rows with 0 < empirical < 1: the stderr has ddof = 1 and a row passes on its upper bound
+    (("concentration", *SMALL, "--b", "weighted:sign", "--h1", "e1:const:0.05", "--etas", "0.1,0.2,0.5"),
+     "93f216d35f467909127ea5c71d9e3d69ca55215f828f09c8a5cd5e1e700df36d"),
     (("moments", *SMALL, "--x", "0.2,0", "--y", "0,0.1", "--ps", "1,2"),
      "2f12999bdcce0498fc003d76d0f47253dd9f7fd2b5b0ab3670bd4a9f3a1dcdf8"),
     (("decomposition", "--seed", "7", "--n", "300", "--lambda", "1", "--m-list", "16,64,256"),
