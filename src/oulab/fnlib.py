@@ -93,6 +93,43 @@ def _dphi_tanh(t, xi, omega=1.0):
     return np.multiply(omega, np.subtract(1.0, np.multiply(y, y, out=out), out=out), out=out)
 
 
+# pair profiles phi(t, xi + h1) - phi(t, xi + h2), h1 and h2 read only t.
+# The smooth ones use an exact identity that subtracts no two profile
+# values, so a shift below the spacing of floats near xi keeps its size.
+
+
+def _shift_scaled(factor, x, shift):
+    """(factor * (x + shift), out): x + shift in a new float64 array, scaled in place, as _scaled."""
+    y = np.add(x, shift, dtype=np.float64)
+    out = y if isinstance(y, np.ndarray) else None
+    return np.multiply(factor, y, out=out), out
+
+
+def _pair_sin(t, xi, h1, h2, omega=1.0):
+    """2 cos(omega (xi + (h1 + h2)/2)) sin(omega (h1 - h2)/2): one transcendental per state."""
+    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0)
+    return np.multiply(np.cos(y, out=out), 2.0 * np.sin(omega * (h1 - h2) / 2.0), out=out)
+
+
+def _pair_cos(t, xi, h1, h2, omega=1.0):
+    """-2 sin(omega (xi + (h1 + h2)/2)) sin(omega (h1 - h2)/2): one transcendental per state."""
+    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0)
+    return np.multiply(np.sin(y, out=out), -2.0 * np.sin(omega * (h1 - h2) / 2.0), out=out)
+
+
+def _pair_tanh(t, xi, h1, h2, omega=1.0):
+    """tanh(omega (h1 - h2)) (1 - tanh(omega (xi + h1)) tanh(omega (xi + h2)))."""
+    y1, out = _shift_scaled(omega, xi, h1)
+    y2, out2 = _shift_scaled(omega, xi, h2)
+    y = np.multiply(np.tanh(y1, out=out), np.tanh(y2, out=out2), out=out)
+    return np.multiply(np.subtract(1.0, y, out=out), np.tanh(omega * (h1 - h2)), out=out)
+
+
+def _pair_plain(t, xi, h1, h2, phi):
+    """phi(t, xi + h1) - phi(t, xi + h2) by two evaluations of phi."""
+    return np.asarray(phi(t, xi + h1), dtype=np.float64) - np.asarray(phi(t, xi + h2), dtype=np.float64)
+
+
 def _phi_sign(t, xi):
     return np.sign(np.asarray(xi, dtype=np.float64))
 
@@ -112,15 +149,16 @@ def _phi_time_sin(t, xi):
     return np.sin(y, out=out)
 
 
-# name -> (phi, dphi or None, sup |dphi/dxi| at omega = 1 or None, sup |phi|, whether phi reads omega * xi)
+# name -> (phi, dphi or None, sup |dphi/dxi| at omega = 1 or None, sup |phi|, whether phi reads omega * xi,
+#          the pair profile phi(t, xi + h1) - phi(t, xi + h2), taking omega where phi does)
 _PROFILES = {
-    "sin": (_phi_sin, _dphi_sin, 1.0, 1.0, True),
-    "cos": (_phi_cos, _dphi_cos, 1.0, 1.0, True),
-    "tanh": (_phi_tanh, _dphi_tanh, 1.0, 1.0, True),
-    "sign": (_phi_sign, None, None, 1.0, False),
-    "one": (_phi_one, _phi_zero, 0.0, 1.0, False),
-    "zero": (_phi_zero, _phi_zero, 0.0, 0.0, False),
-    "time_sin": (_phi_time_sin, _phi_zero, 0.0, 1.0, False),
+    "sin": (_phi_sin, _dphi_sin, 1.0, 1.0, True, _pair_sin),
+    "cos": (_phi_cos, _dphi_cos, 1.0, 1.0, True, _pair_cos),
+    "tanh": (_phi_tanh, _dphi_tanh, 1.0, 1.0, True, _pair_tanh),
+    "sign": (_phi_sign, None, None, 1.0, False, partial(_pair_plain, phi=_phi_sign)),
+    "one": (_phi_one, _phi_zero, 0.0, 1.0, False, partial(_pair_plain, phi=_phi_one)),
+    "zero": (_phi_zero, _phi_zero, 0.0, 0.0, False, partial(_pair_plain, phi=_phi_zero)),
+    "time_sin": (_phi_time_sin, _phi_zero, 0.0, 1.0, False, partial(_pair_plain, phi=_phi_time_sin)),
 }
 
 
@@ -151,12 +189,17 @@ class FunctionDescriptor:
     `norm_inf_A` are certified analytically by the constructor; np.inf
     marks an uncertified descriptor, which the theorem checkers refuse.
     `profile_dx_sup` bounds |d phi / d xi| when the profile is smooth.
-    Equality and hashing are by identity.
+    `profile_pair(t, xi, h1, h2)` is phi(t, xi + h1) - phi(t, xi + h2)
+    for shifts h1, h2 that broadcast against t, the one entry point of
+    the shift functionals; sin, cos and tanh evaluate it by an exact
+    identity free of cancellation, every other profile by two
+    evaluations of phi.  Equality and hashing are by identity.
     """
 
     name: str
     profile: object
     profile_dx: object
+    profile_pair: object
     vector: np.ndarray
     direction: int
     norm_inf: float
@@ -197,11 +240,12 @@ def _certified(name, profile, omega, vector, weights, coefficients, direction) -
     in the caller's form, summed at the scale of _exponent(coefficients);
     an infinite term leaves the weighted norm infinite, so uncertified.
     """
-    phi, dphi, dsup, sup, takes_omega = _PROFILES[profile]
+    phi, dphi, dsup, sup, takes_omega, pair = _PROFILES[profile]
     if takes_omega:
         if not (math.isfinite(omega) and omega > 0):
             raise DomainError("omega must be positive and finite")
         phi, dphi, dsup = partial(phi, omega=omega), partial(dphi, omega=omega), omega * dsup
+        pair = partial(pair, omega=omega)
         if omega != 1.0:
             name += f":omega={omega:g}"
     e = _exponent(coefficients)
@@ -210,6 +254,7 @@ def _certified(name, profile, omega, vector, weights, coefficients, direction) -
         name=name,
         profile=phi,
         profile_dx=dphi,
+        profile_pair=pair,
         vector=vector,
         direction=direction,
         norm_inf=sup * _norm(vector),
@@ -263,6 +308,7 @@ def raw_profile_b(profile, profile_dx, vector, direction=0, name="raw") -> Funct
         name=name,
         profile=profile,
         profile_dx=profile_dx,
+        profile_pair=partial(_pair_plain, phi=profile),
         vector=v,
         direction=direction,
         norm_inf=math.inf,
@@ -445,10 +491,12 @@ def window_rescaled_b(b: FunctionDescriptor, r: float, u: float) -> FunctionDesc
         dphi = partial(_dphi_windowed, base_dx=b.profile_dx, ell=ell, r=r)
         if b.profile_dx_sup is not None:
             dsup = math.sqrt(ell) * b.profile_dx_sup
+    phi = partial(_phi_windowed, base=b.profile, ell=ell, r=r)
     return FunctionDescriptor(
         name=f"{b.name}:window={r:g}..{u:g}",
-        profile=partial(_phi_windowed, base=b.profile, ell=ell, r=r),
+        profile=phi,
         profile_dx=dphi,
+        profile_pair=partial(_pair_plain, phi=phi),
         vector=b.vector,
         direction=b.direction,
         norm_inf=b.norm_inf,

@@ -12,6 +12,14 @@ over one per-path statistic S >= 0, judged in one or more rows:
 
 with S = |int_0^1 b'(t, Z_t) dt| for prop21 and
 S = |int_r^u b(s, Z_s + h1(s)) - b(s, Z_s + h2(s)) ds| for the others.
+Both are trapezoid sums on the coordinate's grid (ousim._trapezoid_rows).
+The shift functionals integrate b's pair profile, phi(t, xi + h1) -
+phi(t, xi + h2) = FunctionDescriptor.profile_pair(t, xi, h1, h2), never
+a difference of two b values: for sin, cos and tanh it is an exact
+identity whose rounding error is about eps (1 + omega |xi|) times
+|omega (h1 - h2)|, so S keeps its size for a shift below the spacing of
+floats near xi, and sin and cos take one transcendental per path-step.
+The other profiles take the difference of two evaluations.
 The caps hold by construction (b = phi v with |phi| <= sup|b| / |v|),
 so each check refuses an S above its cap once, before f is applied.
 judge() builds every row, a Verdict: the mean of f(S), its stderr, the
@@ -50,7 +58,7 @@ import numpy as np
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, _norm, shift_difference_norm
-from .ousim import _as_vector, _check_count, _grid, block_paths_1d, ndtri, row_chunks
+from .ousim import _as_vector, _check_count, _grid, _trapezoid_rows, block_paths_1d, ndtri, row_chunks
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -240,23 +248,27 @@ class Coordinate:
 def _prop21_block(block, count, seed, coord: Coordinate, b):
     """|int b'(t, xi_t) dt| for one block, xi the coordinate's paths."""
     times = coord.times()
+    chunks = row_chunks(count, coord.m)
+    scratch = np.empty((chunks[0][1], coord.m))  # the first chunk has the most rows
     out = np.empty(count)
-    for start, stop in row_chunks(count, coord.m):
+    for start, stop in chunks:
         z = coord.paths(seed, block, (start, stop))
         dphi = np.asarray(b.profile_dx(times, z), dtype=np.float64)
-        out[start:stop] = np.abs(np.trapezoid(dphi, dx=coord.horizon / coord.m, axis=-1)) * b.vector_norm
+        j = _trapezoid_rows(dphi, coord.horizon / coord.m, scratch[: stop - start])
+        out[start:stop] = np.abs(j) * b.vector_norm
     return out
 
 
 def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals):
     """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for one block, h1_vals and h2_vals at coord.times()."""
     t_abs = coord.times()
+    chunks = row_chunks(count, coord.m)
+    scratch = np.empty((chunks[0][1], coord.m))
     out = np.empty(count)
-    for start, stop in row_chunks(count, coord.m):
+    for start, stop in chunks:
         z = coord.paths(seed, block, (start, stop))
-        phi1 = np.asarray(b.profile(t_abs, z + h1_vals), dtype=np.float64)
-        phi2 = np.asarray(b.profile(t_abs, z + h2_vals), dtype=np.float64)
-        j = np.trapezoid(phi1 - phi2, dx=coord.horizon / coord.m, axis=-1)
+        diff = b.profile_pair(t_abs, z, h1_vals, h2_vals)
+        j = _trapezoid_rows(diff, coord.horizon / coord.m, scratch[: stop - start])
         out[start:stop] = np.abs(j) * b.vector_norm
     return out
 

@@ -192,6 +192,18 @@ def row_chunks(count, m) -> list:
     return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def _trapezoid_rows(y, dx, out):
+    """np.trapezoid(y, dx=dx, axis=-1) of (n, k) y, the same operations in order, through out (n, k-1).
+
+    A block kernel passes rows of one scratch array allocated per block,
+    so a chunk's reduction allocates only its (n,) result.
+    """
+    np.add(y[..., 1:], y[..., :-1], out=out)
+    np.multiply(dx, out, out=out)
+    np.divide(out, 2.0, out=out)
+    return out.sum(-1)
+
+
 def _row_range(rows) -> tuple:
     """Validated (start, stop) of a block's rows; None is the whole block."""
     if rows is None:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fnlib import FunctionDescriptor
-from .ousim import PathGrid, _check_count, _check_rate, _grid, block_paths_1d, row_chunks
+from .ousim import PathGrid, _check_count, _check_rate, _grid, _trapezoid_rows, block_paths_1d, row_chunks
 from .parallel import run_blocks
 
 EPS_PIN = 1e-9
@@ -147,14 +147,6 @@ def _split_weights(lam, times):
 def _split_scratch(rows, m):
     """Work arrays of _split_arrays for up to `rows` paths on m steps: three (rows, m+1)."""
     return np.empty((3, rows, m + 1))
-
-
-def _trapezoid_rows(y, dx, out):
-    """np.trapezoid(y, dx=dx, axis=-1) of (n, k) y, the same operations in order, through out (n, k-1)."""
-    np.add(y[..., 1:], y[..., :-1], out=out)
-    np.multiply(dx, out, out=out)
-    np.divide(out, 2.0, out=out)
-    return out.sum(-1)
 
 
 def _split_arrays(b: FunctionDescriptor, times, values, weights, scratch=None):

@@ -350,6 +350,18 @@ class TestTinyShifts:
         doc = json.loads(out)
         assert doc["diff_sup"] == 1e-200 and not doc["degenerate"]
 
+    def test_concentration_below_float_spacing_reads_the_rows_of_a_larger_shift(self, capsys):
+        # the shift's S was the difference of two profile values, which cancelled 1e-20 to 0: empirical 0.0
+        rows = []
+        for scale in ("1e-20", "1e-8"):
+            code, out, err = _run(capsys, "concentration", "--spectrum", "1,4", "--h1", f"e1:const:{scale}",
+                                  "--seed", "1", "--n", "2000", "--M", "64", "--etas", "0.01,0.1")
+            assert code == 0, err
+            rows.append([(r["eta"], r["empirical"], r["stderr"], r["bound"], r["pass"])
+                         for r in json.loads(out)["results"]])
+        assert rows[0] == rows[1]
+        assert [row[1] for row in rows[0]] == [1.0, 0.9955]
+
     def test_thm23_refuses_the_infinite_rate_before_sampling(self, capsys, monkeypatch):
         def sampled(*args):
             raise AssertionError("a refused rate reached the sampler")

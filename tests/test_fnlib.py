@@ -159,6 +159,84 @@ class TestProfilesInPlace:
         assert b.profile(0.25, 0.7) == np.sin(math.pi * 0.25)
 
 
+EPS = np.finfo(np.float64).eps
+
+
+class TestPairProfiles:
+    """profile_pair(t, xi, h1, h2) = phi(t, xi + h1) - phi(t, xi + h2), by
+    identity for sin, cos and tanh and by two evaluations otherwise."""
+
+    T = np.linspace(0.0, 1.0, 65)
+    XI = np.random.default_rng(11).standard_normal((6, 65)) * 1.5
+    UNIT = np.random.default_rng(12).uniform(-1.0, 1.0, (2, 65))
+
+    def _shifts(self, scale):
+        return scale * self.UNIT[0], scale * self.UNIT[1]
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5, 137.0])
+    @pytest.mark.parametrize("profile", ["sin", "cos", "tanh"])
+    @pytest.mark.parametrize("scale", [1e-20, 1e-12, 1e-6, 1e-3, 1.0])
+    def test_identity_matches_the_naive_difference(self, profile, omega, scale):
+        b = F.make_b_weighted([1.0], profile=profile, omega=omega)
+        h1, h2 = self._shifts(scale)
+        got = b.profile_pair(self.T, self.XI, h1, h2)
+        naive = b.profile(self.T, self.XI + h1) - b.profile(self.T, self.XI + h2)
+        # each side rounds omega (xi + h) to about omega |xi + h| eps, and phi to eps
+        tol = 8.0 * EPS * (1.0 + omega * (np.abs(self.XI) + np.abs(h1) + np.abs(h2)))
+        assert got.shape == self.XI.shape
+        assert np.all(np.abs(got - naive) <= tol)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5, 137.0])
+    @pytest.mark.parametrize("profile", ["sin", "cos", "tanh"])
+    @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e-10])
+    def test_tiny_shift_is_the_first_order_value(self, profile, omega, scale):
+        b = F.make_b_weighted([1.0], profile=profile, omega=omega)
+        h1, h2 = self._shifts(scale)
+        d = h1 - h2
+        got = b.profile_pair(self.T, self.XI, h1, h2)
+        first = b.profile_dx(self.T, self.XI) * d
+        # second-order terms omega^2 |h| |d| and the rounding of omega xi, per unit of omega |d|
+        tol = omega * np.abs(d) * (2.0 * omega * (np.abs(h1) + np.abs(h2)) + (omega * d) ** 2
+                                   + 16.0 * EPS * (1.0 + omega * np.abs(self.XI)))
+        assert np.all(np.abs(got - first) <= tol)
+        if scale == 1e-20:  # the naive difference cancels to exactly 0 there
+            naive = b.profile(self.T, self.XI + h1) - b.profile(self.T, self.XI + h2)
+            assert np.count_nonzero(naive) < naive.size / 2
+            steep = np.abs(first) > 1e-6 * omega * np.abs(d)  # tanh' underflows far out at omega = 137
+            assert np.any(steep) and np.all(got[steep] != 0.0)
+
+    def test_scalar_state_gives_a_scalar(self):
+        for profile in ("sin", "cos", "tanh", "sign"):
+            b = F.make_b_weighted([1.0], profile=profile, omega=1.0)
+            got = b.profile_pair(0.5, 0.7, 0.2, -0.1)
+            assert isinstance(got, np.float64)
+            assert got == pytest.approx(b.profile(0.5, 0.9) - b.profile(0.5, 0.6), abs=4 * EPS)
+
+    def test_other_profiles_are_the_two_evaluation_difference(self):
+        h1, h2 = self._shifts(0.3)
+        base = F.make_b_weighted([1.0], profile="sin", omega=2.0)
+        descriptors = [F.make_b_weighted([1.0], profile=p) for p in ("sign", "one", "zero", "time_sin")]
+        descriptors += [F.resolve_b("const:0.5", [1.0]),
+                        F.raw_profile_b(lambda t, xi: xi * xi, None, [1.0]),
+                        F.window_rescaled_b(base, 0.25, 0.75)]
+        for b in descriptors:
+            want = b.profile(self.T, self.XI + h1) - b.profile(self.T, self.XI + h2)
+            assert b.profile_pair(self.T, self.XI, h1, h2).tobytes() == want.tobytes(), b.name
+
+    def test_input_is_never_written_and_pickles(self):
+        import pickle
+
+        h1, h2 = self._shifts(0.5)
+        for profile in ("sin", "cos", "tanh", "sign"):
+            b = F.make_b_weighted([1.0, 4.0], profile=profile, omega=1.5)
+            xi, before = self.XI.copy(), (self.XI.copy(), h1.copy(), h2.copy())
+            got = b.profile_pair(self.T, xi, h1, h2)
+            for arr, copy in zip((xi, h1, h2), before):
+                np.testing.assert_array_equal(arr, copy)
+            again = pickle.loads(pickle.dumps(b)).profile_pair(self.T, xi, h1, h2)
+            assert got.tobytes() == again.tobytes()
+
+
 class TestRawProfile:
     def test_uncertified_norms(self):
         b = F.raw_profile_b(lambda t, xi: xi, None, [2.0], name="bare")

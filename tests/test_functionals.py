@@ -374,6 +374,18 @@ class TestConcentration:
             assert (row.mean, row.stderr, row.upper999, row.passed) == (0.0, 0.0, 0.0, True)
             assert row.limit == 3.0 * math.exp(-res.beta * eta * eta)
 
+    def test_shift_below_float_spacing_keeps_its_size(self):
+        # S/sup|h| barely depends on the scale of a constant shift for a smooth b;
+        # the difference of two sin values cancelled e1:const:1e-20 to S = 0
+        spec = ExperimentSpec(spectrum=DriftSpectrum(self.LAM), truncation=2, b=make_b_weighted(self.LAM), seed=1,
+                              m=64, n_paths=2000)
+        coord = spec.coordinate()
+        zero = zero_shift(self.LAM).component
+        scaled = [FN._pair_values(spec, coord, resolve_h(f"e1:const:{eps:g}", self.LAM).component, zero) / eps
+                  for eps in (1e-20, 1e-8)]
+        assert np.all(scaled[0] > 0.0)
+        np.testing.assert_allclose(scaled[0], scaled[1], rtol=1e-6)
+
     def test_rejects_bad_etas_and_missing_shifts(self, monkeypatch):
         _refuse_sampling(monkeypatch)
         with pytest.raises(DomainError):
@@ -592,9 +604,8 @@ class TestReducedSamplingMatchesFullPaths:
         for i in range(4):
             hp = sample_hilbert(lam, 2, 128, seed=29, path=i)
             xi = hp.component_values(1)
-            phi1 = np.asarray(b.profile(times, xi + hv), dtype=np.float64)
-            phi2 = np.asarray(b.profile(times, xi), dtype=np.float64)
-            want[i] = abs(np.trapezoid(phi1 - phi2, dx=1.0 / 128)) * b.vector_norm
+            diff = np.cos(xi + (hv + zero) / 2.0) * (2.0 * np.sin((hv - zero) / 2.0))  # sin's identity at omega = 1
+            want[i] = abs(np.trapezoid(diff, dx=1.0 / 128)) * b.vector_norm
         np.testing.assert_array_equal(got, want)
 
     def test_worker_count_does_not_change_values(self):
@@ -693,8 +704,7 @@ class TestChunkedBlocksMatchWholeBlock:
         whole = block_paths_1d(1.0, m, 43, 0, 1, horizon=horizon)
         for count in CHUNK_COUNTS:
             z = whole[:count] + np.exp(-1.0 * tau) * x0_dir if x0_dir != 0.0 else whole[:count]
-            phi1 = np.asarray(b.profile(t_abs, z + h1), dtype=np.float64)
-            phi2 = np.asarray(b.profile(t_abs, z + h2), dtype=np.float64)
-            want = np.abs(np.trapezoid(phi1 - phi2, dx=horizon / m, axis=-1)) * b.vector_norm
+            diff = np.cos(z + (h1 + h2) / 2.0) * (2.0 * np.sin((h1 - h2) / 2.0))  # sin's identity at omega = 1
+            want = np.abs(np.trapezoid(diff, dx=horizon / m, axis=-1)) * b.vector_norm
             got = FN._shifted_pair_block(1, count, 43, FN.Coordinate(1.0, m, 0, horizon, r, x0_dir), b, h1, h2)
             np.testing.assert_array_equal(got, want)

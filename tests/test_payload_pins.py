@@ -8,13 +8,17 @@ below.  The stream contract ties the sampled bits to numpy's Generator
 with.
 """
 
+import dataclasses
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oulab.cli as cli
+import oulab.fnlib as fnlib
+import oulab.functionals as functionals
 
 NUMPY_VERSION = "2.4.6"
 
@@ -45,8 +49,9 @@ PINS = [
     # rows with 0 < empirical < 1: the stderr has ddof = 1 and a row passes on its upper bound
     (("concentration", *SMALL, "--b", "weighted:sign", "--h1", "e1:const:0.05", "--etas", "0.1,0.2,0.5"),
      "93f216d35f467909127ea5c71d9e3d69ca55215f828f09c8a5cd5e1e700df36d"),
+    # re-recorded for sin's sum-to-product identity in the shift functionals: one stderr moved in its last digit
     (("moments", *SMALL, "--x", "0.2,0", "--y", "0,0.1", "--ps", "1,2"),
-     "2f12999bdcce0498fc003d76d0f47253dd9f7fd2b5b0ab3670bd4a9f3a1dcdf8"),
+     "feffa161643f7c127840faf446e4456bfcb8bd2a5f1cebcfdc32df36c77d1fec"),
     (("decomposition", "--seed", "7", "--n", "300", "--lambda", "1", "--m-list", "16,64,256"),
      "71f4f675b74ff080c6fbde55ddb2c8dbeb795e3a7ac03c510065c77f998a9914"),
 ]
@@ -66,6 +71,48 @@ def payload_digest(capsys, argv) -> str:
 @pytest.mark.parametrize("argv, digest", PINS, ids=[" ".join(a[:1] + a[-2:]) for a, _ in PINS])
 def test_payload_is_pinned(capsys, argv, digest):
     assert payload_digest(capsys, argv) == digest
+
+
+def _smooth_shift_functional(argv) -> bool:
+    """Whether a pin runs thm23, concentration or moments on a weighted sin, cos or tanh drift (default weighted:sin)."""
+    family, _, rest = (argv[argv.index("--b") + 1] if "--b" in argv else "weighted:sin").partition(":")
+    return (argv[0] in ("verify-thm23", "concentration", "moments") and family == "weighted"
+            and rest.split(":")[0] in ("sin", "cos", "tanh"))
+
+
+IDENTITY_PINS = [argv for argv, _ in PINS if _smooth_shift_functional(argv)]
+
+
+def _pair_run(monkeypatch, capsys, argv, two_evaluations):
+    """(per-path S, each row's pass) of one run, S by the descriptor's pair profile or by two evaluations of phi."""
+    sampled = []
+
+    def recorded(*args, real=functionals._pair_values):
+        sampled.append(real(*args))
+        return sampled[-1]
+
+    def plain(*args, real=cli.resolve_b):
+        b = real(*args)
+        return dataclasses.replace(b, profile_pair=partial(fnlib._pair_plain, phi=b.profile))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(functionals, "_pair_values", recorded)
+        if two_evaluations:
+            patch.setattr(cli, "resolve_b", plain)
+        assert cli.main(list(argv)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (values,) = sampled
+    return values, [row["pass"] for row in doc["results"]]
+
+
+def test_identity_pins_are_the_two_evaluation_runs_to_rounding(monkeypatch, capsys):
+    # the pins of the shift functionals with a smooth drift: thm23 sin and tanh, concentration and moments
+    assert len(IDENTITY_PINS) == 4
+    for argv in IDENTITY_PINS:
+        values, passed = _pair_run(monkeypatch, capsys, argv, two_evaluations=False)
+        naive, naive_passed = _pair_run(monkeypatch, capsys, argv, two_evaluations=True)
+        assert np.max(np.abs(values - naive)) <= 1e-15, argv
+        assert passed == naive_passed, argv
 
 
 # (argv, sha256 of the --dump CSV); each run dumps the first 8 paths it sampled

@@ -39,10 +39,15 @@ def test_oracle_digest_is_the_same_traced_and_by_block_rows(tmp_path):
 
 
 def test_fully_traced_cli_run(tmp_path):
-    side = run_child(tmp_path, "cli", "--trace", "full", "--", "verify-thm23", "--seed", "1", "--n", "300",
-                     "--M", "64", "--out", str(tmp_path / "payload.json"))
-    names = {span[2] for span in side["spans"]}
-    assert {"cli.main", "functionals.block", "ousim.block_paths_1d", "fnlib.profile"} <= names
+    # the child wraps profile and profile_dx; the shift functionals call only profile_pair, so
+    # thm23 shows the descriptor through resolve_b and prop21 shows the wrapped profile
+    names = {}
+    for command, *flags in (("verify-thm23",), ("verify-prop21", "--lambda", "1")):
+        side = run_child(tmp_path, "cli", "--trace", "full", "--", command, *flags, "--seed", "1", "--n", "300",
+                         "--M", "64", "--out", str(tmp_path / f"{command}.json"))
+        names[command] = {span[2] for span in side["spans"]}
+    assert {"cli.main", "functionals.block", "ousim.block_paths_1d", "fnlib.resolve_b"} <= names["verify-thm23"]
+    assert {"functionals.block", "fnlib.profile"} <= names["verify-prop21"]
 
 
 def test_pool_traced_cli_run_starts_one_pool(tmp_path):
