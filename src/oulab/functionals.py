@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ import numpy as np
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, _norm, shift_difference_norm
-from .ousim import _as_vector, _check_count, _grid, _trapezoid_rows, block_paths_1d, ndtri, row_chunks
+from .ousim import _as_vector, _check_count, _grid, _trapezoid_rows, block_paths_1d, chunk_rows, drawn_chunks, ndtri
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -227,49 +228,56 @@ class Coordinate:
         """The absolute grid times t0 + [0, horizon], m + 1 of them."""
         return self.t0 + _grid(self.m, self.horizon)
 
-    def paths(self, seed, block, rows) -> np.ndarray:
-        """Rows (start, stop) of the block's paths on the grid, start decay included."""
-        z = block_paths_1d(self.rate, self.m, seed, self.component, block, horizon=self.horizon, rows=rows)
+    def paths(self, seed, block, rows, normals=None) -> np.ndarray:
+        """Rows (start, stop) of the block's paths on the grid, start decay included.
+
+        normals, when given, are those rows' normals already drawn (drawn_chunks).
+        """
+        z = block_paths_1d(self.rate, self.m, seed, self.component, block, horizon=self.horizon, rows=rows,
+                           normals=normals)
         if self.x0 != 0.0:
             z += np.exp(-self.rate * _grid(self.m, self.horizon)) * self.x0
         return z
 
 
 # Each worker samples the first count paths of its block in row chunks
-# (ousim.row_chunks) and writes each chunk's per-path values into one
-# preallocated array.  Every row's recursion, profile evaluation and
-# reduction along the last axis is independent of the rows sharing its
-# array, so the values are bitwise those of one whole-block pass.  A
-# chunk's arrays stay bound until the next chunk replaces them: freeing
-# them inside the chunk (say, behind a helper call) tripled the page
-# faults of a thm23 block at M = 4096.
+# (ousim.drawn_chunks) and writes each chunk's per-path values into one
+# preallocated array.  One helper thread per block task draws the next
+# chunk's normals while the worker runs this chunk's recursion, profile
+# and reduction, so a task can use two cores; every row's draw, recursion,
+# profile evaluation and reduction along the last axis is independent of
+# the thread and of the rows sharing its array, so the values are bitwise
+# those of one single-thread whole-block pass.  A chunk's arrays stay
+# bound until the next chunk replaces them: freeing them inside the chunk
+# (say, behind a helper call) tripled the page faults of a thm23 block at
+# M = 4096.
 
 
 def _prop21_block(block, count, seed, coord: Coordinate, b):
     """|int b'(t, xi_t) dt| for one block, xi the coordinate's paths."""
     times = coord.times()
-    chunks = row_chunks(count, coord.m)
-    scratch = np.empty((chunks[0][1], coord.m))  # the first chunk has the most rows
+    scratch = np.empty((min(count, chunk_rows(coord.m)), coord.m))  # rows of the largest chunk
     out = np.empty(count)
-    for start, stop in chunks:
-        z = coord.paths(seed, block, (start, stop))
-        dphi = np.asarray(b.profile_dx(times, z), dtype=np.float64)
-        j = _trapezoid_rows(dphi, coord.horizon / coord.m, scratch[: stop - start])
-        out[start:stop] = np.abs(j) * b.vector_norm
+    with closing(drawn_chunks(seed, coord.component, block, coord.m, count)) as chunks:
+        for start, stop, normals in chunks:
+            z = coord.paths(seed, block, (start, stop), normals)
+            dphi = np.asarray(b.profile_dx(times, z), dtype=np.float64)
+            j = _trapezoid_rows(dphi, coord.horizon / coord.m, scratch[: stop - start])
+            out[start:stop] = np.abs(j) * b.vector_norm
     return out
 
 
 def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals):
     """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for one block, h1_vals and h2_vals at coord.times()."""
     t_abs = coord.times()
-    chunks = row_chunks(count, coord.m)
-    scratch = np.empty((chunks[0][1], coord.m))
+    scratch = np.empty((min(count, chunk_rows(coord.m)), coord.m))
     out = np.empty(count)
-    for start, stop in chunks:
-        z = coord.paths(seed, block, (start, stop))
-        diff = b.profile_pair(t_abs, z, h1_vals, h2_vals)
-        j = _trapezoid_rows(diff, coord.horizon / coord.m, scratch[: stop - start])
-        out[start:stop] = np.abs(j) * b.vector_norm
+    with closing(drawn_chunks(seed, coord.component, block, coord.m, count)) as chunks:
+        for start, stop, normals in chunks:
+            z = coord.paths(seed, block, (start, stop), normals)
+            diff = b.profile_pair(t_abs, z, h1_vals, h2_vals)
+            j = _trapezoid_rows(diff, coord.horizon / coord.m, scratch[: stop - start])
+            out[start:stop] = np.abs(j) * b.vector_norm
     return out
 
 

@@ -31,11 +31,13 @@ per value, so a row cannot start at an offset computed from the rows
 before it; with the row in counter word 1 it starts at a fixed place,
 2^64 counter steps from the next row.  One path therefore costs O(M)
 draws and O(M) memory, and any grouping of a block's rows (whole block,
-row chunks, one path) and any scheduling of blocks across workers
-reproduce identical paths.  No generator is built per row: each thread
-keeps one Philox generator and, before every row, replaces its whole
-state with the fresh state of that row (the key and counter (0, r, 0, 0),
-an empty output buffer), which is bitwise a new generator at the row.
+row chunks, one path), any thread that draws a row (drawn_chunks draws
+the next chunk on a helper thread) and any scheduling of blocks across
+workers reproduce identical paths.  No generator is built per row: each
+thread keeps one Philox generator and, before every row, replaces its
+whole state with the fresh state of that row (the key and counter
+(0, r, 0, 0), an empty output buffer), which is bitwise a new generator
+at the row.
 
 Paths are the recursion Z_{k+1} = a Z_k + sigma xi_k, Z_0 = 0, evaluated
 by a blocked scan (see _recursion_paths): chunks of SCAN_STEPS steps are
@@ -66,6 +68,7 @@ import functools
 import math
 import operator
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -179,11 +182,11 @@ def ndtri(p) -> float:
 def chunk_rows(m) -> int:
     """Rows of a block that a block kernel processes at once.
 
-    About 2^17 values (1 MB of float64) per intermediate array, so the
-    arrays of one chunk stay in cache: 32 rows at m = 4096, the whole
-    block at m <= 512.
+    About 2^16 values (512 KB of float64) per intermediate array, so the
+    arrays of one chunk, and both normals buffers of drawn_chunks, stay in
+    cache: 16 rows at m = 4096, the whole block at m <= 256.
     """
-    return min(BLOCK, max(1, 2**17 // int(m)))
+    return min(BLOCK, max(1, 2**16 // int(m)))
 
 
 def row_chunks(count, m) -> list:
@@ -219,18 +222,54 @@ def _row_range(rows) -> tuple:
     return int(start), int(stop)
 
 
-def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None) -> np.ndarray:
+def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=None) -> np.ndarray:
     """Rows [start, stop) of the (BLOCK, m) standard normal matrix of one block.
 
-    rows=(start, stop) defaults to the whole block.  Each row is drawn by
-    the thread's generator set to that row, bitwise substream(..., row=r).
+    rows=(start, stop) defaults to the whole block; out, a C-contiguous
+    (stop - start, m) array, receives them in place of a new array.  Each
+    row is drawn by the calling thread's generator set to that row,
+    bitwise substream(..., row=r) on any thread.
     """
     start, stop = _row_range(rows)
     key_words = _key_words(seed, component, block, domain)
-    out = np.empty((stop - start, _check_count(m, "m", 0)))
+    shape = (stop - start, _check_count(m, "m", 0))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise DomainError(f"out must have shape {shape}, got {out.shape}")
     for row in range(start, stop):
         standard_normal(_row_generator(key_words, row), out=out[row - start])
     return out
+
+
+def drawn_chunks(seed, component, block, m, count, domain=DOMAIN_PATH):
+    """(start, stop, normals) for each row chunk (row_chunks(count, m)) of rows [0, count) of one block.
+
+    normals is block_normals(..., rows=(start, stop)), valid until the
+    next chunk is requested.  While the caller works on chunk k, one
+    helper thread draws chunk k + 1 into the other of two buffers
+    allocated here, so the draw, which releases the GIL, runs beside the
+    caller's numpy work; the caller draws the first chunk itself.  Every
+    row sets its own Philox state on the thread that draws it, so the
+    bits do not depend on which thread that is.  A single chunk starts no
+    thread.  The helper is joined when the iteration ends or is closed,
+    so a caller that may stop early (an exception) iterates inside
+    contextlib.closing and no thread outlives the block call.
+    """
+    chunks = row_chunks(count, m)
+    buffers = np.empty((min(len(chunks), 2), chunks[0][1], m))  # the first chunk has the most rows
+
+    def draw(k):
+        start, stop = chunks[k]
+        return block_normals(seed, component, block, m, domain, (start, stop), buffers[k % 2, : stop - start])
+
+    with ThreadPoolExecutor(max_workers=1) as helper:  # starts its thread at the first submit
+        ahead = None
+        for k, (start, stop) in enumerate(chunks):
+            drawn = ahead
+            # chunk k + 1 goes into the buffer of chunk k - 1, which the caller is done with
+            ahead = helper.submit(draw, k + 1) if k + 1 < len(chunks) else None
+            yield start, stop, draw(k) if drawn is None else drawn.result()
 
 
 @dataclass(frozen=True)
@@ -378,11 +417,21 @@ def _recursion_paths(lam, m, normals, horizon):
     return out
 
 
-def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PATH, rows=None) -> np.ndarray:
-    """Paths [start, stop) of one block as a (stop - start, m+1) array; rows defaults to all BLOCK paths."""
+def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PATH, rows=None,
+                   normals=None) -> np.ndarray:
+    """Paths [start, stop) of one block as a (stop - start, m+1) array; rows defaults to all BLOCK paths.
+
+    normals, when given, are those rows' block_normals already drawn (a
+    block kernel passes drawn_chunks' buffers) and replace the draw.
+    """
     lam = _check_rate(lam)
     times = _grid(m, horizon)  # validates m and horizon
-    normals = block_normals(seed, component, block, m, domain, rows=rows)
+    if normals is None:
+        normals = block_normals(seed, component, block, m, domain, rows=rows)
+    else:
+        start, stop = _row_range(rows)
+        if normals.shape != (stop - start, m):
+            raise DomainError(f"normals must have shape ({stop - start}, {m}), got {normals.shape}")
     return _recursion_paths(lam, m, normals, float(times[-1]))
 
 

@@ -8,8 +8,11 @@ array regardless of scheduling, and numpy's pairwise reductions then
 give bitwise identical aggregates.
 
 Each run makes one run_blocks call and therefore starts at most one
-process pool; a check that needs several grid sizes computes them all
-inside one block task.
+process pool, of at most one process per block; a check that needs
+several grid sizes computes them all inside one block task.  Each block
+task also runs one helper thread that draws the next row chunk's normals
+(ousim.drawn_chunks), so --workers 1 can use two cores; neither the
+processes nor the threads change any result.
 """
 
 from __future__ import annotations
@@ -40,5 +43,6 @@ def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
     columns = (blocks, counts, *map(repeat, args))
     if workers == 1 or len(blocks) == 1:
         return np.concatenate(list(map(worker, *columns)), axis=0)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # fork starts every max_workers process at once, so never more than there are blocks
+    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         return np.concatenate(list(pool.map(worker, *columns)), axis=0)

@@ -37,13 +37,14 @@ reports store the signed amplitude scaled by |vector|.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .fnlib import FunctionDescriptor
-from .ousim import PathGrid, _check_count, _check_rate, _grid, _trapezoid_rows, block_paths_1d, row_chunks
+from .ousim import PathGrid, _check_count, _check_rate, _grid, _trapezoid_rows, block_paths_1d, chunk_rows, drawn_chunks
 from .parallel import run_blocks
 
 EPS_PIN = 1e-9
@@ -216,22 +217,30 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
     return _report(b, path.lam, path.times, split)
 
 
-def _covariation_block(block, count, seed, lam, m, b):
-    """The split of the block's first count paths, in row chunks (ousim.row_chunks) sharing one scratch."""
-    times = _grid(m, 1.0)
-    weights = _split_weights(lam, times)
-    chunks = row_chunks(count, m)
-    scratch = _split_scratch(chunks[0][1], m)  # the first chunk has the most rows
-    out = np.empty((count, 5))
-    for start, stop in chunks:
-        values = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop))
-        out[start:stop] = _split_arrays(b, times, values, weights, scratch)
+def _covariation_levels(block, count, seed, lam, m_list, b):
+    """The split of the block's first count paths at every M of m_list: (count, len(m_list), 5).
+
+    Row chunks (ousim.drawn_chunks) are drawn once, at the finest M, and
+    level M reads the first M normals of each row, bitwise its own draw
+    (see covariation_check); one scratch sized for the finest level
+    serves every level.
+    """
+    grids = [_grid(m, 1.0) for m in m_list]
+    weights = [_split_weights(lam, times) for times in grids]
+    m_max = m_list[-1]
+    scratch = _split_scratch(min(count, chunk_rows(m_max)), m_max)  # rows of the largest chunk
+    out = np.empty((count, len(m_list), 5))
+    with closing(drawn_chunks(seed, b.direction, block, m_max, count)) as chunks:
+        for start, stop, normals in chunks:
+            for k, m in enumerate(m_list):
+                values = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop), normals=normals[:, :m])
+                out[start:stop, k] = _split_arrays(b, grids[k], values, weights[k], scratch)
     return out
 
 
-def _covariation_levels(block, count, seed, lam, m_list, b):
-    """_covariation_block at every M of m_list: (count, len(m_list), 5)."""
-    return np.stack([_covariation_block(block, count, seed, lam, m, b) for m in m_list], axis=1)
+def _covariation_block(block, count, seed, lam, m, b):
+    """The split of the block's first count paths on m steps: (count, 5), _covariation_levels at one M."""
+    return _covariation_levels(block, count, seed, lam, [m], b)[:, 0]
 
 
 def covariation_check(b: FunctionDescriptor, lam, m_list, n_paths, seed, workers=1):

@@ -484,6 +484,20 @@ class TestPayload:
         assert code == 0, err
         assert pools == [2]
 
+    def test_pool_starts_one_process_per_block(self, capsys, monkeypatch):
+        # under fork the pool starts all max_workers processes at once, used or not
+        pools = []
+
+        class CountedPool(oulab.parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(oulab.parallel, "ProcessPoolExecutor", CountedPool)
+        code, _, err = _run(capsys, "verify-thm23", "--M", "64", "--seed", "21", "--n", "300", "--workers", "4")
+        assert code == 0, err
+        assert pools == [2]
+
     def test_csv_format(self, capsys):
         code, out, _ = _run(
             capsys, "moments", "--seed", "21", "--n", "512", "--M", "64",
@@ -690,6 +704,26 @@ class TestCommandTable:
         for line in lines:
             argv = shlex.split(line)[1:]
             assert parser.parse_args(argv).command == argv[0]
+
+
+class TestForkAfterThreads:
+    def test_pooled_run_after_a_serial_run_in_one_process(self, tmp_path):
+        # the serial run's blocks start and join draw-ahead threads (16-row chunks at M = 4096);
+        # the pool forked after it in the same process must finish, with the same payload
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys; from oulab.cli import main; "
+                "argv = ['verify-thm23', '--seed', '5', '--n', '600', '--M', '4096']; "
+                "sys.exit(main(argv + ['--out', sys.argv[1]]) or main(argv + ['--workers', '2', '--out', sys.argv[2]]))")
+        paths = [tmp_path / "serial.json", tmp_path / "pooled.json"]
+        done = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        docs = [json.loads(path.read_text()) for path in paths]
+        for doc in docs:
+            doc.pop("timing")
+            doc["config"].pop("workers", None)
+        assert docs[0] == docs[1]
 
 
 class TestImport:

@@ -1,7 +1,9 @@
 """Monte Carlo estimators and the four functional checkers."""
 
+import dataclasses
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -708,3 +710,65 @@ class TestChunkedBlocksMatchWholeBlock:
             want = np.abs(np.trapezoid(diff, dx=horizon / m, axis=-1)) * b.vector_norm
             got = FN._shifted_pair_block(1, count, 43, FN.Coordinate(1.0, m, 0, horizon, r, x0_dir), b, h1, h2)
             np.testing.assert_array_equal(got, want)
+
+
+# partial and whole blocks around the 16-row chunks of M = 4096; M = 1000 has
+# 65-row chunks and M = 33 one chunk per block
+DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
+
+
+class TestDrawAheadKernels:
+    """Each kernel draws chunk k + 1 on a helper thread while it works on
+    chunk k; its values must equal the single-thread whole-block formula
+    bitwise, and no thread may outlive the call."""
+
+    B = make_b_weighted((1.0, 4.0), profile="sin", direction=1)
+
+    @pytest.mark.parametrize("m", [4096, 1000, 33])
+    def test_prop21_block(self, m):
+        times = np.linspace(0.0, 1.0, m + 1)
+        whole = block_paths_1d(4.0, m, 53, 1, 5)
+        for count in DRAW_AHEAD_COUNTS:
+            dphi = np.asarray(self.B.profile_dx(times, whole[:count]), dtype=np.float64)
+            want = np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * self.B.vector_norm
+            np.testing.assert_array_equal(FN._prop21_block(5, count, 53, FN.Coordinate(4.0, m, 1), self.B), want)
+
+    @pytest.mark.parametrize("m", [4096, 1000, 33])
+    def test_shifted_pair_block(self, m):
+        horizon, r, x0_dir = 0.5, 0.25, 0.7
+        tau = np.linspace(0.0, horizon, m + 1)
+        h1 = np.sin(np.pi * (r + tau))
+        h2 = np.full(m + 1, -0.3)
+        z_all = block_paths_1d(4.0, m, 59, 1, 4, horizon=horizon) + np.exp(-4.0 * tau) * x0_dir
+        coord = FN.Coordinate(4.0, m, 1, horizon, r, x0_dir)
+        for count in DRAW_AHEAD_COUNTS:
+            diff = np.cos(z_all[:count] + (h1 + h2) / 2.0) * (2.0 * np.sin((h1 - h2) / 2.0))  # sin at omega = 1
+            want = np.abs(np.trapezoid(diff, dx=horizon / m, axis=-1)) * self.B.vector_norm
+            np.testing.assert_array_equal(FN._shifted_pair_block(4, count, 59, coord, self.B, h1, h2), want)
+
+    def test_no_thread_outlives_a_kernel(self):
+        coord = FN.Coordinate(4.0, 4096, 1)
+        h1, h2 = np.full(4097, 0.5), np.zeros(4097)
+        calls = []
+
+        def fail_on_the_third_chunk(real):
+            def profile(*args):
+                calls.append(None)
+                if len(calls) % 3 == 0:
+                    raise FloatingPointError("profile failed mid-block")
+                return real(*args)
+
+            return profile
+
+        failing = dataclasses.replace(self.B, profile_dx=fail_on_the_third_chunk(self.B.profile_dx),
+                                      profile_pair=fail_on_the_third_chunk(self.B.profile_pair))
+        before = threading.active_count()
+        for b, kernel, args in ((self.B, FN._prop21_block, ()), (self.B, FN._shifted_pair_block, (h1, h2)),
+                                (failing, FN._prop21_block, ()), (failing, FN._shifted_pair_block, (h1, h2))):
+            try:
+                kernel(0, 256, 3, coord, b, *args)
+            except FloatingPointError:
+                assert b is failing
+            else:
+                assert b is not failing
+            assert threading.active_count() == before, kernel.__name__

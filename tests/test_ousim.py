@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -390,10 +391,62 @@ class TestRowRanges:
             S.block_paths_1d(1.0, 8, 1, 0, 0, rows=rows)
 
     def test_chunks_cover_the_rows(self):
-        assert [S.chunk_rows(m) for m in (2, 512, 513, 1000, 4096, 2**17, 2**18)] == [256, 256, 255, 131, 32, 1, 1]
-        assert S.row_chunks(100, 4096) == [(0, 32), (32, 64), (64, 96), (96, 100)]
-        assert S.row_chunks(256, 512) == [(0, 256)]
+        assert [S.chunk_rows(m) for m in (2, 256, 257, 1000, 4096, 2**16, 2**17)] == [256, 256, 255, 65, 16, 1, 1]
+        assert S.row_chunks(100, 4096) == [(0, 16), (16, 32), (32, 48), (48, 64), (64, 80), (80, 96), (96, 100)]
+        assert S.row_chunks(256, 256) == [(0, 256)]
         assert S.row_chunks(1, 4096) == [(0, 1)]
+
+
+# partial and whole blocks around the 16-row chunks of M = 4096; M = 1000 has
+# 65-row chunks and M = 33 one chunk per block
+DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
+
+
+class TestDrawnChunks:
+    @pytest.mark.parametrize("m", [4096, 1000, 33])
+    def test_chunks_are_the_rows_of_the_block_draw(self, m):
+        normals = S.block_normals(5, 1, 2, m)
+        for count in DRAW_AHEAD_COUNTS:
+            seen = []
+            with closing(S.drawn_chunks(5, 1, 2, m, count)) as chunks:
+                for start, stop, got in chunks:
+                    np.testing.assert_array_equal(got, normals[start:stop])
+                    seen.append((start, stop))
+            assert seen == S.row_chunks(count, m)
+
+    def test_the_helper_thread_lives_only_inside_the_iteration(self):
+        before = threading.active_count()
+        assert [threading.active_count() for _ in S.drawn_chunks(5, 0, 0, 4096, 16)] == [before]  # one chunk
+        assert [threading.active_count() for _ in S.drawn_chunks(5, 0, 0, 4096, 64)] == [before + 1] * 4
+        assert threading.active_count() == before
+        # closed after the first chunk, while the helper draws the second
+        with closing(S.drawn_chunks(5, 0, 0, 4096, 256)) as chunks:
+            next(chunks)
+        assert threading.active_count() == before
+
+    def test_per_path_samplers_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        stream = S.PathStream(seed=3, path=300)
+        S.sample_path_1d(1.0, 4096, stream)
+        S.sample_path_timechange(1.0, 4096, stream)
+        S.path_normals(stream, 4096)
+        S.sample_hilbert(DriftSpectrum.quadratic(4), 4, 4096, seed=3, path=300)
+
+    def test_drawn_normals_replace_the_draw(self):
+        rows = (16, 48)
+        normals = S.block_normals(5, 0, 3, 100, rows=rows)
+        out = np.empty((32, 100))
+        assert S.block_normals(5, 0, 3, 100, rows=rows, out=out) is out
+        np.testing.assert_array_equal(out, normals)
+        np.testing.assert_array_equal(S.block_paths_1d(0.7, 100, 5, 0, 3, rows=rows, normals=normals),
+                                      S.block_paths_1d(0.7, 100, 5, 0, 3, rows=rows))
+        with pytest.raises(DomainError, match="shape"):
+            S.block_paths_1d(0.7, 100, 5, 0, 3, rows=rows, normals=normals[:, :99])
+        with pytest.raises(DomainError, match="shape"):
+            S.block_normals(5, 0, 3, 100, rows=rows, out=np.empty((31, 100)))
 
 
 class TestMarginalDensity:

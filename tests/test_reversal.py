@@ -1,6 +1,8 @@
 """Time reversal: singular drift, endpoint sums, covariation split."""
 
+import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -277,6 +279,43 @@ class TestChunkedBlock:
         for b in _SPLIT_PROFILES:
             want = R._report(b, 2.0, pg.times, _reference_split(b, pg.times, pg.values[np.newaxis, :], weights))
             assert R.decompose_path(b, pg) == want, b.name
+
+
+class TestSharedDraw:
+    """A block task draws each row chunk once, at the finest M, and every
+    level reads a prefix of it while the next chunk is drawn on a helper
+    thread; each level must equal its own per-level block_paths_1d split."""
+
+    M_LIST = [33, 1000, 4096]
+
+    def test_levels_match_the_per_level_split(self):
+        wholes = [block_paths_1d(2.0, m, 61, 0, 2) for m in self.M_LIST]
+        grids = [np.linspace(0.0, 1.0, m + 1) for m in self.M_LIST]
+        weights = [R._split_weights(2.0, times) for times in grids]
+        for b in (make_b_weighted([2.0], profile="sin", omega=1.7), _identity_b()):
+            for count in (1, 15, 16, 17, 100, 256):
+                got = R._covariation_levels(2, count, 61, 2.0, self.M_LIST, b)
+                assert got.shape == (count, len(self.M_LIST), 5)
+                for k, m in enumerate(self.M_LIST):
+                    want = _reference_split(b, grids[k], wholes[k][:count], weights[k])
+                    np.testing.assert_array_equal(got[:, k], want, err_msg=f"{b.name} count={count} m={m}")
+
+    def test_no_thread_outlives_a_block_task(self):
+        b = make_b_weighted([2.0], profile="sin")
+        calls = []
+
+        def profile_dx(*args):
+            calls.append(None)
+            if len(calls) == 5:  # the second level of the second chunk
+                raise FloatingPointError("profile failed mid-block")
+            return b.profile_dx(*args)
+
+        before = threading.active_count()
+        R._covariation_levels(0, 256, 3, 2.0, self.M_LIST, b)
+        assert threading.active_count() == before
+        with pytest.raises(FloatingPointError):
+            R._covariation_levels(0, 256, 3, 2.0, self.M_LIST, dataclasses.replace(b, profile_dx=profile_dx))
+        assert threading.active_count() == before
 
 
 class TestDecompositionVerdict:
