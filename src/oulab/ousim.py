@@ -60,6 +60,11 @@ Stream domains: 0 = path increments (recursion), 1 = auxiliary draws
 (e.g. stationary starts), 2 = time-change increments.  The recursion and
 the time-change sampler read different domains so same-seed runs of the
 two are independent.
+
+Importing this module loads constants, errors and numpy, nothing that
+single-path sampling does not call.  ndtri, which only a verdict row
+needs, imports statistics at its first call; drawn_chunks, the block
+kernels' draw-ahead, imports concurrent.futures at its first call.
 """
 
 from __future__ import annotations
@@ -68,9 +73,7 @@ import functools
 import math
 import operator
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -94,15 +97,14 @@ _CLOCK_LIMIT = 700.0
 # entries in each grid-constant cache of the per-path samplers; a grid is (lam, m, horizon)
 _GRID_CACHE_SIZE = 32
 
-_STANDARD_NORMAL = NormalDist()
-
 
 def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)):
         raise DomainError("seed must be an integer")
-    if not 0 <= int(seed) < 2**64:
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
         raise DomainError("seed must fit in 64 bits")
-    return int(seed)
+    return seed
 
 
 def _check_count(value, name, least) -> int:
@@ -174,9 +176,19 @@ def standard_normal(gen: Generator, size=None, out=None):
     return gen.standard_normal(size, out=out)
 
 
+@functools.cache
+def _standard_normal_law():
+    """statistics.NormalDist(), imported at the first ndtri call: sampling never needs it."""
+    from statistics import NormalDist
+
+    return NormalDist()
+
+
 def ndtri(p) -> float:
     """Standard normal quantile of a probability p in (0, 1), the package's one inverse normal CDF."""
-    return _STANDARD_NORMAL.inv_cdf(p)
+    if not 0.0 < p < 1.0:  # NaN fails too
+        raise DomainError(f"ndtri needs a probability in (0, 1), got {p!r}")
+    return _standard_normal_law().inv_cdf(p)
 
 
 def chunk_rows(m) -> int:
@@ -256,6 +268,8 @@ def drawn_chunks(seed, component, block, m, count, domain=DOMAIN_PATH):
     so a caller that may stop early (an exception) iterates inside
     contextlib.closing and no thread outlives the block call.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, so single-path sampling never loads it
+
     chunks = row_chunks(count, m)
     buffers = np.empty((min(len(chunks), 2), chunks[0][1], m))  # the first chunk has the most rows
 
@@ -330,11 +344,14 @@ class PathGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.times.shape != self.values.shape or self.times.ndim != 1:
+        times, values = self.times, self.values
+        if times.shape != values.shape or times.ndim != 1:
             raise DomainError("times and values must be equal-length vectors")
-        if self.times[0] != 0.0:
+        if times.size < 2:
+            raise DomainError("a grid needs at least two points")
+        if times[0] != 0.0:
             raise DomainError("grid must start at t = 0")
-        if not np.isfinite(self.values[0]):
+        if not math.isfinite(values[0]):
             raise DomainError("start value must be finite")
 
     @property
@@ -483,12 +500,11 @@ def sample_path_timechange(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
     """
     lam = _check_rate(lam)
     times, sqrt_dtau, decay = _clock_grid(lam, m, horizon)
-    normals = path_normals(stream, m, domain=DOMAIN_CLOCK)
     values = np.empty(times.size)
     values[0] = 0.0
     brownian = values[1:]
-    np.multiply(sqrt_dtau, normals, out=brownian)
-    np.cumsum(brownian, out=brownian)
+    np.multiply(sqrt_dtau, path_normals(stream, m, DOMAIN_CLOCK), out=brownian)
+    brownian.cumsum(out=brownian)
     values *= decay
     values /= math.sqrt(2.0 * lam)
     return PathGrid(lam=lam, times=times, values=values)
@@ -557,9 +573,9 @@ def sample_hilbert(spectrum, truncation, m, seed, path=0, horizon=1.0) -> Hilber
         raise DomainError(f"truncation {truncation} exceeds the listed spectrum ({len(spec)})")
     times = _grid(m, horizon)
     rates = spec.eigenvalues[:truncation]
-    normals = np.stack([path_normals(PathStream(seed=seed, path=path, component=n), m) for n in range(truncation)])
+    normals = np.array([path_normals(PathStream(seed, path, n), m) for n in range(truncation)])
     values = _recursion_paths(np.array(rates), m, normals, horizon)
-    comps = tuple(PathGrid(lam=lam, times=times, values=row) for lam, row in zip(rates, values))
+    comps = tuple(PathGrid(lam, times, row) for lam, row in zip(rates, values))
     return HilbertPath(spectrum=spec, truncation=truncation, component_paths=comps)
 
 

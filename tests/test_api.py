@@ -1,4 +1,5 @@
-"""The package surface: `import oulab` exports what README.md and the demos import, nothing more."""
+"""The package surface: `import oulab` exports what README.md and the demos import, nothing more,
+and loads a submodule only when one of its names is first used."""
 
 import ast
 import os
@@ -40,19 +41,57 @@ def test_documented_names_resolve():
 
 
 def test_public_surface_is_the_documented_one():
+    # dir(), not vars(): a lazy module's namespace holds only the names already used
     public = {
         name
-        for name, value in vars(oulab).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(oulab)
+        if not name.startswith("_") and not isinstance(getattr(oulab, name), types.ModuleType)
     }
     assert public == _documented_names() | {"ConfigError", "DomainError"}
 
 
-def test_import_binds_ousim():
-    # in a fresh interpreter, so no other test's `import oulab.ousim` can bind it
+def test_documented_names_are_listed():
+    documented = _documented_names() | {"ConfigError", "DomainError"}
+    assert set(oulab.__all__) == documented
+    assert documented <= set(dir(oulab))
+    for name in documented:
+        getattr(oulab, name)
+
+
+def _fresh(code):
+    """Standard output of `code` run in a fresh interpreter that imports oulab from this checkout."""
     src = str(Path(oulab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import oulab; print(oulab.ousim.__name__)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "oulab.ousim"
+    return done.stdout.strip()
+
+
+def test_import_binds_ousim():
+    # in a fresh interpreter, so no other test's `import oulab.ousim` can bind it
+    assert _fresh("import oulab; print(oulab.ousim.__name__)") == "oulab.ousim"
+
+
+# modules the per-path samplers never call: the block kernels, the process
+# pool, the CLI and the standard library they bring
+UNUSED_BY_PATH_SAMPLING = (
+    "oulab.functionals", "oulab.fnlib", "oulab.reversal", "oulab.parallel", "oulab.cli",
+    "multiprocessing", "concurrent.futures", "statistics", "decimal",
+)
+
+
+def test_import_budget():
+    code = f"""
+import sys
+import oulab
+print(sorted(m for m in sys.modules if m.startswith("oulab.")))
+from oulab import ousim
+from oulab.constants import DriftSpectrum
+print(sorted(m for m in {UNUSED_BY_PATH_SAMPLING!r} if m in sys.modules))
+stream = ousim.PathStream(42, 300)
+ousim.sample_path_1d(1.0, 4096, stream)
+ousim.sample_path_timechange(1.0, 8, stream)
+ousim.sample_hilbert(DriftSpectrum.quadratic(4), 4, 16, 42, path=300)
+print(sorted(m for m in {UNUSED_BY_PATH_SAMPLING!r} if m in sys.modules))
+"""
+    assert _fresh(code).splitlines() == ["[]", "[]", "[]"]

@@ -158,6 +158,11 @@ class TestStandardNormal:
         for p in (1e-12, 0.01, 0.3, 0.975, 1.0 - 1e-9):
             assert S.ndtri(p) == pytest.approx(norm.ppf(p), rel=1e-14)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_ndtri_refuses_non_probabilities(self, p):
+        with pytest.raises(DomainError, match=r"probability in \(0, 1\)"):
+            S.ndtri(p)
+
 
 class TestRecursionSampler:
     def test_paths_start_at_zero(self):
@@ -308,6 +313,49 @@ class TestTimechangeSampler:
         a = S.sample_path_timechange(1.0, 8, S.PathStream(seed=4, path=0)).values
         b = S.sample_path_1d(1.0, 8, S.PathStream(seed=4, path=0)).values
         assert np.any(a[1:] != b[1:])
+
+    def test_draws_go_through_the_module_path_normals(self, monkeypatch):
+        # perfbench's reference run swaps ousim.path_normals for block rows;
+        # that swap must reach the time-change draw
+        calls = []
+        real = S.path_normals
+
+        def counting(stream, m, domain=S.DOMAIN_PATH):
+            calls.append((stream, m, domain))
+            return real(stream, m, domain)
+
+        stream = S.PathStream(seed=3, path=300)
+        want = S.sample_path_timechange(1.0, 16, stream).values
+        monkeypatch.setattr(S, "path_normals", counting)
+        np.testing.assert_array_equal(S.sample_path_timechange(1.0, 16, stream).values, want)
+        assert calls == [(stream, 16, S.DOMAIN_CLOCK)]
+
+
+class TestPathGrid:
+    def test_a_grid_needs_two_points(self):
+        for size in (0, 1):
+            with pytest.raises(DomainError, match="a grid needs at least two points"):
+                S.PathGrid(1.0, np.zeros(size), np.zeros(size))
+        assert S.PathGrid(1.0, np.array([0.0, 1.0]), np.zeros(2)).m == 1
+
+    def test_bad_grids_raise(self):
+        times = np.linspace(0.0, 1.0, 5)
+        for bad_times, bad_values in ((times, np.zeros(4)), (times.reshape(1, 5), np.zeros((1, 5))), (times + 0.5, np.zeros(5))):
+            with pytest.raises(DomainError):
+                S.PathGrid(1.0, bad_times, bad_values)
+        for start in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="start value must be finite"):
+                S.PathGrid(1.0, times, np.array([start, 0.0, 0.0, 0.0, 0.0]))
+        assert S.PathGrid(1.0, times, np.array([2.0, 0.0, 0.0, 0.0, 0.0])).horizon == 1.0
+
+    def test_sampler_outputs_construct(self):
+        stream = S.PathStream(seed=8, path=300)
+        paths = [S.sample_path_1d(1.0, 2, stream), S.sample_path_timechange(1.0, 2, stream)]
+        paths += S.sample_hilbert(DriftSpectrum.quadratic(3), 3, 2, seed=8, path=300).component_paths
+        for path in paths:
+            assert path.m == 2
+            again = S.PathGrid(path.lam, path.times, path.values)
+            np.testing.assert_array_equal(again.values, path.values)
 
 
 class TestGridCache:
