@@ -242,15 +242,17 @@ class Coordinate:
 
 # Each worker samples the first count paths of its block in row chunks
 # (ousim.drawn_chunks) and writes each chunk's per-path values into one
-# preallocated array.  One helper thread per block task draws the next
-# chunk's normals while the worker runs this chunk's recursion, profile
-# and reduction, so a task can use two cores; every row's draw, recursion,
-# profile evaluation and reduction along the last axis is independent of
-# the thread and of the rows sharing its array, so the values are bitwise
-# those of one single-thread whole-block pass.  A chunk's arrays stay
-# bound until the next chunk replaces them: freeing them inside the chunk
-# (say, behind a helper call) tripled the page faults of a thm23 block at
-# M = 4096.
+# preallocated array.  Where a core is free for it (parallel.run_blocks
+# decides), one helper thread per block task draws the next chunk's
+# normals while the worker runs this chunk's recursion, profile and
+# reduction, so a task can use two cores; in a pool that already fills
+# the cores the worker draws each chunk itself.  Every row's draw,
+# recursion, profile evaluation and reduction along the last axis is
+# independent of the thread and of the rows sharing its array, so the
+# values are bitwise those of one single-thread whole-block pass.  A
+# chunk's arrays stay bound until the next chunk replaces them: freeing
+# them inside the chunk (say, behind a helper call) tripled the page
+# faults of a thm23 block at M = 4096.
 
 
 def _prop21_block(block, count, seed, coord: Coordinate, b):

@@ -32,8 +32,9 @@ before it; with the row in counter word 1 it starts at a fixed place,
 2^64 counter steps from the next row.  One path therefore costs O(M)
 draws and O(M) memory, and any grouping of a block's rows (whole block,
 row chunks, one path), any thread that draws a row (drawn_chunks draws
-the next chunk on a helper thread) and any scheduling of blocks across
-workers reproduce identical paths.  No generator is built per row: each
+the next chunk on a helper thread, or inline in a pool process that has
+no core to spare for one) and any scheduling of blocks across workers
+reproduce identical paths.  No generator is built per row: each
 thread keeps one Philox generator and, before every row, replaces its
 whole state with the fresh state of that row (the key and counter
 (0, r, 0, 0), an empty output buffer), which is bitwise a new generator
@@ -64,7 +65,8 @@ two are independent.
 Importing this module loads constants, errors and numpy, nothing that
 single-path sampling does not call.  ndtri, which only a verdict row
 needs, imports statistics at its first call; drawn_chunks, the block
-kernels' draw-ahead, imports concurrent.futures at its first call.
+kernels' draw-ahead, imports concurrent.futures.thread only when it
+starts a helper thread.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ _CLOCK_LIMIT = 700.0
 
 # entries in each grid-constant cache of the per-path samplers; a grid is (lam, m, horizon)
 _GRID_CACHE_SIZE = 32
+
+# whether drawn_chunks draws ahead on a helper thread; draw_inline clears it in a pool process
+_draw_ahead = True
 
 
 def _check_seed(seed):
@@ -195,7 +200,7 @@ def chunk_rows(m) -> int:
     """Rows of a block that a block kernel processes at once.
 
     About 2^16 values (512 KB of float64) per intermediate array, so the
-    arrays of one chunk, and both normals buffers of drawn_chunks, stay in
+    arrays of one chunk, and the normals buffers of drawn_chunks, stay in
     cache: 16 rows at m = 4096, the whole block at m <= 256.
     """
     return min(BLOCK, max(1, 2**16 // int(m)))
@@ -254,28 +259,45 @@ def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=
     return out
 
 
+def draw_inline():
+    """Make drawn_chunks in this process draw every chunk on the caller's thread.
+
+    The initializer of a process pool (parallel.run_blocks) whose
+    processes leave no core free for a helper thread.
+    """
+    global _draw_ahead
+    _draw_ahead = False
+
+
 def drawn_chunks(seed, component, block, m, count, domain=DOMAIN_PATH):
     """(start, stop, normals) for each row chunk (row_chunks(count, m)) of rows [0, count) of one block.
 
     normals is block_normals(..., rows=(start, stop)), valid until the
-    next chunk is requested.  While the caller works on chunk k, one
-    helper thread draws chunk k + 1 into the other of two buffers
-    allocated here, so the draw, which releases the GIL, runs beside the
-    caller's numpy work; the caller draws the first chunk itself.  Every
-    row sets its own Philox state on the thread that draws it, so the
-    bits do not depend on which thread that is.  A single chunk starts no
-    thread.  The helper is joined when the iteration ends or is closed,
-    so a caller that may stop early (an exception) iterates inside
-    contextlib.closing and no thread outlives the block call.
+    next chunk is requested.  With several chunks, while the caller works
+    on chunk k, one helper thread draws chunk k + 1 into the other of two
+    buffers allocated here, so the draw, which releases the GIL, runs
+    beside the caller's numpy work; the caller draws the first chunk
+    itself.  A single chunk, or any number in a process where draw_inline
+    ran, is drawn by the caller chunk by chunk into one buffer and starts
+    no thread.  Every row sets its own Philox state on the thread that
+    draws it, so the bits do not depend on which thread that is.  The
+    helper is joined when the iteration ends or is closed, so a caller
+    that may stop early (an exception) iterates inside contextlib.closing
+    and no thread outlives the block call.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, so single-path sampling never loads it
-
     chunks = row_chunks(count, m)
-    buffers = np.empty((min(len(chunks), 2), chunks[0][1], m))  # the first chunk has the most rows
+    lanes = 2 if _draw_ahead and len(chunks) > 1 else 1
+    buffers = np.empty((lanes, chunks[0][1], m))  # the first chunk has the most rows
 
     def draw(k):
         start, stop = chunks[k]
-        return block_normals(seed, component, block, m, domain, (start, stop), buffers[k % 2, : stop - start])
+        return block_normals(seed, component, block, m, domain, (start, stop), buffers[k % lanes, : stop - start])
+
+    if lanes == 1:
+        for k, (start, stop) in enumerate(chunks):
+            yield start, stop, draw(k)
+        return
+    from concurrent.futures.thread import ThreadPoolExecutor  # here, so inline draws never load it
 
     with ThreadPoolExecutor(max_workers=1) as helper:  # starts its thread at the first submit
         ahead = None

@@ -9,20 +9,45 @@ give bitwise identical aggregates.
 
 Each run makes one run_blocks call and therefore starts at most one
 process pool, of at most one process per block; a check that needs
-several grid sizes computes them all inside one block task.  Each block
-task also runs one helper thread that draws the next row chunk's normals
-(ousim.drawn_chunks), so --workers 1 can use two cores; neither the
-processes nor the threads change any result.
+several grid sizes computes them all inside one block task.  A block
+task draws the next row chunk's normals on a helper thread
+(ousim.drawn_chunks) when a core is free for it: on the serial path, so
+--workers 1 can use two cores, and in a pool that leaves a spare core
+per process.  A pool whose processes, twice over, outnumber the usable
+cores draws every chunk inline in its workers: there a helper would
+find no free core and only share a busy one.  Neither the processes nor
+the threads change any result.
+
+The pool class, and with it multiprocessing, loads only when run_blocks
+starts a pool; ProcessPoolExecutor is still a module attribute, read and
+replaceable like any other.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+import sys
 from itertools import repeat
 
 import numpy as np
 
-from .ousim import BLOCK, _check_count
+from .ousim import BLOCK, _check_count, draw_inline
+
+
+def __getattr__(name):
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures.process import ProcessPoolExecutor  # with multiprocessing, about 21 ms of import
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def block_layout(n_paths: int):
@@ -44,5 +69,9 @@ def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
     if workers == 1 or len(blocks) == 1:
         return np.concatenate(list(map(worker, *columns)), axis=0)
     # fork starts every max_workers process at once, so never more than there are blocks
-    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+    processes = min(workers, len(blocks))
+    # a process and its draw-ahead thread need two cores; without them, draw inline
+    initializer = draw_inline if 2 * processes > usable_cores() else None
+    pool_class = sys.modules[__name__].ProcessPoolExecutor  # the module attribute, so a replacement is honoured
+    with pool_class(max_workers=processes, initializer=initializer) as pool:
         return np.concatenate(list(pool.map(worker, *columns)), axis=0)

@@ -8,7 +8,6 @@ applicable), so this file dominates the suite's runtime.
 
 import json
 import math
-import os
 
 import numpy as np
 from scipy.stats import kstest
@@ -42,15 +41,16 @@ from oulab.ousim import (
     standard_normal,
     substream,
 )
-from oulab.parallel import block_layout
+from oulab.parallel import block_layout, usable_cores
 from oulab.reversal import covariation_check, decomposition_verdict
 
 N_FULL = 100_000
 M_FULL = 4096
 KS_FLOOR = 1e-3
 # criterion 11 and the CLI worker-invariance tests pin results bitwise
-# across worker counts, so the Monte Carlo criteria may use two cores
-WORKERS = min(2, os.cpu_count() or 1)
+# across worker counts, so the Monte Carlo criteria may use two cores,
+# counted as run_blocks counts them (the CPU affinity, not the host)
+WORKERS = min(2, usable_cores())
 
 
 def _verdict(num, text):

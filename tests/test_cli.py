@@ -744,3 +744,17 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        # the pool class brings multiprocessing, about 21 ms of import; only a run that starts a pool loads it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys, oulab.cli; pool = ('multiprocessing', 'concurrent.futures.process'); "
+                "print(sorted(m for m in pool if m in sys.modules)); "
+                "argv = ['verify-thm23', '--seed', '5', '--n', '300', '--M', '4096', '--workers', '1']; "
+                "code = oulab.cli.main(argv + ['--out', sys.argv[1]]); "
+                "print(code, sorted(m for m in pool if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "payload.json")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "0 []"]

@@ -472,6 +472,20 @@ class TestDrawnChunks:
             next(chunks)
         assert threading.active_count() == before
 
+    def test_inline_draws_start_no_thread_and_share_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(S, "_draw_ahead", True)  # restored after the test
+        S.draw_inline()
+        assert S._draw_ahead is False
+        normals = S.block_normals(5, 1, 2, 4096)
+        before = threading.active_count()
+        seen = []
+        for start, stop, got in S.drawn_chunks(5, 1, 2, 4096, 100):
+            assert threading.active_count() == before
+            np.testing.assert_array_equal(got, normals[start:stop])
+            seen.append(got)
+        assert len(seen) == 7
+        assert all(np.shares_memory(seen[0], got) for got in seen)
+
     def test_per_path_samplers_start_no_thread(self, monkeypatch):
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
