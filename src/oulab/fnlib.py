@@ -96,38 +96,40 @@ def _dphi_tanh(t, xi, omega=1.0):
 # pair profiles phi(t, xi + h1) - phi(t, xi + h2), h1 and h2 read only t.
 # The smooth ones use an exact identity that subtracts no two profile
 # values, so a shift below the spacing of floats near xi keeps its size.
+# out, when given, receives the result and may be xi itself.
 
 
-def _shift_scaled(factor, x, shift):
-    """(factor * (x + shift), out): x + shift in a new float64 array, scaled in place, as _scaled."""
-    y = np.add(x, shift, dtype=np.float64)
+def _shift_scaled(factor, x, shift, out=None):
+    """(factor * (x + shift), out): x + shift in out or a new float64 array, scaled in place, as _scaled."""
+    y = np.add(x, shift, out=out, dtype=np.float64)
     out = y if isinstance(y, np.ndarray) else None
     return np.multiply(factor, y, out=out), out
 
 
-def _pair_sin(t, xi, h1, h2, omega=1.0):
+def _pair_sin(t, xi, h1, h2, omega=1.0, out=None):
     """2 cos(omega (xi + (h1 + h2)/2)) sin(omega (h1 - h2)/2): one transcendental per state."""
-    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0)
+    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0, out)
     return np.multiply(np.cos(y, out=out), 2.0 * np.sin(omega * (h1 - h2) / 2.0), out=out)
 
 
-def _pair_cos(t, xi, h1, h2, omega=1.0):
+def _pair_cos(t, xi, h1, h2, omega=1.0, out=None):
     """-2 sin(omega (xi + (h1 + h2)/2)) sin(omega (h1 - h2)/2): one transcendental per state."""
-    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0)
+    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0, out)
     return np.multiply(np.sin(y, out=out), -2.0 * np.sin(omega * (h1 - h2) / 2.0), out=out)
 
 
-def _pair_tanh(t, xi, h1, h2, omega=1.0):
+def _pair_tanh(t, xi, h1, h2, omega=1.0, out=None):
     """tanh(omega (h1 - h2)) (1 - tanh(omega (xi + h1)) tanh(omega (xi + h2)))."""
-    y1, out = _shift_scaled(omega, xi, h1)
-    y2, out2 = _shift_scaled(omega, xi, h2)
+    y2, out2 = _shift_scaled(omega, xi, h2)  # before out, which may be xi, is written
+    y1, out = _shift_scaled(omega, xi, h1, out)
     y = np.multiply(np.tanh(y1, out=out), np.tanh(y2, out=out2), out=out)
     return np.multiply(np.subtract(1.0, y, out=out), np.tanh(omega * (h1 - h2)), out=out)
 
 
-def _pair_plain(t, xi, h1, h2, phi):
+def _pair_plain(t, xi, h1, h2, phi, out=None):
     """phi(t, xi + h1) - phi(t, xi + h2) by two evaluations of phi."""
-    return np.asarray(phi(t, xi + h1), dtype=np.float64) - np.asarray(phi(t, xi + h2), dtype=np.float64)
+    return np.subtract(np.asarray(phi(t, xi + h1), dtype=np.float64), np.asarray(phi(t, xi + h2), dtype=np.float64),
+                       out=out)
 
 
 def _phi_sign(t, xi):
@@ -189,11 +191,12 @@ class FunctionDescriptor:
     `norm_inf_A` are certified analytically by the constructor; np.inf
     marks an uncertified descriptor, which the theorem checkers refuse.
     `profile_dx_sup` bounds |d phi / d xi| when the profile is smooth.
-    `profile_pair(t, xi, h1, h2)` is phi(t, xi + h1) - phi(t, xi + h2)
-    for shifts h1, h2 that broadcast against t, the one entry point of
-    the shift functionals; sin, cos and tanh evaluate it by an exact
-    identity free of cancellation, every other profile by two
-    evaluations of phi.  Equality and hashing are by identity.
+    `profile_pair(t, xi, h1, h2, out=None)` is phi(t, xi + h1) -
+    phi(t, xi + h2) for shifts h1, h2 that broadcast against t, the one
+    entry point of the shift functionals; sin, cos and tanh evaluate it
+    by an exact identity free of cancellation, every other profile by two
+    evaluations of phi.  out, a float64 array of the result's shape,
+    receives it and may be xi itself.  Equality and hashing are by identity.
     """
 
     name: str

@@ -49,9 +49,9 @@ result.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +59,8 @@ import numpy as np
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, _norm, shift_difference_norm
-from .ousim import _as_vector, _check_count, _grid, _trapezoid_rows, block_paths_1d, chunk_rows, drawn_chunks, ndtri
+from .ousim import (_as_vector, _check_count, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d,
+                    ndtri, run_lanes)
 from .parallel import run_blocks
 
 CONFIDENCE = 0.999
@@ -213,8 +214,9 @@ class Coordinate:
     Component `component` at rate `rate` on m steps of the window
     [t0, t0 + horizon], started at x0 at time t0: its paths are the
     component's block paths plus the start decay exp(-rate (t - t0)) x0.
-    times() and paths() are the only copies of the window grid and the
-    start decay; the block workers and the CLI's --dump read them here.
+    times() and paths() (through _start_decay) are the only copies of the
+    window grid and the start decay; the block workers and the CLI's
+    --dump read them here.
     """
 
     rate: float
@@ -228,59 +230,69 @@ class Coordinate:
         """The absolute grid times t0 + [0, horizon], m + 1 of them."""
         return self.t0 + _grid(self.m, self.horizon)
 
-    def paths(self, seed, block, rows, normals=None) -> np.ndarray:
+    def paths(self, seed, block, rows, normals=None, out=None, work=None) -> np.ndarray:
         """Rows (start, stop) of the block's paths on the grid, start decay included.
 
-        normals, when given, are those rows' normals already drawn (drawn_chunks).
+        normals, out and work are block_paths_1d's: a block kernel's lane
+        passes the chunk's normals and its workspace.
         """
         z = block_paths_1d(self.rate, self.m, seed, self.component, block, horizon=self.horizon, rows=rows,
-                           normals=normals)
+                           normals=normals, out=out, work=work)
         if self.x0 != 0.0:
-            z += np.exp(-self.rate * _grid(self.m, self.horizon)) * self.x0
+            z += _start_decay(self.rate, self.m, self.horizon, self.x0)
         return z
 
 
-# Each worker samples the first count paths of its block in row chunks
-# (ousim.drawn_chunks) and writes each chunk's per-path values into one
-# preallocated array.  Where a core is free for it (parallel.run_blocks
-# decides), one helper thread per block task draws the next chunk's
-# normals while the worker runs this chunk's recursion, profile and
-# reduction, so a task can use two cores; in a pool that already fills
-# the cores the worker draws each chunk itself.  Every row's draw,
-# recursion, profile evaluation and reduction along the last axis is
-# independent of the thread and of the rows sharing its array, so the
-# values are bitwise those of one single-thread whole-block pass.  A
-# chunk's arrays stay bound until the next chunk replaces them: freeing
-# them inside the chunk (say, behind a helper call) tripled the page
-# faults of a thm23 block at M = 4096.
+@functools.lru_cache(maxsize=8)
+def _start_decay(rate, m, horizon, x0):
+    """exp(-rate tau) x0 on the window grid tau, read-only: computed once, not once per row chunk."""
+    decay = np.exp(-rate * _grid(m, horizon)) * x0
+    decay.setflags(write=False)
+    return decay
+
+
+# Each worker samples the first count paths of its block in row chunks,
+# dealt to up to two lanes (ousim.run_lanes): the caller's thread and,
+# where a core is free for it (parallel.run_blocks decides), one helper
+# thread.  A lane allocates its workspace (ousim._lane_arrays) once per
+# block task; for each of its chunks it draws the normals into it, runs
+# the recursion into its path array, evaluates the profile (the pair
+# profile in place on the paths), reduces through its scan array and
+# writes the chunk's per-path values into the block's one result array.
+# Every row's draw, recursion, profile evaluation and reduction along the
+# last axis is independent of the thread and of the rows sharing its
+# array, so the values are bitwise those of one single-thread
+# whole-block pass.
+
+
+def _chunk_integrals(block, count, seed, coord: Coordinate, b, integrand):
+    """|int integrand(z) dt| |v| for the block's first count paths z, integrand a profile of the paths."""
+    m = coord.m
+    out = np.empty(count)
+
+    def lane(chunks):
+        normals, scan, paths = _lane_arrays(chunks[0][1] - chunks[0][0], m)  # a lane's first chunk is its largest
+        for start, stop in chunks:
+            n = stop - start
+            block_normals(seed, coord.component, block, m, rows=(start, stop), out=normals[:n])
+            z = coord.paths(seed, block, (start, stop), normals[:n], paths[:n], scan)
+            j = _trapezoid_rows(integrand(z), coord.horizon / m, scan[: n * m].reshape(n, m))
+            out[start:stop] = np.abs(j) * b.vector_norm
+
+    run_lanes(count, m, lane)
+    return out
 
 
 def _prop21_block(block, count, seed, coord: Coordinate, b):
     """|int b'(t, xi_t) dt| for one block, xi the coordinate's paths."""
     times = coord.times()
-    scratch = np.empty((min(count, chunk_rows(coord.m)), coord.m))  # rows of the largest chunk
-    out = np.empty(count)
-    with closing(drawn_chunks(seed, coord.component, block, coord.m, count)) as chunks:
-        for start, stop, normals in chunks:
-            z = coord.paths(seed, block, (start, stop), normals)
-            dphi = np.asarray(b.profile_dx(times, z), dtype=np.float64)
-            j = _trapezoid_rows(dphi, coord.horizon / coord.m, scratch[: stop - start])
-            out[start:stop] = np.abs(j) * b.vector_norm
-    return out
+    return _chunk_integrals(block, count, seed, coord, b, lambda z: np.asarray(b.profile_dx(times, z), np.float64))
 
 
 def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals):
     """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for one block, h1_vals and h2_vals at coord.times()."""
     t_abs = coord.times()
-    scratch = np.empty((min(count, chunk_rows(coord.m)), coord.m))
-    out = np.empty(count)
-    with closing(drawn_chunks(seed, coord.component, block, coord.m, count)) as chunks:
-        for start, stop, normals in chunks:
-            z = coord.paths(seed, block, (start, stop), normals)
-            diff = b.profile_pair(t_abs, z, h1_vals, h2_vals)
-            j = _trapezoid_rows(diff, coord.horizon / coord.m, scratch[: stop - start])
-            out[start:stop] = np.abs(j) * b.vector_norm
-    return out
+    return _chunk_integrals(block, count, seed, coord, b, lambda z: b.profile_pair(t_abs, z, h1_vals, h2_vals, out=z))
 
 
 def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):

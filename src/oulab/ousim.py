@@ -31,9 +31,9 @@ per value, so a row cannot start at an offset computed from the rows
 before it; with the row in counter word 1 it starts at a fixed place,
 2^64 counter steps from the next row.  One path therefore costs O(M)
 draws and O(M) memory, and any grouping of a block's rows (whole block,
-row chunks, one path), any thread that draws a row (drawn_chunks draws
-the next chunk on a helper thread, or inline in a pool process that has
-no core to spare for one) and any scheduling of blocks across workers
+row chunks, one path), any thread that draws a row (run_lanes deals a
+block's row chunks to the caller's thread and, where a core is free for
+it, one lane thread) and any scheduling of blocks across workers
 reproduce identical paths.  No generator is built per row: each
 thread keeps one Philox generator and, before every row, replaces its
 whole state with the fresh state of that row (the key and counter
@@ -64,9 +64,9 @@ two are independent.
 
 Importing this module loads constants, errors and numpy, nothing that
 single-path sampling does not call.  ndtri, which only a verdict row
-needs, imports statistics at its first call; drawn_chunks, the block
-kernels' draw-ahead, imports concurrent.futures.thread only when it
-starts a helper thread.
+needs, imports statistics at its first call.  run_lanes, the block
+kernels' second lane, is a plain threading.Thread, so no run loads
+concurrent.futures (with its logging, traceback and queue) for it.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ _CLOCK_LIMIT = 700.0
 # entries in each grid-constant cache of the per-path samplers; a grid is (lam, m, horizon)
 _GRID_CACHE_SIZE = 32
 
-# whether drawn_chunks draws ahead on a helper thread; draw_inline clears it in a pool process
-_draw_ahead = True
+# whether run_lanes runs a second lane on a helper thread; draw_inline clears it in a pool process
+_two_lanes = True
 
 
 def _check_seed(seed):
@@ -199,9 +199,10 @@ def ndtri(p) -> float:
 def chunk_rows(m) -> int:
     """Rows of a block that a block kernel processes at once.
 
-    About 2^16 values (512 KB of float64) per intermediate array, so the
-    arrays of one chunk, and the normals buffers of drawn_chunks, stay in
-    cache: 16 rows at m = 4096, the whole block at m <= 256.
+    About 2^16 values (512 KB of float64) per array of a lane's workspace
+    (_lane_arrays: normals, scan and paths), so the arrays one chunk
+    works on stay in cache: 16 rows at m = 4096, the whole block at
+    m <= 256.
     """
     return min(BLOCK, max(1, 2**16 // int(m)))
 
@@ -215,7 +216,7 @@ def row_chunks(count, m) -> list:
 def _trapezoid_rows(y, dx, out):
     """np.trapezoid(y, dx=dx, axis=-1) of (n, k) y, the same operations in order, through out (n, k-1).
 
-    A block kernel passes rows of one scratch array allocated per block,
+    A block kernel passes a view of its lane's scan array (_lane_arrays),
     so a chunk's reduction allocates only its (n,) result.
     """
     np.add(y[..., 1:], y[..., :-1], out=out)
@@ -260,52 +261,63 @@ def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=
 
 
 def draw_inline():
-    """Make drawn_chunks in this process draw every chunk on the caller's thread.
+    """Make every block task in this process run one lane, on the caller's thread.
 
     The initializer of a process pool (parallel.run_blocks) whose
-    processes leave no core free for a helper thread.
+    processes leave no core free for a second lane.
     """
-    global _draw_ahead
-    _draw_ahead = False
+    global _two_lanes
+    _two_lanes = False
 
 
-def drawn_chunks(seed, component, block, m, count, domain=DOMAIN_PATH):
-    """(start, stop, normals) for each row chunk (row_chunks(count, m)) of rows [0, count) of one block.
+def _lane_arrays(rows, m) -> tuple:
+    """One lane's workspace for row chunks of up to `rows` rows on up to m steps: (normals, scan, paths).
 
-    normals is block_normals(..., rows=(start, stop)), valid until the
-    next chunk is requested.  With several chunks, while the caller works
-    on chunk k, one helper thread draws chunk k + 1 into the other of two
-    buffers allocated here, so the draw, which releases the GIL, runs
-    beside the caller's numpy work; the caller draws the first chunk
-    itself.  A single chunk, or any number in a process where draw_inline
-    ran, is drawn by the caller chunk by chunk into one buffer and starts
-    no thread.  Every row sets its own Philox state on the thread that
-    draws it, so the bits do not depend on which thread that is.  The
-    helper is joined when the iteration ends or is closed, so a caller
-    that may stop early (an exception) iterates inside contextlib.closing
-    and no thread outlives the block call.
+    normals (rows, m) takes a chunk's draw, the flat scan holds the
+    recursion's scan array (_recursion_paths' work) and afterwards serves
+    as scratch for up to rows * m values, and paths (rows, m + 1) takes
+    the chunk's paths.  A block kernel allocates them once per block task
+    and lane, and every chunk of the lane reuses them.
+    """
+    steps = min(SCAN_STEPS, m)
+    return np.empty((rows, m)), np.empty(rows * steps * -(-m // steps)), np.empty((rows, m + 1))
+
+
+def run_lanes(count, m, lane):
+    """Call lane(chunks) on the row chunks (row_chunks(count, m)) of rows [0, count) of one block, in lanes.
+
+    The chunks are dealt round-robin to up to two lanes: the caller's
+    thread takes chunks 0, 2, 4, ... and, where there are two chunks or
+    more and draw_inline has not run in this process, one helper thread
+    takes chunks 1, 3, 5, ...  Each lane draws and computes whole chunks
+    in its own workspace (_lane_arrays) and writes its rows of the
+    block's result, so both cores draw and compute.  Every row sets its
+    own Philox state on the thread that draws it and nothing a row's
+    values read depends on the other rows of its chunk, so the bits do
+    not depend on the lane.  The helper lives only inside this call: it
+    is joined before the call returns or raises, and an exception in
+    either lane leaves the call.
     """
     chunks = row_chunks(count, m)
-    lanes = 2 if _draw_ahead and len(chunks) > 1 else 1
-    buffers = np.empty((lanes, chunks[0][1], m))  # the first chunk has the most rows
-
-    def draw(k):
-        start, stop = chunks[k]
-        return block_normals(seed, component, block, m, domain, (start, stop), buffers[k % lanes, : stop - start])
-
-    if lanes == 1:
-        for k, (start, stop) in enumerate(chunks):
-            yield start, stop, draw(k)
+    if not _two_lanes or len(chunks) == 1:
+        lane(chunks)
         return
-    from concurrent.futures.thread import ThreadPoolExecutor  # here, so inline draws never load it
+    failed = []
 
-    with ThreadPoolExecutor(max_workers=1) as helper:  # starts its thread at the first submit
-        ahead = None
-        for k, (start, stop) in enumerate(chunks):
-            drawn = ahead
-            # chunk k + 1 goes into the buffer of chunk k - 1, which the caller is done with
-            ahead = helper.submit(draw, k + 1) if k + 1 < len(chunks) else None
-            yield start, stop, draw(k) if drawn is None else drawn.result()
+    def helper_lane():
+        try:
+            lane(chunks[1::2])
+        except BaseException as exc:  # raised again on the caller's thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=helper_lane, name="oulab-lane")
+    helper.start()
+    try:
+        lane(chunks[::2])
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass(frozen=True)
@@ -402,7 +414,7 @@ def _step_coefficients(lam, dt) -> tuple:
     return math.exp(-lam * dt), math.sqrt(-math.expm1(-2.0 * lam * dt) / (2.0 * lam))
 
 
-def _recursion_paths(lam, m, normals, horizon):
+def _recursion_paths(lam, m, normals, horizon, out=None, work=None):
     """Z_{k+1} = a Z_k + sigma xi_k along the last axis, Z_0 = 0, by a blocked scan.
 
     Step j of chunk c (L = SCAN_STEPS consecutive steps) sits at t[j, ..., c]
@@ -411,13 +423,18 @@ def _recursion_paths(lam, m, normals, horizon):
     start, which is the loop's own rounding, fl(fl(a Z) + fl(sigma xi)).
     The chunk ends then obey end_c += a^L end_{c-1}, solved by doubling:
     log2(chunks) elementwise steps.  Finally step j of chunk c gains
-    a^(j+1) end_{c-1}.  The last chunk is padded with zeros, which only
-    reach the steps after them.
+    a^(j+1) end_{c-1}; those products go through the output array before
+    the paths are copied into it, so the carry allocates nothing.  The
+    last chunk is padded with zeros, which only reach the steps after
+    them.
 
     lam is one rate, or an array of one rate per row (shape
     normals.shape[:-1]).  Per row, a, sigma and the powers of a become
     (..., 1) columns of the same libm calls and float products, so each
-    row's bits are those of a one-rate call at its rate.
+    row's bits are those of a one-rate call at its rate.  out, a
+    C-contiguous normals.shape[:-1] + (m + 1,) array, receives the paths
+    in place of a new array; work, a flat float array (a lane's scan,
+    _lane_arrays), holds t in place of a new array.
     """
     dt = horizon / m
     lead = normals.shape[:-1]
@@ -430,7 +447,8 @@ def _recursion_paths(lam, m, normals, horizon):
     steps = min(SCAN_STEPS, m)
     full, rem = divmod(m, steps)
     chunks = full + (rem > 0)
-    t = np.empty((steps,) + lead + (chunks,))
+    shape = (steps,) + lead + (chunks,)
+    t = np.empty(shape) if work is None else work[: math.prod(shape)].reshape(shape)
     to_t = (t.ndim - 1,) + tuple(range(t.ndim - 1))  # (..., chunks, steps) axes -> t's (steps, ..., chunks)
     np.multiply(sigma, normals[..., : full * steps].reshape(lead + (full, steps)).transpose(to_t), out=t[..., :full])
     if rem:
@@ -438,6 +456,8 @@ def _recursion_paths(lam, m, normals, horizon):
         t[rem:, ..., full] = 0.0
     for j in range(1, steps):
         t[j] += a * t[j - 1]
+    if out is None:
+        out = np.empty(lead + (m + 1,))
     if chunks > 1:
         powers = [a]  # a^(j+1) for j < L as float products: no libm pow in the bits
         for _ in range(steps - 1):
@@ -447,8 +467,9 @@ def _recursion_paths(lam, m, normals, horizon):
         while shift < chunks:
             ends[..., shift:] += factor * ends[..., :-shift]
             shift, factor = 2 * shift, factor * factor
-        t[:-1, ..., 1:] += np.reshape(powers[:-1], (steps - 1,) + column) * ends[..., :-1]
-    out = np.empty(lead + (m + 1,))
+        carried = ends[..., :-1]  # the products a^(j+1) end_{c-1} go into out, which holds nothing yet
+        gains = out.reshape(-1)[: (steps - 1) * carried.size].reshape((steps - 1,) + carried.shape)
+        t[:-1, ..., 1:] += np.multiply(np.reshape(powers[:-1], (steps - 1,) + column), carried, out=gains)
     out[..., 0] = 0.0
     out[..., 1 : full * steps + 1].reshape(lead + (full, steps)).transpose(to_t)[...] = t[..., :full]
     if rem:
@@ -457,11 +478,12 @@ def _recursion_paths(lam, m, normals, horizon):
 
 
 def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PATH, rows=None,
-                   normals=None) -> np.ndarray:
+                   normals=None, out=None, work=None) -> np.ndarray:
     """Paths [start, stop) of one block as a (stop - start, m+1) array; rows defaults to all BLOCK paths.
 
     normals, when given, are those rows' block_normals already drawn (a
-    block kernel passes drawn_chunks' buffers) and replace the draw.
+    block kernel's lane draws them into its workspace) and replace the
+    draw; out and work are _recursion_paths' (the lane's paths and scan).
     """
     lam = _check_rate(lam)
     times = _grid(m, horizon)  # validates m and horizon
@@ -471,7 +493,7 @@ def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PA
         start, stop = _row_range(rows)
         if normals.shape != (stop - start, m):
             raise DomainError(f"normals must have shape ({stop - start}, {m}), got {normals.shape}")
-    return _recursion_paths(lam, m, normals, float(times[-1]))
+    return _recursion_paths(lam, m, normals, float(times[-1]), out, work)
 
 
 def sample_path_1d(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:

@@ -10,13 +10,14 @@ give bitwise identical aggregates.
 Each run makes one run_blocks call and therefore starts at most one
 process pool, of at most one process per block; a check that needs
 several grid sizes computes them all inside one block task.  A block
-task draws the next row chunk's normals on a helper thread
-(ousim.drawn_chunks) when a core is free for it: on the serial path, so
---workers 1 can use two cores, and in a pool that leaves a spare core
-per process.  A pool whose processes, twice over, outnumber the usable
-cores draws every chunk inline in its workers: there a helper would
-find no free core and only share a busy one.  Neither the processes nor
-the threads change any result.
+task deals its row chunks to two lanes (ousim.run_lanes), the caller
+and one lane thread, each drawing and computing whole chunks, when a
+core is free for the second: on the serial path, so --workers 1 can use
+two cores, and in a pool that leaves a spare core per process.  A pool
+whose processes, twice over, outnumber the usable cores runs one lane
+in its workers (ousim.draw_inline): there a second lane would find no
+free core and only share a busy one.  Neither the processes nor the
+threads change any result.
 
 The pool class, and with it multiprocessing, loads only when run_blocks
 starts a pool; ProcessPoolExecutor is still a module attribute, read and
@@ -70,7 +71,7 @@ def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
         return np.concatenate(list(map(worker, *columns)), axis=0)
     # fork starts every max_workers process at once, so never more than there are blocks
     processes = min(workers, len(blocks))
-    # a process and its draw-ahead thread need two cores; without them, draw inline
+    # a process and its lane thread need two cores; without them, run one lane
     initializer = draw_inline if 2 * processes > usable_cores() else None
     pool_class = sys.modules[__name__].ProcessPoolExecutor  # the module attribute, so a replacement is honoured
     with pool_class(max_workers=processes, initializer=initializer) as pool:

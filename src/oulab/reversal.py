@@ -37,14 +37,14 @@ reports store the signed amplitude scaled by |vector|.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .fnlib import FunctionDescriptor
-from .ousim import PathGrid, _check_count, _check_rate, _grid, _trapezoid_rows, block_paths_1d, chunk_rows, drawn_chunks
+from .ousim import (PathGrid, _check_count, _check_rate, _grid, _lane_arrays, _trapezoid_rows, block_normals,
+                    block_paths_1d, run_lanes)
 from .parallel import run_blocks
 
 EPS_PIN = 1e-9
@@ -154,6 +154,7 @@ def _split_arrays(b: FunctionDescriptor, times, values, weights, scratch=None):
     """Per-path signed amplitudes of (lhs, covariation, i1, i2, i3).
 
     values: (n, m+1); weights: _split_weights(lam, times); scratch:
+    three work arrays of at least n rows and m columns, such as
     _split_scratch(rows, m) with rows >= n, allocated here when None.
     Returns (n, 5).  Every elementwise step writes into the scratch; the
     profiles' arrays are only read, as a profile may return a view of
@@ -220,21 +221,32 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
 def _covariation_levels(block, count, seed, lam, m_list, b):
     """The split of the block's first count paths at every M of m_list: (count, len(m_list), 5).
 
-    Row chunks (ousim.drawn_chunks) are drawn once, at the finest M, and
-    level M reads the first M normals of each row, bitwise its own draw
-    (see covariation_check); one scratch sized for the finest level
-    serves every level.
+    Row chunks are dealt to up to two lanes (ousim.run_lanes).  A lane
+    draws each chunk once, at the finest M, into its workspace
+    (ousim._lane_arrays), and level M reads the first M normals of each
+    row, bitwise its own draw (see covariation_check); the lane's path
+    and scan arrays and the split's work arrays, all sized for the
+    finest level, serve every level.
     """
     grids = [_grid(m, 1.0) for m in m_list]
     weights = [_split_weights(lam, times) for times in grids]
     m_max = m_list[-1]
-    scratch = _split_scratch(min(count, chunk_rows(m_max)), m_max)  # rows of the largest chunk
     out = np.empty((count, len(m_list), 5))
-    with closing(drawn_chunks(seed, b.direction, block, m_max, count)) as chunks:
-        for start, stop, normals in chunks:
+
+    def lane(chunks):
+        rows = chunks[0][1] - chunks[0][0]  # a lane's first chunk is its largest
+        normals, scan, paths = _lane_arrays(rows, m_max)
+        # the split's third work array is the scan's, free again once a level's paths are computed
+        scratch = (*np.empty((2, rows, m_max + 1)), scan[: rows * m_max].reshape(rows, m_max))
+        for start, stop in chunks:
+            n = stop - start
+            block_normals(seed, b.direction, block, m_max, rows=(start, stop), out=normals[:n])
             for k, m in enumerate(m_list):
-                values = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop), normals=normals[:, :m])
+                values = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop), normals=normals[:n, :m],
+                                        out=paths.ravel()[: n * (m + 1)].reshape(n, m + 1), work=scan)
                 out[start:stop, k] = _split_arrays(b, grids[k], values, weights[k], scratch)
+
+    run_lanes(count, m_max, lane)
     return out
 
 

@@ -76,7 +76,7 @@ def test_import_binds_ousim():
 # pool, the CLI and the standard library they bring
 UNUSED_BY_PATH_SAMPLING = (
     "oulab.functionals", "oulab.fnlib", "oulab.reversal", "oulab.parallel", "oulab.cli",
-    "multiprocessing", "concurrent.futures", "statistics", "decimal",
+    "multiprocessing", "concurrent.futures", "logging", "statistics", "decimal",
 )
 
 

@@ -746,10 +746,13 @@ class TestImport:
         assert done.stdout.strip() == "[]"
 
     def test_serial_run_loads_no_process_pool(self, tmp_path):
-        # the pool class brings multiprocessing, about 21 ms of import; only a run that starts a pool loads it
+        # the pool class brings multiprocessing, about 21 ms of import; only a run that starts a pool loads it.
+        # The lane thread is a threading.Thread, so concurrent.futures, with its logging (about 8.5 ms of
+        # import with traceback and queue), stays unloaded too.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        code = ("import sys, oulab.cli; pool = ('multiprocessing', 'concurrent.futures.process'); "
+        code = ("import sys, oulab.cli; "
+                "pool = ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process', 'logging'); "
                 "print(sorted(m for m in pool if m in sys.modules)); "
                 "argv = ['verify-thm23', '--seed', '5', '--n', '300', '--M', '4096', '--workers', '1']; "
                 "code = oulab.cli.main(argv + ['--out', sys.argv[1]]); "

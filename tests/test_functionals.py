@@ -35,6 +35,7 @@ from oulab.functionals import (
     judge,
     moment_bound,
 )
+from oulab import ousim
 from oulab.ousim import block_paths_1d, sample_hilbert, standard_normal, substream
 from oulab.parallel import block_layout, run_blocks
 
@@ -717,10 +718,16 @@ class TestChunkedBlocksMatchWholeBlock:
 DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
 
 
+def _lanes(monkeypatch, two):
+    """Let run_lanes deal a block's chunks to two lanes, or keep them all on the caller's thread."""
+    monkeypatch.setattr(ousim, "_two_lanes", two)
+
+
 class TestDrawAheadKernels:
-    """Each kernel draws chunk k + 1 on a helper thread while it works on
-    chunk k; its values must equal the single-thread whole-block formula
-    bitwise, and no thread may outlive the call."""
+    """Each kernel deals its row chunks to two lanes (ousim.run_lanes),
+    each drawing and computing whole chunks in its own workspace; its
+    values must equal the single-thread whole-block formula bitwise, and
+    no thread may outlive the call."""
 
     B = make_b_weighted((1.0, 4.0), profile="sin", direction=1)
 
@@ -752,11 +759,11 @@ class TestDrawAheadKernels:
         calls = []
 
         def fail_on_the_third_chunk(real):
-            def profile(*args):
+            def profile(*args, **kwargs):
                 calls.append(None)
                 if len(calls) % 3 == 0:
                     raise FloatingPointError("profile failed mid-block")
-                return real(*args)
+                return real(*args, **kwargs)
 
             return profile
 
@@ -772,3 +779,98 @@ class TestDrawAheadKernels:
             else:
                 assert b is not failing
             assert threading.active_count() == before, kernel.__name__
+
+
+class TestLanes:
+    """One lane against two, bitwise, and the lane thread's lifetime.
+
+    M = 4097, 1000 and 33 are not multiples of ousim.SCAN_STEPS, so the
+    scan's padded last chunk and the remainder of the carry run in the
+    lanes' workspaces.
+    """
+
+    B = make_b_weighted((1.0, 4.0), profile="sin", direction=1)
+    TANH = make_b_weighted((1.0, 4.0), profile="tanh", direction=1, omega=2.5)
+    MS = [4096, 4097, 1000, 33]
+
+    @pytest.mark.parametrize("m", MS)
+    def test_prop21_block_one_lane_is_two(self, monkeypatch, m):
+        coord = FN.Coordinate(4.0, m, 1)
+        for count in DRAW_AHEAD_COUNTS:
+            runs = []
+            for two in (False, True):
+                _lanes(monkeypatch, two)
+                runs.append(FN._prop21_block(3, count, 61, coord, self.B))
+            np.testing.assert_array_equal(runs[0], runs[1], err_msg=f"count={count}")
+
+    @pytest.mark.parametrize("m", MS)
+    def test_shifted_pair_block_one_lane_is_two(self, monkeypatch, m):
+        coord = FN.Coordinate(4.0, m, 1, 0.5, 0.25, -0.4)
+        tau = np.linspace(0.0, 0.5, m + 1)
+        h1, h2 = np.sin(np.pi * (0.25 + tau)), np.full(m + 1, 0.2)
+        for b in (self.B, self.TANH):
+            for count in DRAW_AHEAD_COUNTS:
+                runs = []
+                for two in (False, True):
+                    _lanes(monkeypatch, two)
+                    runs.append(FN._shifted_pair_block(2, count, 67, coord, b, h1, h2))
+                np.testing.assert_array_equal(runs[0], runs[1], err_msg=f"{b.name} count={count}")
+
+    @pytest.mark.parametrize("lane", ["caller", "helper"])
+    def test_a_profile_failing_in_either_lane_leaves_the_block_call(self, lane):
+        coord = FN.Coordinate(4.0, 4096, 1)
+        main = threading.main_thread()
+        before = threading.active_count()
+        seen = []
+
+        def profile_dx(t, z):
+            seen.append(threading.active_count())
+            if (threading.current_thread() is main) == (lane == "caller"):
+                raise FloatingPointError(f"profile failed in the {lane} lane")
+            return self.B.profile_dx(t, z)
+
+        with pytest.raises(FloatingPointError, match=lane):
+            FN._prop21_block(0, 256, 3, coord, dataclasses.replace(self.B, profile_dx=profile_dx))
+        assert threading.active_count() == before
+        assert before + 1 in seen  # the lane thread ran beside the caller, and only inside the call
+
+
+class TestStartDecay:
+    """The start decay exp(-rate tau) x0 of an --x0 run is computed once, not once per row chunk, and the
+    paths are still the block paths plus that decay, bitwise."""
+
+    LAM = (1.0, 4.0)
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, direction=1), seed=23,
+                          m=4096, n_paths=300)
+
+    def _values(self, coord, h1, h2):
+        tau = np.linspace(0.0, coord.horizon, coord.m + 1)
+        z = np.concatenate([block_paths_1d(coord.rate, coord.m, 23, 1, block, horizon=coord.horizon)
+                            for block in (0, 1)])[:300] + np.exp(-coord.rate * tau) * coord.x0
+        b = self.SPEC.b
+        diff = np.cos(z + (h1 + h2) / 2.0) * (2.0 * np.sin((h1 - h2) / 2.0))  # sin at omega = 1
+        return np.abs(np.trapezoid(diff, dx=coord.horizon / coord.m, axis=-1)) * b.vector_norm
+
+    def test_concentration_and_moments_with_x0(self, monkeypatch):
+        h1, zero = make_h(self.LAM, {1: "sin_pi_t"}), zero_shift(self.LAM)
+        sampled = []
+
+        def recorded(*args, real=FN.run_blocks):
+            sampled.append(real(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr(FN, "run_blocks", recorded)
+        for two in (True, False):
+            _lanes(monkeypatch, two)
+            FN._start_decay.cache_clear()
+            FN.concentration_tail(self.SPEC, h1, zero, (0.5, 1.0), r=0.25, u=0.75, x0=(0.3, -0.2))
+            FN.moment_bound(self.SPEC, (0.0, 0.2), (0.0, -0.1), (1, 2), u=0.5, x0=(0.1, 0.4))
+            if not two:  # one lane: two coordinates, each decay computed once for 16 + 3 chunks
+                assert FN._start_decay.cache_info()[:2] == (2 * 18, 2)
+        conc = FN.Coordinate(4.0, 4096, 1, 0.5, 0.25, -0.2)
+        tau = np.linspace(0.0, 0.5, 4097)
+        mom = FN.Coordinate(4.0, 4096, 1, 0.5, 0.0, 0.4)
+        wants = (self._values(conc, np.sin(np.pi * (0.25 + tau)), np.zeros(4097)),
+                 self._values(mom, np.full(4097, 0.2), np.full(4097, -0.1)))
+        for got, want in zip(sampled, wants * 2):
+            np.testing.assert_array_equal(got, want)

@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -258,6 +257,23 @@ class TestRecursionSampler:
         grid = S._recursion_paths(rates[:, None], m, normals[:, None, :], horizon)
         np.testing.assert_array_equal(grid[:, 0], per_row)
 
+    @pytest.mark.parametrize("m", [2, 31, 32, 33, 1000, 4096, 4097])
+    def test_workspace_scan_is_the_allocating_scan(self, m):
+        # a lane's workspace is sized for its largest chunk and reused by smaller ones, so the scan runs on
+        # a prefix of it: after a larger scan, with stale values in it, the bits must stay the allocating call's
+        normals, scan, paths = S._lane_arrays(16, m)
+        normals[...] = np.random.default_rng(m).standard_normal((16, m))
+        for rows in (16, 15, 1):
+            want = S._recursion_paths(0.8, m, normals[:rows].copy(), 0.5)
+            got = S._recursion_paths(0.8, m, normals[:rows], 0.5, out=paths[:rows], work=scan)
+            assert np.shares_memory(got, paths)
+            np.testing.assert_array_equal(got, want)
+            rates = np.linspace(0.1, 30.0, rows)
+            np.testing.assert_array_equal(S._recursion_paths(rates, m, normals[:rows], 0.5, paths[:rows], scan),
+                                          S._recursion_paths(rates, m, normals[:rows], 0.5))
+        got = S.block_paths_1d(0.8, m, 5, 0, 3, rows=(16, 31), out=paths[:15], work=scan)
+        np.testing.assert_array_equal(got, S.block_paths_1d(0.8, m, 5, 0, 3, rows=(16, 31)))
+
     def test_row_slice_identity(self):
         # sampling one path must be a row of its block, bitwise
         for path in (0, 5, 255, 256, 700):
@@ -451,40 +467,66 @@ DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
 
 
 class TestDrawnChunks:
+    """Row chunks as run_lanes deals them: round-robin to the caller's
+    thread and one lane thread, each drawing into its own workspace."""
+
+    @staticmethod
+    def _drawn(m, count, component=1):
+        """(start, stop, normals, thread) of every chunk, each drawn by its lane as a block kernel draws it."""
+        seen = []
+
+        def lane(chunks):
+            normals = S._lane_arrays(chunks[0][1] - chunks[0][0], m)[0]
+            for start, stop in chunks:
+                got = S.block_normals(5, component, 2, m, rows=(start, stop), out=normals[: stop - start])
+                seen.append((start, stop, got.copy(), threading.current_thread()))
+
+        S.run_lanes(count, m, lane)
+        return sorted(seen, key=lambda chunk: chunk[0])
+
     @pytest.mark.parametrize("m", [4096, 1000, 33])
     def test_chunks_are_the_rows_of_the_block_draw(self, m):
         normals = S.block_normals(5, 1, 2, m)
+        main = threading.main_thread()
         for count in DRAW_AHEAD_COUNTS:
-            seen = []
-            with closing(S.drawn_chunks(5, 1, 2, m, count)) as chunks:
-                for start, stop, got in chunks:
-                    np.testing.assert_array_equal(got, normals[start:stop])
-                    seen.append((start, stop))
-            assert seen == S.row_chunks(count, m)
+            seen = self._drawn(m, count)
+            assert [(start, stop) for start, stop, _, _ in seen] == S.row_chunks(count, m)
+            for k, (start, stop, got, thread) in enumerate(seen):
+                np.testing.assert_array_equal(got, normals[start:stop])
+                assert (thread is main) == (k % 2 == 0)  # dealt round-robin, the caller first
 
     def test_the_helper_thread_lives_only_inside_the_iteration(self):
         before = threading.active_count()
-        assert [threading.active_count() for _ in S.drawn_chunks(5, 0, 0, 4096, 16)] == [before]  # one chunk
-        assert [threading.active_count() for _ in S.drawn_chunks(5, 0, 0, 4096, 64)] == [before + 1] * 4
+        counts = []
+        S.run_lanes(16, 4096, lambda chunks: counts.append(threading.active_count()))  # one chunk: no thread
+        assert counts == [before]
+        counts.clear()
+        S.run_lanes(64, 4096, lambda chunks: counts.append((len(chunks), threading.active_count())))
+        # two lanes of two chunks; the lane thread counts itself (the caller's lane may run after it ended)
+        assert [n for n, _ in counts] == [2, 2] and max(active for _, active in counts) == before + 1
         assert threading.active_count() == before
-        # closed after the first chunk, while the helper draws the second
-        with closing(S.drawn_chunks(5, 0, 0, 4096, 256)) as chunks:
-            next(chunks)
-        assert threading.active_count() == before
+        main = threading.main_thread()
+        for failing in ("caller", "helper"):
+            def lane(chunks):
+                if (threading.current_thread() is main) == (failing == "caller"):
+                    raise FloatingPointError(failing)
+
+            with pytest.raises(FloatingPointError, match=failing):
+                S.run_lanes(256, 4096, lane)
+            assert threading.active_count() == before
 
     def test_inline_draws_start_no_thread_and_share_one_buffer(self, monkeypatch):
-        monkeypatch.setattr(S, "_draw_ahead", True)  # restored after the test
+        monkeypatch.setattr(S, "_two_lanes", True)  # restored after the test
         S.draw_inline()
-        assert S._draw_ahead is False
-        normals = S.block_normals(5, 1, 2, 4096)
+        assert S._two_lanes is False
         before = threading.active_count()
-        seen = []
-        for start, stop, got in S.drawn_chunks(5, 1, 2, 4096, 100):
-            assert threading.active_count() == before
+        lanes = []
+        S.run_lanes(100, 4096, lambda chunks: lanes.append((chunks, threading.active_count())))
+        assert lanes == [(S.row_chunks(100, 4096), before)]  # one lane with all 7 chunks, on the caller's thread
+        normals = S.block_normals(5, 1, 2, 4096)
+        for start, stop, got, thread in self._drawn(4096, 100):
+            assert thread is threading.main_thread()
             np.testing.assert_array_equal(got, normals[start:stop])
-            seen.append(got)
-        assert len(seen) == 7
-        assert all(np.shares_memory(seen[0], got) for got in seen)
 
     def test_per_path_samplers_start_no_thread(self, monkeypatch):
         def refuse(thread):

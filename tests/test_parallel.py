@@ -1,8 +1,9 @@
-"""The draw-ahead rule of parallel.run_blocks, and its lazy pool class.
+"""The two-lane rule of parallel.run_blocks, and its lazy pool class.
 
 A pool whose processes, twice over, outnumber the usable cores has its
-workers draw every row chunk inline; the serial path and a pool with a
-spare core per process keep the draw-ahead helper thread.  The tests
+workers run one lane, drawing and computing every row chunk inline; the
+serial path and a pool with a spare core per process deal a block's
+chunks to two lanes, the caller and one lane thread.  The tests
 replace parallel.usable_cores, the count run_blocks reads, to run both
 sides on any machine, and pin that the payload bits do not depend on the
 side or on --workers.
@@ -22,23 +23,24 @@ import oulab.cli as cli
 import oulab.parallel as parallel
 from oulab import ousim
 
-M = 4096  # 16-row chunks: a whole block has 16, so a helper thread would start
+M = 4096  # 16-row chunks: a whole block has 16, so a lane thread would start
 
 
 def _helper_threads(block, count):
-    """Per path: the threads this process ran beyond its own while iterating the block's chunks."""
+    """Per path: the threads this process ran beyond its own while its lanes ran the block's chunks."""
     before = threading.active_count()
-    peak = max(threading.active_count() for _ in ousim.drawn_chunks(7, 0, block, M, count))
-    return np.full(count, peak - before)
+    seen = []
+    ousim.run_lanes(count, M, lambda chunks: seen.append(threading.active_count()))  # a lane thread counts itself
+    return np.full(count, max(seen) - before)
 
 
 class TestDrawAheadRule:
     @pytest.mark.parametrize(("workers", "cores", "helpers"), [
-        (1, 1, 1),  # the serial path keeps the helper, whatever the cores
-        (2, 2, 0),  # two processes fill two cores: draw inline
+        (1, 1, 1),  # the serial path keeps two lanes, whatever the cores
+        (2, 2, 0),  # two processes fill two cores: one lane
         (3, 3, 0),  # three processes (three blocks) on three cores
         (2, 3, 0),  # one core spare, not one per process
-        (2, 4, 1),  # a spare core per process: keep the helper
+        (2, 4, 1),  # a spare core per process: two lanes
         (8, 6, 1),  # processes are capped at the three blocks
     ])
     def test_threads_in_block_tasks(self, monkeypatch, workers, cores, helpers):

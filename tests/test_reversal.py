@@ -11,6 +11,7 @@ from scipy.integrate import quad
 import oulab.reversal as R
 from oulab.errors import DomainError
 from oulab.fnlib import make_b_weighted, raw_profile_b
+from oulab import ousim
 from oulab.ousim import PathStream, block_paths_1d, sample_path_1d
 
 # c(1, 0) = 1 - 2/(1 - e^(-2)), 50-digit evaluation
@@ -299,6 +300,17 @@ class TestSharedDraw:
                 for k, m in enumerate(self.M_LIST):
                     want = _reference_split(b, grids[k], wholes[k][:count], weights[k])
                     np.testing.assert_array_equal(got[:, k], want, err_msg=f"{b.name} count={count} m={m}")
+
+    @pytest.mark.parametrize("m_list", [[33, 1000, 4097], [256, 1024, 4096]])
+    def test_one_lane_is_two(self, monkeypatch, m_list):
+        # M = 33, 1000 and 4097 leave a partial scan chunk; the coarser levels read prefixes of a lane's normals
+        b = make_b_weighted([2.0], profile="sin", omega=1.7)
+        for count in (1, 15, 16, 17, 100, 256):
+            runs = []
+            for two in (False, True):
+                monkeypatch.setattr(ousim, "_two_lanes", two)
+                runs.append(R._covariation_levels(2, count, 61, 2.0, m_list, b))
+            np.testing.assert_array_equal(runs[0], runs[1], err_msg=f"count={count}")
 
     def test_no_thread_outlives_a_block_task(self):
         b = make_b_weighted([2.0], profile="sin")
