@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,9 +57,19 @@ SHIFT_SUP_GRID = 4097  # 2^12 intervals, endpoints included, hits t = 1/2 exactl
 def _scaled(factor, x):
     """(factor * x, out): factor * x in a new float64 array, which a profile
     then finishes in place through out=; a scalar x gives a numpy scalar
-    and out=None, so a scalar state still returns a scalar."""
-    y = factor * np.asarray(x, dtype=np.float64)
+    and out=None, so a scalar state still returns a scalar.  At factor
+    1.0 the multiply, exact for every float64, is skipped: x comes back
+    with out=None, and the profile's first ufunc allocates its result."""
+    x = np.asarray(x, dtype=np.float64)
+    if factor == 1.0:
+        return x, None
+    y = factor * x
     return y, (y if isinstance(y, np.ndarray) else None)
+
+
+def _times(factor, y):
+    """factor * y, in place where y is an array; factor 1.0 returns y, as multiplying would to the bit."""
+    return y if factor == 1.0 else np.multiply(factor, y, out=y if isinstance(y, np.ndarray) else None)
 
 
 def _phi_sin(t, xi, omega=1.0):
@@ -69,7 +79,7 @@ def _phi_sin(t, xi, omega=1.0):
 
 def _dphi_sin(t, xi, omega=1.0):
     y, out = _scaled(omega, xi)
-    return np.multiply(omega, np.cos(y, out=out), out=out)
+    return _times(omega, np.cos(y, out=out))
 
 
 def _phi_cos(t, xi, omega=1.0):
@@ -79,7 +89,7 @@ def _phi_cos(t, xi, omega=1.0):
 
 def _dphi_cos(t, xi, omega=1.0):
     y, out = _scaled(omega, xi)
-    return np.multiply(-omega, np.sin(y, out=out), out=out)
+    return _times(-omega, np.sin(y, out=out))
 
 
 def _phi_tanh(t, xi, omega=1.0):
@@ -90,46 +100,59 @@ def _phi_tanh(t, xi, omega=1.0):
 def _dphi_tanh(t, xi, omega=1.0):
     y, out = _scaled(omega, xi)
     y = np.tanh(y, out=out)
-    return np.multiply(omega, np.subtract(1.0, np.multiply(y, y, out=out), out=out), out=out)
+    out = y if isinstance(y, np.ndarray) else None
+    return _times(omega, np.subtract(1.0, np.multiply(y, y, out=out), out=out))
 
 
-# pair profiles phi(t, xi + h1) - phi(t, xi + h2), h1 and h2 read only t.
-# The smooth ones use an exact identity that subtracts no two profile
-# values, so a shift below the spacing of floats near xi keeps its size.
-# out, when given, receives the result and may be xi itself.
+# pair profiles: pair(t, h1, h2) computes the factors that read only the
+# shifts once and returns apply(xi, out=None) = phi(t, xi + h1) -
+# phi(t, xi + h2), h1 and h2 reading only t.  The smooth ones use an exact
+# identity that subtracts no two profile values, so a shift below the
+# spacing of floats near xi keeps its size.  out, when given, receives the
+# result and may be xi itself.
 
 
 def _shift_scaled(factor, x, shift, out=None):
     """(factor * (x + shift), out): x + shift in out or a new float64 array, scaled in place, as _scaled."""
     y = np.add(x, shift, out=out, dtype=np.float64)
     out = y if isinstance(y, np.ndarray) else None
-    return np.multiply(factor, y, out=out), out
+    return _times(factor, y), out
 
 
-def _pair_sin(t, xi, h1, h2, omega=1.0, out=None):
-    """2 cos(omega (xi + (h1 + h2)/2)) sin(omega (h1 - h2)/2): one transcendental per state."""
-    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0, out)
-    return np.multiply(np.cos(y, out=out), 2.0 * np.sin(omega * (h1 - h2) / 2.0), out=out)
+def _pair_sum_to_product(t, h1, h2, omega=1.0, outer=np.cos, scale=2.0):
+    """scale sin(omega (h1 - h2)/2) outer(omega (xi + (h1 + h2)/2)): one transcendental per state.
+
+    sin's identity has outer = cos and scale = 2, cos's outer = sin and scale = -2.
+    """
+    mid, factor = (h1 + h2) / 2.0, scale * np.sin(omega * (h1 - h2) / 2.0)
+
+    def apply(xi, out=None):
+        y, out = _shift_scaled(omega, xi, mid, out)
+        return np.multiply(outer(y, out=out), factor, out=out)
+
+    return apply
 
 
-def _pair_cos(t, xi, h1, h2, omega=1.0, out=None):
-    """-2 sin(omega (xi + (h1 + h2)/2)) sin(omega (h1 - h2)/2): one transcendental per state."""
-    y, out = _shift_scaled(omega, xi, (h1 + h2) / 2.0, out)
-    return np.multiply(np.sin(y, out=out), -2.0 * np.sin(omega * (h1 - h2) / 2.0), out=out)
-
-
-def _pair_tanh(t, xi, h1, h2, omega=1.0, out=None):
+def _pair_tanh(t, h1, h2, omega=1.0):
     """tanh(omega (h1 - h2)) (1 - tanh(omega (xi + h1)) tanh(omega (xi + h2)))."""
-    y2, out2 = _shift_scaled(omega, xi, h2)  # before out, which may be xi, is written
-    y1, out = _shift_scaled(omega, xi, h1, out)
-    y = np.multiply(np.tanh(y1, out=out), np.tanh(y2, out=out2), out=out)
-    return np.multiply(np.subtract(1.0, y, out=out), np.tanh(omega * (h1 - h2)), out=out)
+    factor = np.tanh(omega * (h1 - h2))
+
+    def apply(xi, out=None):
+        y2, out2 = _shift_scaled(omega, xi, h2)  # before out, which may be xi, is written
+        y1, out = _shift_scaled(omega, xi, h1, out)
+        y = np.multiply(np.tanh(y1, out=out), np.tanh(y2, out=out2), out=out)
+        return np.multiply(np.subtract(1.0, y, out=out), factor, out=out)
+
+    return apply
 
 
-def _pair_plain(t, xi, h1, h2, phi, out=None):
+def _pair_plain(t, h1, h2, phi):
     """phi(t, xi + h1) - phi(t, xi + h2) by two evaluations of phi."""
-    return np.subtract(np.asarray(phi(t, xi + h1), dtype=np.float64), np.asarray(phi(t, xi + h2), dtype=np.float64),
-                       out=out)
+    def apply(xi, out=None):
+        return np.subtract(np.asarray(phi(t, xi + h1), dtype=np.float64),
+                           np.asarray(phi(t, xi + h2), dtype=np.float64), out=out)
+
+    return apply
 
 
 def _phi_sign(t, xi):
@@ -152,10 +175,10 @@ def _phi_time_sin(t, xi):
 
 
 # name -> (phi, dphi or None, sup |dphi/dxi| at omega = 1 or None, sup |phi|, whether phi reads omega * xi,
-#          the pair profile phi(t, xi + h1) - phi(t, xi + h2), taking omega where phi does)
+#          the pair profile's pair(t, h1, h2), taking omega where phi does)
 _PROFILES = {
-    "sin": (_phi_sin, _dphi_sin, 1.0, 1.0, True, _pair_sin),
-    "cos": (_phi_cos, _dphi_cos, 1.0, 1.0, True, _pair_cos),
+    "sin": (_phi_sin, _dphi_sin, 1.0, 1.0, True, _pair_sum_to_product),
+    "cos": (_phi_cos, _dphi_cos, 1.0, 1.0, True, partial(_pair_sum_to_product, outer=np.sin, scale=-2.0)),
     "tanh": (_phi_tanh, _dphi_tanh, 1.0, 1.0, True, _pair_tanh),
     "sign": (_phi_sign, None, None, 1.0, False, partial(_pair_plain, phi=_phi_sign)),
     "one": (_phi_one, _phi_zero, 0.0, 1.0, False, partial(_pair_plain, phi=_phi_one)),
@@ -191,25 +214,28 @@ class FunctionDescriptor:
     `norm_inf_A` are certified analytically by the constructor; np.inf
     marks an uncertified descriptor, which the theorem checkers refuse.
     `profile_dx_sup` bounds |d phi / d xi| when the profile is smooth.
-    `profile_pair(t, xi, h1, h2, out=None)` is phi(t, xi + h1) -
-    phi(t, xi + h2) for shifts h1, h2 that broadcast against t, the one
-    entry point of the shift functionals; sin, cos and tanh evaluate it
-    by an exact identity free of cancellation, every other profile by two
-    evaluations of phi.  out, a float64 array of the result's shape,
-    receives it and may be xi itself.  Equality and hashing are by identity.
+    `pair(t, h1, h2)` prepares the pair profile for shifts h1, h2 that
+    broadcast against t, the one entry point of the shift functionals:
+    it computes the factors that read only the shifts once and returns
+    apply(xi, out=None) = phi(t, xi + h1) - phi(t, xi + h2).  sin, cos
+    and tanh evaluate it by an exact identity free of cancellation, every
+    other profile by two evaluations of phi.  out, a float64 array of the
+    result's shape, receives it and may be xi itself.  `vector_norm` is
+    computed at its first use and kept.  Equality and hashing are by
+    identity.
     """
 
     name: str
     profile: object
     profile_dx: object
-    profile_pair: object
+    pair: object
     vector: np.ndarray
     direction: int
     norm_inf: float
     norm_inf_A: float
     profile_dx_sup: object = None
 
-    @property
+    @cached_property
     def vector_norm(self) -> float:
         return _norm(self.vector)
 
@@ -257,7 +283,7 @@ def _certified(name, profile, omega, vector, weights, coefficients, direction) -
         name=name,
         profile=phi,
         profile_dx=dphi,
-        profile_pair=pair,
+        pair=pair,
         vector=vector,
         direction=direction,
         norm_inf=sup * _norm(vector),
@@ -311,7 +337,7 @@ def raw_profile_b(profile, profile_dx, vector, direction=0, name="raw") -> Funct
         name=name,
         profile=profile,
         profile_dx=profile_dx,
-        profile_pair=partial(_pair_plain, phi=profile),
+        pair=partial(_pair_plain, phi=profile),
         vector=v,
         direction=direction,
         norm_inf=math.inf,
@@ -499,7 +525,7 @@ def window_rescaled_b(b: FunctionDescriptor, r: float, u: float) -> FunctionDesc
         name=f"{b.name}:window={r:g}..{u:g}",
         profile=phi,
         profile_dx=dphi,
-        profile_pair=partial(_pair_plain, phi=phi),
+        pair=partial(_pair_plain, phi=phi),
         vector=b.vector,
         direction=b.direction,
         norm_inf=b.norm_inf,

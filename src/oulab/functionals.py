@@ -14,7 +14,7 @@ with S = |int_0^1 b'(t, Z_t) dt| for prop21 and
 S = |int_r^u b(s, Z_s + h1(s)) - b(s, Z_s + h2(s)) ds| for the others.
 Both are trapezoid sums on the coordinate's grid (ousim._trapezoid_rows).
 The shift functionals integrate b's pair profile, phi(t, xi + h1) -
-phi(t, xi + h2) = FunctionDescriptor.profile_pair(t, xi, h1, h2), never
+phi(t, xi + h2) = FunctionDescriptor.pair(t, h1, h2)(xi), never
 a difference of two b values: for sin, cos and tanh it is an exact
 identity whose rounding error is about eps (1 + omega |xi|) times
 |omega (h1 - h2)|, so S keeps its size for a shift below the spacing of
@@ -251,48 +251,51 @@ def _start_decay(rate, m, horizon, x0):
     return decay
 
 
-# Each worker samples the first count paths of its block in row chunks,
-# dealt to up to two lanes (ousim.run_lanes): the caller's thread and,
-# where a core is free for it (parallel.run_blocks decides), one helper
-# thread.  A lane allocates its workspace (ousim._lane_arrays) once per
-# block task; for each of its chunks it draws the normals into it, runs
-# the recursion into its path array, evaluates the profile (the pair
-# profile in place on the paths), reduces through its scan array and
-# writes the chunk's per-path values into the block's one result array.
-# Every row's draw, recursion, profile evaluation and reduction along the
-# last axis is independent of the thread and of the rows sharing its
-# array, so the values are bitwise those of one single-thread
-# whole-block pass.
+# Each worker is one task: it samples paths block * BLOCK + [0, count),
+# count up to all of a serial run's paths, in row chunks dealt in path
+# order, across block boundaries, to up to two lanes (ousim.run_lanes):
+# the caller's thread and, where a core is free for it
+# (parallel.run_blocks decides), one helper thread.  The task computes
+# its constants once (the prepared pair profile, the step and |v|), and
+# a lane allocates its workspace (ousim._lane_arrays) once; for each
+# chunk it takes, a lane draws the normals into it, runs the recursion
+# into its path array, evaluates the profile (the pair profile in place
+# on the paths), reduces through its scan array and writes the chunk's
+# per-path values into the task's one result array.  Every row's draw,
+# recursion, profile evaluation and reduction along the last axis is
+# independent of the thread and of the rows sharing its array, so the
+# values are bitwise those of single-thread whole-block passes, one per
+# block.
 
 
 def _chunk_integrals(block, count, seed, coord: Coordinate, b, integrand):
-    """|int integrand(z) dt| |v| for the block's first count paths z, integrand a profile of the paths."""
-    m = coord.m
+    """|int integrand(z) dt| |v| for the task's paths z, integrand a profile of the paths."""
+    m, dx, norm = coord.m, coord.horizon / coord.m, b.vector_norm
     out = np.empty(count)
 
-    def lane(chunks):
-        normals, scan, paths = _lane_arrays(chunks[0][1] - chunks[0][0], m)  # a lane's first chunk is its largest
-        for start, stop in chunks:
+    def lane(rows, chunks):
+        normals, scan, paths = _lane_arrays(rows, m)
+        for blk, start, stop, at in chunks:
             n = stop - start
-            block_normals(seed, coord.component, block, m, rows=(start, stop), out=normals[:n])
-            z = coord.paths(seed, block, (start, stop), normals[:n], paths[:n], scan)
-            j = _trapezoid_rows(integrand(z), coord.horizon / m, scan[: n * m].reshape(n, m))
-            out[start:stop] = np.abs(j) * b.vector_norm
+            block_normals(seed, coord.component, blk, m, rows=(start, stop), out=normals[:n])
+            z = coord.paths(seed, blk, (start, stop), normals[:n], paths[:n], scan)
+            j = _trapezoid_rows(integrand(z), dx, scan[: n * m].reshape(n, m))
+            out[at : at + n] = np.abs(j) * norm
 
-    run_lanes(count, m, lane)
+    run_lanes(block, count, m, lane)
     return out
 
 
 def _prop21_block(block, count, seed, coord: Coordinate, b):
-    """|int b'(t, xi_t) dt| for one block, xi the coordinate's paths."""
+    """|int b'(t, xi_t) dt| for the task's paths block * BLOCK + [0, count), xi the coordinate's paths."""
     times = coord.times()
     return _chunk_integrals(block, count, seed, coord, b, lambda z: np.asarray(b.profile_dx(times, z), np.float64))
 
 
 def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals):
-    """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for one block, h1_vals and h2_vals at coord.times()."""
-    t_abs = coord.times()
-    return _chunk_integrals(block, count, seed, coord, b, lambda z: b.profile_pair(t_abs, z, h1_vals, h2_vals, out=z))
+    """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for the task's paths, h1_vals and h2_vals at coord.times()."""
+    pair = b.pair(coord.times(), h1_vals, h2_vals)
+    return _chunk_integrals(block, count, seed, coord, b, lambda z: pair(z, out=z))
 
 
 def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):

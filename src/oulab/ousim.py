@@ -31,9 +31,10 @@ per value, so a row cannot start at an offset computed from the rows
 before it; with the row in counter word 1 it starts at a fixed place,
 2^64 counter steps from the next row.  One path therefore costs O(M)
 draws and O(M) memory, and any grouping of a block's rows (whole block,
-row chunks, one path), any thread that draws a row (run_lanes deals a
-block's row chunks to the caller's thread and, where a core is free for
-it, one lane thread) and any scheduling of blocks across workers
+row chunks, one path, row chunks of many blocks in one task), any
+thread that draws a row (run_lanes deals a task's row chunks, across
+its block boundaries, to the caller's thread and, where a core is free
+for it, one lane thread) and any scheduling of blocks across workers
 reproduce identical paths.  No generator is built per row: each
 thread keeps one Philox generator and, before every row, replaces its
 whole state with the fresh state of that row (the key and counter
@@ -104,7 +105,7 @@ _two_lanes = True
 
 
 def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise DomainError("seed must be an integer")
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -113,9 +114,9 @@ def _check_seed(seed):
 
 
 def _check_count(value, name, least) -> int:
-    """value as a Python int of at least `least`; numpy integers pass, floats and strings do not."""
+    """value as a Python int of at least `least`; numpy integers pass, bools, floats and strings do not."""
     try:
-        value = operator.index(value)
+        value = operator.index(None if isinstance(value, bool) else value)  # a bool is no count
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
@@ -126,6 +127,8 @@ def _check_count(value, name, least) -> int:
 def _key_words(seed, component, block, domain) -> tuple:
     """The two words of stream_key as Python ints."""
     seed = _check_seed(seed)
+    if bool in (type(component), type(block), type(domain)):
+        raise DomainError("component, block and domain must be integers, not bools")
     # Python ints, so a narrow numpy integer cannot wrap in the shifts below
     component, block, domain = operator.index(component), operator.index(block), operator.index(domain)
     if not 0 <= component < 2**24:
@@ -261,7 +264,7 @@ def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=
 
 
 def draw_inline():
-    """Make every block task in this process run one lane, on the caller's thread.
+    """Make every task in this process run one lane, on the caller's thread.
 
     The initializer of a process pool (parallel.run_blocks) whose
     processes leave no core free for a second lane.
@@ -276,45 +279,65 @@ def _lane_arrays(rows, m) -> tuple:
     normals (rows, m) takes a chunk's draw, the flat scan holds the
     recursion's scan array (_recursion_paths' work) and afterwards serves
     as scratch for up to rows * m values, and paths (rows, m + 1) takes
-    the chunk's paths.  A block kernel allocates them once per block task
-    and lane, and every chunk of the lane reuses them.
+    the chunk's paths.  A block kernel allocates them once per task and
+    lane, and every chunk the lane takes, in any block of the task,
+    reuses them.
     """
     steps = min(SCAN_STEPS, m)
     return np.empty((rows, m)), np.empty(rows * steps * -(-m // steps)), np.empty((rows, m + 1))
 
 
-def run_lanes(count, m, lane):
-    """Call lane(chunks) on the row chunks (row_chunks(count, m)) of rows [0, count) of one block, in lanes.
+def task_chunks(block, count, m) -> list:
+    """(block, start, stop, at) of every row chunk of the task's paths block * BLOCK + [0, count), in path order.
 
-    The chunks are dealt round-robin to up to two lanes: the caller's
-    thread takes chunks 0, 2, 4, ... and, where there are two chunks or
-    more and draw_inline has not run in this process, one helper thread
-    takes chunks 1, 3, 5, ...  Each lane draws and computes whole chunks
-    in its own workspace (_lane_arrays) and writes its rows of the
-    block's result, so both cores draw and compute.  Every row sets its
-    own Philox state on the thread that draws it and nothing a row's
-    values read depends on the other rows of its chunk, so the bits do
-    not depend on the lane.  The helper lives only inside this call: it
-    is joined before the call returns or raises, and an exception in
-    either lane leaves the call.
+    Rows [start, stop) of a chunk's block are the task's paths at + [0,
+    stop - start).  count may exceed BLOCK, so a task may span blocks,
+    and its first chunk is its largest.
     """
-    chunks = row_chunks(count, m)
+    return [(block + k, start, stop, k * BLOCK + start)
+            for k in range(-(-count // BLOCK)) for start, stop in row_chunks(min(BLOCK, count - k * BLOCK), m)]
+
+
+def run_lanes(block, count, m, lane):
+    """Run lane(rows, chunks) in up to two lanes over the row chunks (task_chunks) of one task's paths.
+
+    chunks is one iterator over the task's chunks, in path order, shared
+    by the lanes: each takes the next chunk as soon as it finishes one,
+    so the chunks cross block boundaries and neither lane waits for the
+    other at the end of a block.  rows is the height of the largest
+    chunk, for the lane's workspace (_lane_arrays).  The caller's thread
+    is one lane; where there are two chunks or more and draw_inline has
+    not run in this process, one helper thread is the other.  Each lane
+    draws and computes whole chunks and writes their rows of the task's
+    result, so both cores draw and compute.  Every row sets its own
+    Philox state on the thread that draws it and nothing a row's values
+    read depends on the other rows of its chunk, so the bits depend on
+    neither the lane nor the dealing.  The helper lives only inside this
+    call: it is joined before the call returns or raises, and an
+    exception in either lane leaves the call, after the other lane has
+    finished the chunk it holds.
+    """
+    chunks = task_chunks(block, count, m)
+    rows = chunks[0][2] - chunks[0][1]
+    dealt = iter(chunks)  # a list iterator's next is one step under the GIL, so no chunk goes to both lanes
     if not _two_lanes or len(chunks) == 1:
-        lane(chunks)
+        lane(rows, dealt)
         return
     failed = []
 
     def helper_lane():
         try:
-            lane(chunks[1::2])
+            lane(rows, dealt)
         except BaseException as exc:  # raised again on the caller's thread
             failed.append(exc)
+            chunks.clear()  # ends the dealing: the caller's lane takes no further chunk
 
     helper = threading.Thread(target=helper_lane, name="oulab-lane")
     helper.start()
     try:
-        lane(chunks[::2])
+        lane(rows, dealt)
     finally:
+        chunks.clear()  # a list iterator reads its list's length at each step: the helper takes no further chunk
         helper.join()
     if failed:
         raise failed[0]
@@ -331,7 +354,7 @@ class PathStream:
     def __post_init__(self):
         _check_seed(self.seed)
         for name in ("path", "component"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if type(getattr(self, name)) is bool or not isinstance(getattr(self, name), (int, np.integer)):
                 raise DomainError(f"{name} index must be an integer")
         if self.path < 0:
             raise DomainError("path index must be nonnegative")

@@ -9,14 +9,17 @@ give bitwise identical aggregates.
 
 Each run makes one run_blocks call and therefore starts at most one
 process pool, of at most one process per block; a check that needs
-several grid sizes computes them all inside one block task.  A block
-task deals its row chunks to two lanes (ousim.run_lanes), the caller
-and one lane thread, each drawing and computing whole chunks, when a
-core is free for the second: on the serial path, so --workers 1 can use
-two cores, and in a pool that leaves a spare core per process.  A pool
-whose processes, twice over, outnumber the usable cores runs one lane
-in its workers (ousim.draw_inline): there a second lane would find no
-free core and only share a busy one.  Neither the processes nor the
+several grid sizes computes them all inside one task.  A task covers a
+range of paths: the serial path is one task of all n_paths paths, so a
+run sets up its lanes, their workspaces and its per-run constants once,
+and a pool runs one task per block.  A task deals its row chunks, in
+path order and across block boundaries, to two lanes (ousim.run_lanes),
+the caller and one lane thread, each drawing and computing whole chunks,
+when a core is free for the second: on the serial path, so --workers 1
+can use two cores, and in a pool that leaves a spare core per process.
+A pool whose processes, twice over, outnumber the usable cores runs one
+lane in its workers (ousim.draw_inline): there a second lane would find
+no free core and only share a busy one.  Neither the processes nor the
 threads change any result.
 
 The pool class, and with it multiprocessing, loads only when run_blocks
@@ -62,13 +65,16 @@ def block_layout(n_paths: int):
 
 
 def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
-    """worker(block, count, *args) -> (count, ...) array; concatenated in
-    block order."""
+    """The (n_paths, ...) rows of the worker, worker(block, count, *args) those of paths block * BLOCK + [0, count).
+
+    The serial path makes one call, worker(0, n_paths, *args); a pool
+    runs one task per block and concatenates them in block order.
+    """
     workers = _check_count(workers, "workers", 1)
     blocks, counts = zip(*block_layout(n_paths))
-    columns = (blocks, counts, *map(repeat, args))
     if workers == 1 or len(blocks) == 1:
-        return np.concatenate(list(map(worker, *columns)), axis=0)
+        return worker(0, sum(counts), *args)  # all n_paths paths, one task
+    columns = (blocks, counts, *map(repeat, args))
     # fork starts every max_workers process at once, so never more than there are blocks
     processes = min(workers, len(blocks))
     # a process and its lane thread need two cores; without them, run one lane

@@ -133,7 +133,7 @@ def _i2_head_mass(lam, t1):
 def _split_weights(lam, times):
     """The reversed-drift weights of the split on a grid: (I2's w, I1's c_rev).
 
-    They depend only on (lam, times), so a block computes them once for
+    They depend only on (lam, times), so a task computes them once for
     all its paths.
     """
     # I2 in original time: weight c(lam, 1-u) on u in [t_1, 1]
@@ -219,39 +219,40 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
 
 
 def _covariation_levels(block, count, seed, lam, m_list, b):
-    """The split of the block's first count paths at every M of m_list: (count, len(m_list), 5).
+    """The split of the task's paths block * BLOCK + [0, count) at every M of m_list: (count, len(m_list), 5).
 
-    Row chunks are dealt to up to two lanes (ousim.run_lanes).  A lane
-    draws each chunk once, at the finest M, into its workspace
-    (ousim._lane_arrays), and level M reads the first M normals of each
-    row, bitwise its own draw (see covariation_check); the lane's path
-    and scan arrays and the split's work arrays, all sized for the
-    finest level, serve every level.
+    The task computes each level's grid and split weights once, and
+    deals its row chunks, in path order and across block boundaries, to
+    up to two lanes (ousim.run_lanes).  A lane allocates its workspace
+    (ousim._lane_arrays) and the split's work arrays once per task and
+    draws each chunk it takes once, at the finest M; level M reads the
+    first M normals of each row, bitwise its own draw (see
+    covariation_check).  The lane's path and scan arrays and the split's
+    work arrays, all sized for the finest level, serve every level.
     """
     grids = [_grid(m, 1.0) for m in m_list]
     weights = [_split_weights(lam, times) for times in grids]
     m_max = m_list[-1]
     out = np.empty((count, len(m_list), 5))
 
-    def lane(chunks):
-        rows = chunks[0][1] - chunks[0][0]  # a lane's first chunk is its largest
+    def lane(rows, chunks):
         normals, scan, paths = _lane_arrays(rows, m_max)
         # the split's third work array is the scan's, free again once a level's paths are computed
         scratch = (*np.empty((2, rows, m_max + 1)), scan[: rows * m_max].reshape(rows, m_max))
-        for start, stop in chunks:
+        for blk, start, stop, at in chunks:
             n = stop - start
-            block_normals(seed, b.direction, block, m_max, rows=(start, stop), out=normals[:n])
+            block_normals(seed, b.direction, blk, m_max, rows=(start, stop), out=normals[:n])
             for k, m in enumerate(m_list):
-                values = block_paths_1d(lam, m, seed, b.direction, block, rows=(start, stop), normals=normals[:n, :m],
+                values = block_paths_1d(lam, m, seed, b.direction, blk, rows=(start, stop), normals=normals[:n, :m],
                                         out=paths.ravel()[: n * (m + 1)].reshape(n, m + 1), work=scan)
-                out[start:stop, k] = _split_arrays(b, grids[k], values, weights[k], scratch)
+                out[at : at + n, k] = _split_arrays(b, grids[k], values, weights[k], scratch)
 
-    run_lanes(count, m_max, lane)
+    run_lanes(block, count, m_max, lane)
     return out
 
 
 def _covariation_block(block, count, seed, lam, m, b):
-    """The split of the block's first count paths on m steps: (count, 5), _covariation_levels at one M."""
+    """The split of the task's paths on m steps: (count, 5), _covariation_levels at one M."""
     return _covariation_levels(block, count, seed, lam, [m], b)[:, 0]
 
 

@@ -163,7 +163,7 @@ EPS = np.finfo(np.float64).eps
 
 
 class TestPairProfiles:
-    """profile_pair(t, xi, h1, h2) = phi(t, xi + h1) - phi(t, xi + h2), by
+    """pair(t, h1, h2)(xi) = phi(t, xi + h1) - phi(t, xi + h2), by
     identity for sin, cos and tanh and by two evaluations otherwise."""
 
     T = np.linspace(0.0, 1.0, 65)
@@ -179,7 +179,7 @@ class TestPairProfiles:
     def test_identity_matches_the_naive_difference(self, profile, omega, scale):
         b = F.make_b_weighted([1.0], profile=profile, omega=omega)
         h1, h2 = self._shifts(scale)
-        got = b.profile_pair(self.T, self.XI, h1, h2)
+        got = b.pair(self.T, h1, h2)(self.XI)
         naive = b.profile(self.T, self.XI + h1) - b.profile(self.T, self.XI + h2)
         # each side rounds omega (xi + h) to about omega |xi + h| eps, and phi to eps
         tol = 8.0 * EPS * (1.0 + omega * (np.abs(self.XI) + np.abs(h1) + np.abs(h2)))
@@ -193,7 +193,7 @@ class TestPairProfiles:
         b = F.make_b_weighted([1.0], profile=profile, omega=omega)
         h1, h2 = self._shifts(scale)
         d = h1 - h2
-        got = b.profile_pair(self.T, self.XI, h1, h2)
+        got = b.pair(self.T, h1, h2)(self.XI)
         first = b.profile_dx(self.T, self.XI) * d
         # second-order terms omega^2 |h| |d| and the rounding of omega xi, per unit of omega |d|
         tol = omega * np.abs(d) * (2.0 * omega * (np.abs(h1) + np.abs(h2)) + (omega * d) ** 2
@@ -208,7 +208,7 @@ class TestPairProfiles:
     def test_scalar_state_gives_a_scalar(self):
         for profile in ("sin", "cos", "tanh", "sign"):
             b = F.make_b_weighted([1.0], profile=profile, omega=1.0)
-            got = b.profile_pair(0.5, 0.7, 0.2, -0.1)
+            got = b.pair(0.5, 0.2, -0.1)(0.7)
             assert isinstance(got, np.float64)
             assert got == pytest.approx(b.profile(0.5, 0.9) - b.profile(0.5, 0.6), abs=4 * EPS)
 
@@ -221,7 +221,7 @@ class TestPairProfiles:
                         F.window_rescaled_b(base, 0.25, 0.75)]
         for b in descriptors:
             want = b.profile(self.T, self.XI + h1) - b.profile(self.T, self.XI + h2)
-            assert b.profile_pair(self.T, self.XI, h1, h2).tobytes() == want.tobytes(), b.name
+            assert b.pair(self.T, h1, h2)(self.XI).tobytes() == want.tobytes(), b.name
 
     def test_input_is_never_written_and_pickles(self):
         import pickle
@@ -230,11 +230,56 @@ class TestPairProfiles:
         for profile in ("sin", "cos", "tanh", "sign"):
             b = F.make_b_weighted([1.0, 4.0], profile=profile, omega=1.5)
             xi, before = self.XI.copy(), (self.XI.copy(), h1.copy(), h2.copy())
-            got = b.profile_pair(self.T, xi, h1, h2)
+            got = b.pair(self.T, h1, h2)(xi)
             for arr, copy in zip((xi, h1, h2), before):
                 np.testing.assert_array_equal(arr, copy)
-            again = pickle.loads(pickle.dumps(b)).profile_pair(self.T, xi, h1, h2)
+            again = pickle.loads(pickle.dumps(b)).pair(self.T, h1, h2)(xi)
             assert got.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    @pytest.mark.parametrize("scale", [1e-20, 1e-6, 1.0])
+    def test_prepared_pair_is_the_formula_bitwise(self, omega, scale):
+        # the formulas as one call computed them before the pair was prepared, shift factors and all
+        h1, h2 = self._shifts(scale)
+        h1 = h1 + 1e-20 * (np.arange(h1.size) % 2)  # shifts of 1e-20 beside larger ones
+        w = omega
+        formulas = {
+            "sin": lambda xi: np.cos(w * (xi + (h1 + h2) / 2.0)) * (2.0 * np.sin(w * (h1 - h2) / 2.0)),
+            "cos": lambda xi: np.sin(w * (xi + (h1 + h2) / 2.0)) * (-2.0 * np.sin(w * (h1 - h2) / 2.0)),
+            "tanh": lambda xi: (1.0 - np.tanh(w * (xi + h1)) * np.tanh(w * (xi + h2))) * np.tanh(w * (h1 - h2)),
+            "sign": lambda xi: np.sign(xi + h1) - np.sign(xi + h2),
+        }
+        for profile, formula in formulas.items():
+            b = F.make_b_weighted([1.0], profile=profile, omega=omega)
+            pair = b.pair(self.T, h1, h2)
+            want = formula(self.XI)
+            assert pair(self.XI).tobytes() == want.tobytes(), profile
+            for row in self.XI:  # one prepared pair serves every chunk, and writes in place through out
+                out = row.copy()
+                assert pair(out, out=out) is out and out.tobytes() == formula(row).tobytes(), profile
+
+    @pytest.mark.parametrize("profile", ["sin", "cos", "tanh"])
+    def test_omega_one_skips_the_identity_multiply_bitwise(self, profile):
+        b = F.make_b_weighted([1.0], profile=profile)
+        xi = self.XI.copy()
+        phi = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh}[profile]
+        dphi = {"sin": lambda y: 1.0 * np.cos(y), "cos": lambda y: -1.0 * np.sin(y),
+                "tanh": lambda y: 1.0 * (1.0 - np.tanh(y) * np.tanh(y))}[profile]
+        assert b.profile(self.T, xi).tobytes() == phi(1.0 * self.XI).tobytes()
+        assert b.profile_dx(self.T, xi).tobytes() == dphi(1.0 * self.XI).tobytes()
+        np.testing.assert_array_equal(xi, self.XI)  # the state is never written
+        assert isinstance(b.profile(0.5, 0.7), np.float64) and isinstance(b.profile_dx(0.5, 0.7), np.float64)
+
+    def test_vector_norm_is_computed_once(self, monkeypatch):
+        import pickle
+
+        b = F.make_b_weighted([1.0, 4.0, 9.0], profile="sin")
+        want = F._norm(b.vector)
+        calls = []
+        monkeypatch.setattr(F, "_norm", lambda v: calls.append(v) or want)
+        assert b.vector_norm == want and b.vector_norm == want
+        assert len(calls) == 1  # at the first use, not at every one
+        assert pickle.loads(pickle.dumps(b)).vector_norm == want
 
 
 class TestRawProfile:

@@ -35,7 +35,7 @@ from oulab.functionals import (
     judge,
     moment_bound,
 )
-from oulab import ousim
+from oulab import ousim, reversal
 from oulab.ousim import block_paths_1d, sample_hilbert, standard_normal, substream
 from oulab.parallel import block_layout, run_blocks
 
@@ -768,7 +768,7 @@ class TestDrawAheadKernels:
             return profile
 
         failing = dataclasses.replace(self.B, profile_dx=fail_on_the_third_chunk(self.B.profile_dx),
-                                      profile_pair=fail_on_the_third_chunk(self.B.profile_pair))
+                                      pair=lambda *shifts: fail_on_the_third_chunk(self.B.pair(*shifts)))
         before = threading.active_count()
         for b, kernel, args in ((self.B, FN._prop21_block, ()), (self.B, FN._shifted_pair_block, (h1, h2)),
                                 (failing, FN._prop21_block, ()), (failing, FN._shifted_pair_block, (h1, h2))):
@@ -833,6 +833,71 @@ class TestLanes:
             FN._prop21_block(0, 256, 3, coord, dataclasses.replace(self.B, profile_dx=profile_dx))
         assert threading.active_count() == before
         assert before + 1 in seen  # the lane thread ran beside the caller, and only inside the call
+
+
+# the cases of a task's boundaries: inside one block, a partial block alone,
+# one path past a block, and three whole blocks and a partial one
+TASK_COUNTS = (1, 255, 257, 3 * 256 + 17)
+KERNELS = ("prop21", "thm23", "concentration", "moments", "decomposition")
+
+
+def _kernel(name, m, wrap=lambda b: b):
+    """(worker, args) of the block kernel behind a stochastic command on m steps, its descriptor through wrap."""
+    sin, tanh = wrap(TestLanes.B), wrap(TestLanes.TANH)
+    unit, tau = np.linspace(0.0, 1.0, m + 1), np.linspace(0.0, 0.5, m + 1)
+    return {
+        "prop21": (FN._prop21_block, (61, FN.Coordinate(4.0, m, 1), sin)),
+        "thm23": (FN._shifted_pair_block, (67, FN.Coordinate(2.0, m, 1), sin, np.sin(np.pi * unit), np.zeros(m + 1))),
+        "concentration": (FN._shifted_pair_block, (71, FN.Coordinate(4.0, m, 1, 0.5, 0.25, -0.4), tanh,
+                                                   np.sin(np.pi * (0.25 + tau)), np.full(m + 1, 0.2))),
+        "moments": (FN._shifted_pair_block, (73, FN.Coordinate(4.0, m, 1, 0.5, 0.0, 0.3), sin,
+                                             np.full(m + 1, 0.2), np.full(m + 1, -0.1))),
+        "decomposition": (reversal._covariation_levels, (79, 2.0, [m // 2, m], sin)),
+    }[name]
+
+
+class TestTaskBoundaries:
+    """A task's row chunks cross its block boundaries: the one task of a
+    serial run equals the per-block tasks of a pool, concatenated, and one
+    lane equals two, bitwise, for every kernel."""
+
+    @pytest.mark.parametrize("m", [33, 1000, 4096, 4097])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_one_task_is_the_per_block_tasks(self, monkeypatch, kernel, m):
+        worker, args = _kernel(kernel, m)
+        for n in TASK_COUNTS:
+            per_block = np.concatenate([worker(block, count, *args) for block, count in block_layout(n)])
+            runs = {"serial": run_blocks(worker, n, 1, args)}
+            _lanes(monkeypatch, False)
+            runs["one lane"] = worker(0, n, *args)
+            _lanes(monkeypatch, True)
+            if n == TASK_COUNTS[-1]:
+                runs.update({f"workers {w}": run_blocks(worker, n, w, args) for w in (2, 3)})
+            for name, got in runs.items():
+                assert got.shape == per_block.shape and got.tobytes() == per_block.tobytes(), (name, n)
+
+    @pytest.mark.parametrize("lane", ["caller", "helper"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_lane_failing_leaves_the_task(self, kernel, lane):
+        main = threading.main_thread()
+
+        def failing(real):
+            def profile(*args, **kwargs):
+                if (threading.current_thread() is main) == (lane == "caller"):
+                    raise FloatingPointError(f"profile failed in the {lane} lane")
+                return real(*args, **kwargs)
+
+            return profile
+
+        def wrap(b):
+            return dataclasses.replace(b, profile_dx=failing(b.profile_dx),
+                                       pair=lambda *shifts: failing(b.pair(*shifts)))
+
+        worker, args = _kernel(kernel, 4096, wrap)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=lane):
+            worker(0, TASK_COUNTS[-1], *args)
+        assert threading.active_count() == before
 
 
 class TestStartDecay:

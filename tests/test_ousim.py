@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ class TestStreamKeys:
                 S.PathStream(seed=1, **bad)
         ps = S.PathStream(seed=1, path=np.int64(517), component=np.uint8(3))
         np.testing.assert_array_equal(S.path_normals(ps, 5), S.block_normals(1, 3, 2, 5)[5])
+
+    def test_bools_are_not_integers(self):
+        # True would sample seed 1, path 1 or component 1, and a count of True would be 1
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            S._check_seed(True)
+        with pytest.raises(DomainError, match="m must be an integer, got True"):
+            S._check_count(True, "m", 0)
+        for words in ((True, 0, 0, 0), (1, True, 0, 0), (1, 0, False, 0), (1, 0, 0, True)):
+            with pytest.raises(DomainError):
+                S._key_words(*words)
+            with pytest.raises(DomainError):
+                S.stream_key(*words)
+        for bad in ({"seed": True, "path": 0}, {"seed": 1, "path": False}, {"seed": 1, "path": 0, "component": True}):
+            with pytest.raises(DomainError):
+                S.PathStream(**bad)
+        with pytest.raises(DomainError):
+            S.block_normals(1, 0, 0, True)
+        with pytest.raises(DomainError):
+            S.path_normals(S.PathStream(1, 0), False)
+        assert S._check_seed(np.uint64(7)) == 7 and S._check_count(np.int8(3), "m", 0) == 3
 
 
 class TestThreadGenerator:
@@ -464,56 +485,101 @@ class TestRowRanges:
 # partial and whole blocks around the 16-row chunks of M = 4096; M = 1000 has
 # 65-row chunks and M = 33 one chunk per block
 DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
+# (first block, count) of tasks that cross block boundaries, ending in a whole or a partial block
+MULTI_BLOCK_TASKS = ((0, 257), (1, 3 * 256 + 17), (2, 512))
 
 
 class TestDrawnChunks:
-    """Row chunks as run_lanes deals them: round-robin to the caller's
-    thread and one lane thread, each drawing into its own workspace."""
+    """Row chunks as run_lanes deals them: one iterator over a task's
+    chunks, in path order and across its block boundaries, shared by the
+    caller's thread and one lane thread, each drawing into its own
+    workspace."""
 
     @staticmethod
-    def _drawn(m, count, component=1):
-        """(start, stop, normals, thread) of every chunk, each drawn by its lane as a block kernel draws it."""
+    def _drawn(m, block, count, component=1):
+        """(block, start, stop, at, normals, thread) of every chunk, drawn by its lane as a block kernel draws it."""
         seen = []
 
-        def lane(chunks):
-            normals = S._lane_arrays(chunks[0][1] - chunks[0][0], m)[0]
-            for start, stop in chunks:
-                got = S.block_normals(5, component, 2, m, rows=(start, stop), out=normals[: stop - start])
-                seen.append((start, stop, got.copy(), threading.current_thread()))
+        def lane(rows, chunks):
+            normals = S._lane_arrays(rows, m)[0]
+            for blk, start, stop, at in chunks:
+                got = S.block_normals(5, component, blk, m, rows=(start, stop), out=normals[: stop - start])
+                seen.append((blk, start, stop, at, got.copy(), threading.current_thread()))
 
-        S.run_lanes(count, m, lane)
-        return sorted(seen, key=lambda chunk: chunk[0])
+        S.run_lanes(block, count, m, lane)
+        return sorted(seen, key=lambda chunk: chunk[3])
+
+    def test_task_chunks_cover_the_paths_in_order(self):
+        for m in (33, 1000, 4096):
+            for block, count in [(2, c) for c in DRAW_AHEAD_COUNTS] + list(MULTI_BLOCK_TASKS):
+                chunks = S.task_chunks(block, count, m)
+                paths = [block * S.BLOCK + at + k for blk, start, stop, at in chunks for k in range(stop - start)]
+                assert paths == list(range(block * S.BLOCK, block * S.BLOCK + count))
+                assert all(blk * S.BLOCK + start == block * S.BLOCK + at for blk, start, stop, at in chunks)
+                assert all(0 < stop - start <= chunks[0][2] - chunks[0][1] for _, start, stop, _ in chunks)
+        assert S.task_chunks(3, 257, 4096)[15:] == [(3, 240, 256, 240), (4, 0, 1, 256)]
 
     @pytest.mark.parametrize("m", [4096, 1000, 33])
     def test_chunks_are_the_rows_of_the_block_draw(self, m):
-        normals = S.block_normals(5, 1, 2, m)
+        draws = {blk: S.block_normals(5, 1, blk, m) for blk in range(6)}
         main = threading.main_thread()
-        for count in DRAW_AHEAD_COUNTS:
-            seen = self._drawn(m, count)
-            assert [(start, stop) for start, stop, _, _ in seen] == S.row_chunks(count, m)
-            for k, (start, stop, got, thread) in enumerate(seen):
-                np.testing.assert_array_equal(got, normals[start:stop])
-                assert (thread is main) == (k % 2 == 0)  # dealt round-robin, the caller first
+        for block, count in [(2, c) for c in DRAW_AHEAD_COUNTS] + list(MULTI_BLOCK_TASKS):
+            seen = self._drawn(m, block, count)
+            # every chunk of the task exactly once
+            assert [chunk[:4] for chunk in seen] == S.task_chunks(block, count, m)
+            for blk, start, stop, _, got, _ in seen:
+                np.testing.assert_array_equal(got, draws[blk][start:stop])
+            helpers = {thread for *_, thread in seen if thread is not main}
+            assert len(helpers) <= 1  # by the caller or by the one lane thread
+            if len(seen) == 1:
+                assert not helpers
+
+    def test_every_chunk_is_dealt_once_under_fast_thread_switching(self):
+        # 1-row chunks at m = 2^16: 785 items from one shared iterator, with the interpreter switching threads
+        # every microsecond; a chunk dealt to both lanes, or to none, breaks the count
+        taken = []
+
+        def lane(rows, chunks):
+            for chunk in chunks:
+                taken.append((chunk, threading.current_thread()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                taken.clear()
+                S.run_lanes(0, 3 * 256 + 17, 2**16, lane)
+                assert sorted(chunk for chunk, _ in taken) == S.task_chunks(0, 3 * 256 + 17, 2**16)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_the_helper_thread_lives_only_inside_the_iteration(self):
         before = threading.active_count()
         counts = []
-        S.run_lanes(16, 4096, lambda chunks: counts.append(threading.active_count()))  # one chunk: no thread
+        S.run_lanes(2, 16, 4096, lambda rows, chunks: counts.append(threading.active_count()))  # one chunk: no thread
         assert counts == [before]
         counts.clear()
-        S.run_lanes(64, 4096, lambda chunks: counts.append((len(chunks), threading.active_count())))
-        # two lanes of two chunks; the lane thread counts itself (the caller's lane may run after it ended)
-        assert [n for n, _ in counts] == [2, 2] and max(active for _, active in counts) == before + 1
+        S.run_lanes(0, 3 * 256 + 17, 4096, lambda rows, chunks: counts.append((rows, threading.active_count())))
+        # two lanes, each sized for the largest chunk; the lane thread counts itself (the caller's lane may run
+        # after it ended)
+        assert [rows for rows, _ in counts] == [16, 16] and max(active for _, active in counts) == before + 1
         assert threading.active_count() == before
         main = threading.main_thread()
         for failing in ("caller", "helper"):
-            def lane(chunks):
-                if (threading.current_thread() is main) == (failing == "caller"):
-                    raise FloatingPointError(failing)
+            taken = []
+
+            def lane(rows, chunks):
+                for chunk in chunks:
+                    taken.append(chunk)
+                    if (threading.current_thread() is main) == (failing == "caller"):
+                        raise FloatingPointError(failing)
+                    time.sleep(0.001)  # a chunk's work
 
             with pytest.raises(FloatingPointError, match=failing):
-                S.run_lanes(256, 4096, lane)
+                S.run_lanes(0, 3 * 256 + 17, 4096, lane)
             assert threading.active_count() == before
+            # the other lane finishes the chunk it holds and takes no further one
+            assert len(taken) < len(S.task_chunks(0, 3 * 256 + 17, 4096))
 
     def test_inline_draws_start_no_thread_and_share_one_buffer(self, monkeypatch):
         monkeypatch.setattr(S, "_two_lanes", True)  # restored after the test
@@ -521,12 +587,13 @@ class TestDrawnChunks:
         assert S._two_lanes is False
         before = threading.active_count()
         lanes = []
-        S.run_lanes(100, 4096, lambda chunks: lanes.append((chunks, threading.active_count())))
-        assert lanes == [(S.row_chunks(100, 4096), before)]  # one lane with all 7 chunks, on the caller's thread
-        normals = S.block_normals(5, 1, 2, 4096)
-        for start, stop, got, thread in self._drawn(4096, 100):
-            assert thread is threading.main_thread()
-            np.testing.assert_array_equal(got, normals[start:stop])
+        S.run_lanes(2, 100, 4096, lambda rows, chunks: lanes.append((rows, list(chunks), threading.active_count())))
+        assert lanes == [(16, S.task_chunks(2, 100, 4096), before)]  # one lane with all 7 chunks, on the caller's thread
+        draws = {blk: S.block_normals(5, 1, blk, 4096) for blk in (1, 2, 3, 4)}
+        for block, count in ((2, 100), (1, 3 * 256 + 17)):
+            for blk, start, stop, at, got, thread in self._drawn(4096, block, count):
+                assert thread is threading.main_thread()
+                np.testing.assert_array_equal(got, draws[blk][start:stop])
 
     def test_per_path_samplers_start_no_thread(self, monkeypatch):
         def refuse(thread):

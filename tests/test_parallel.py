@@ -1,12 +1,13 @@
-"""The two-lane rule of parallel.run_blocks, and its lazy pool class.
+"""The task layout and two-lane rule of parallel.run_blocks, and its lazy pool class.
 
-A pool whose processes, twice over, outnumber the usable cores has its
-workers run one lane, drawing and computing every row chunk inline; the
-serial path and a pool with a spare core per process deal a block's
-chunks to two lanes, the caller and one lane thread.  The tests
-replace parallel.usable_cores, the count run_blocks reads, to run both
-sides on any machine, and pin that the payload bits do not depend on the
-side or on --workers.
+The serial path is one task over all the paths; a pool runs one task
+per block.  A pool whose processes, twice over, outnumber the usable
+cores has its workers run one lane, drawing and computing every row
+chunk inline; the serial path and a pool with a spare core per process
+deal a task's chunks to two lanes, the caller and one lane thread.  The
+tests replace parallel.usable_cores, the count run_blocks reads, to run
+both sides on any machine, and pin that the payload bits do not depend
+on the side or on --workers.
 """
 
 import json
@@ -21,17 +22,25 @@ import pytest
 
 import oulab.cli as cli
 import oulab.parallel as parallel
-from oulab import ousim
+from oulab import functionals, ousim
+from oulab.errors import DomainError
+from oulab.fnlib import make_b_weighted
 
 M = 4096  # 16-row chunks: a whole block has 16, so a lane thread would start
 
 
 def _helper_threads(block, count):
-    """Per path: the threads this process ran beyond its own while its lanes ran the block's chunks."""
+    """Per path: the threads this process ran beyond its own while its lanes ran the task's chunks."""
     before = threading.active_count()
     seen = []
-    ousim.run_lanes(count, M, lambda chunks: seen.append(threading.active_count()))  # a lane thread counts itself
+    # a lane thread counts itself
+    ousim.run_lanes(block, count, M, lambda rows, chunks: seen.append(threading.active_count()))
     return np.full(count, max(seen) - before)
+
+
+def _task(block, count):
+    """Per path: the (block, count) of the task that computed it."""
+    return np.tile([block, count], (count, 1))
 
 
 class TestDrawAheadRule:
@@ -68,6 +77,48 @@ class TestDrawAheadRule:
         capsys.readouterr()
         first = docs[2, "1"]
         assert all(doc == first for doc in docs.values()), [key for key, doc in docs.items() if doc != first]
+
+
+class TestTasks:
+    N = 13 * ousim.BLOCK - 5  # 13 blocks, the last one partial
+
+    def test_a_serial_run_is_one_task_and_a_pool_one_per_block(self):
+        np.testing.assert_array_equal(parallel.run_blocks(_task, self.N, 1, ()), np.tile([0, self.N], (self.N, 1)))
+        per_block = np.concatenate([_task(block, count) for block, count in parallel.block_layout(self.N)])
+        for workers in (2, 3):
+            np.testing.assert_array_equal(parallel.run_blocks(_task, self.N, workers, ()), per_block)
+
+    def test_a_serial_run_sets_up_each_lane_once(self, monkeypatch):
+        workspaces, started = [], []
+        real_lane_arrays, real_thread = functionals._lane_arrays, ousim.threading.Thread
+
+        def lane_arrays(rows, m):
+            workspaces.append((rows, m, threading.current_thread()))
+            return real_lane_arrays(rows, m)
+
+        class Thread(real_thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(functionals, "_lane_arrays", lane_arrays)
+        monkeypatch.setattr(ousim.threading, "Thread", Thread)
+        monkeypatch.setattr(ousim, "_two_lanes", True)
+        coord = functionals.Coordinate(4.0, M, 0)
+        b = make_b_weighted([4.0], profile="sin")
+        values = parallel.run_blocks(functionals._shifted_pair_block, self.N, 1,
+                                     (3, coord, b, np.full(M + 1, 0.5), np.zeros(M + 1)))
+        assert values.shape == (self.N,)
+        assert started == ["oulab-lane"]  # one lane thread for the 13 blocks
+        assert [(rows, m) for rows, m, _ in workspaces] == [(16, M), (16, M)]  # one workspace per lane
+        assert len({thread for _, _, thread in workspaces}) == 2
+
+    def test_block_layout_refuses_bools(self):
+        for bad in (True, False):
+            with pytest.raises(DomainError, match="n_paths must be an integer"):
+                parallel.block_layout(bad)
+        with pytest.raises(DomainError, match="workers must be an integer"):
+            parallel.run_blocks(_task, 10, True, ())
 
 
 class TestUsableCores:

@@ -93,7 +93,7 @@ def _pair_run(monkeypatch, capsys, argv, two_evaluations):
 
     def plain(*args, real=cli.resolve_b):
         b = real(*args)
-        return dataclasses.replace(b, profile_pair=partial(fnlib._pair_plain, phi=b.profile))
+        return dataclasses.replace(b, pair=partial(fnlib._pair_plain, phi=b.profile))
 
     with monkeypatch.context() as patch:
         patch.setattr(functionals, "_pair_values", recorded)
