@@ -33,8 +33,8 @@ before it; with the row in counter word 1 it starts at a fixed place,
 draws and O(M) memory, and any grouping of a block's rows (whole block,
 row chunks, one path, row chunks of many blocks in one task), any
 thread that draws a row (run_lanes deals a task's row chunks, across
-its block boundaries, to the caller's thread and, where a core is free
-for it, one lane thread) and any scheduling of blocks across workers
+its block boundaries, to the caller's thread and, in a serial run, one
+lane thread) and any scheduling of blocks across workers
 reproduce identical paths.  No generator is built per row: each
 thread keeps one Philox generator and, before every row, replaces its
 whole state with the fresh state of that row (the key and counter
@@ -104,39 +104,34 @@ _GRID_CACHE_SIZE = 32
 _two_lanes = True
 
 
-def _check_seed(seed):
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError("seed must be an integer")
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise DomainError("seed must fit in 64 bits")
-    return seed
+def _check_count(value, name, least, below=None) -> int:
+    """value as a Python int with least <= value < below (no upper bound when below is None).
 
-
-def _check_count(value, name, least) -> int:
-    """value as a Python int of at least `least`; numpy integers pass, bools, floats and strings do not."""
+    numpy integers pass; bools, floats and strings do not.  The one
+    integer check of the sampling and block-task layers: counts, seeds,
+    stream key words, path addresses and row ranges pass through it.
+    """
     try:
         value = operator.index(None if isinstance(value, bool) else value)  # a bool is no count
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise DomainError(f"{name} must be at least {least}, got {value}")
+    if below is not None and value >= below:
+        raise DomainError(f"{name} must be below {below}, got {value}")
     return value
 
 
+def _check_seed(seed) -> int:
+    return _check_count(seed, "seed", 0, 2**64)
+
+
 def _key_words(seed, component, block, domain) -> tuple:
-    """The two words of stream_key as Python ints."""
+    """The two words of stream_key as Python ints, so a narrow numpy integer cannot wrap in the shifts."""
     seed = _check_seed(seed)
-    if bool in (type(component), type(block), type(domain)):
-        raise DomainError("component, block and domain must be integers, not bools")
-    # Python ints, so a narrow numpy integer cannot wrap in the shifts below
-    component, block, domain = operator.index(component), operator.index(block), operator.index(domain)
-    if not 0 <= component < 2**24:
-        raise DomainError("component index must fit in 24 bits")
-    if not 0 <= block < 2**32:
-        raise DomainError("block index must fit in 32 bits")
-    if not 0 <= domain < 2**8:
-        raise DomainError("domain must fit in 8 bits")
+    component = _check_count(component, "component index", 0, 2**24)
+    block = _check_count(block, "block index", 0, 2**32)
+    domain = _check_count(domain, "domain", 0, 2**8)
     return seed, (domain << 56) | (component << 32) | block
 
 
@@ -229,18 +224,15 @@ def _trapezoid_rows(y, dx, out):
 
 
 def _row_range(rows) -> tuple:
-    """Validated (start, stop) of a block's rows; None is the whole block."""
+    """Validated (start, stop) of a block's rows, 0 <= start <= stop <= BLOCK; None is the whole block."""
     if rows is None:
         return 0, BLOCK
     try:
         start, stop = rows
     except (TypeError, ValueError):
         raise DomainError("rows must be a (start, stop) pair") from None
-    if not all(isinstance(v, (int, np.integer)) for v in (start, stop)):
-        raise DomainError("row range bounds must be integers")
-    if not 0 <= start <= stop <= BLOCK:
-        raise DomainError(f"row range must satisfy 0 <= start <= stop <= {BLOCK}, got ({start}, {stop})")
-    return int(start), int(stop)
+    start = _check_count(start, "row range start", 0, BLOCK + 1)
+    return start, _check_count(stop, "row range stop", start, BLOCK + 1)
 
 
 def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=None) -> np.ndarray:
@@ -266,8 +258,8 @@ def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=
 def draw_inline():
     """Make every task in this process run one lane, on the caller's thread.
 
-    The initializer of a process pool (parallel.run_blocks) whose
-    processes leave no core free for a second lane.
+    The initializer of every process pool (parallel.run_blocks): a pool
+    runs one lane per process, and only a serial run keeps two.
     """
     global _two_lanes
     _two_lanes = False
@@ -287,15 +279,22 @@ def _lane_arrays(rows, m) -> tuple:
     return np.empty((rows, m)), np.empty(rows * steps * -(-m // steps)), np.empty((rows, m + 1))
 
 
+def block_layout(n_paths) -> list:
+    """(block_index, count) pairs covering path indices 0..n_paths-1."""
+    full, rem = divmod(_check_count(n_paths, "n_paths", 1), BLOCK)
+    return [(b, BLOCK) for b in range(full)] + ([(full, rem)] if rem else [])
+
+
 def task_chunks(block, count, m) -> list:
     """(block, start, stop, at) of every row chunk of the task's paths block * BLOCK + [0, count), in path order.
 
     Rows [start, stop) of a chunk's block are the task's paths at + [0,
-    stop - start).  count may exceed BLOCK, so a task may span blocks,
-    and its first chunk is its largest.
+    stop - start).  count may exceed BLOCK, so a task may span blocks
+    (those of block_layout(count), shifted by block), and its first chunk
+    is its largest.
     """
     return [(block + k, start, stop, k * BLOCK + start)
-            for k in range(-(-count // BLOCK)) for start, stop in row_chunks(min(BLOCK, count - k * BLOCK), m)]
+            for k, rows in block_layout(count) for start, stop in row_chunks(rows, m)]
 
 
 def run_lanes(block, count, m, lane):
@@ -307,15 +306,16 @@ def run_lanes(block, count, m, lane):
     other at the end of a block.  rows is the height of the largest
     chunk, for the lane's workspace (_lane_arrays).  The caller's thread
     is one lane; where there are two chunks or more and draw_inline has
-    not run in this process, one helper thread is the other.  Each lane
-    draws and computes whole chunks and writes their rows of the task's
-    result, so both cores draw and compute.  Every row sets its own
-    Philox state on the thread that draws it and nothing a row's values
-    read depends on the other rows of its chunk, so the bits depend on
-    neither the lane nor the dealing.  The helper lives only inside this
-    call: it is joined before the call returns or raises, and an
-    exception in either lane leaves the call, after the other lane has
-    finished the chunk it holds.
+    not run in this process (a serial run, not a pool worker), one
+    helper thread is the other.  Each lane draws and computes whole
+    chunks and writes their rows of the task's result, so both cores
+    draw and compute.  Every row sets its own Philox state on the thread
+    that draws it and nothing a row's values read depends on the other
+    rows of its chunk, so the bits depend on neither the lane nor the
+    dealing.  The helper lives only inside this call: it is joined
+    before the call returns or raises, and an exception in either lane
+    leaves the call, after the other lane has finished the chunk it
+    holds.
     """
     chunks = task_chunks(block, count, m)
     rows = chunks[0][2] - chunks[0][1]
@@ -353,11 +353,8 @@ class PathStream:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        for name in ("path", "component"):
-            if type(getattr(self, name)) is bool or not isinstance(getattr(self, name), (int, np.integer)):
-                raise DomainError(f"{name} index must be an integer")
-        if self.path < 0:
-            raise DomainError("path index must be nonnegative")
+        _check_count(self.path, "path index", 0, BLOCK * 2**32)  # its block fits the key's 32-bit word
+        _check_count(self.component, "component index", 0, 2**24)
 
     @property
     def block(self) -> int:

@@ -1,25 +1,23 @@
 """Worker-count-independent block scheduling.
 
 Monte Carlo work is split into fixed blocks of BLOCK path indices (the
-RNG block size), each a pure function of (seed, block).  Blocks may run
-in any order on any number of processes; results are reassembled in
-block order, so every statistic downstream sees the same concatenated
-array regardless of scheduling, and numpy's pairwise reductions then
-give bitwise identical aggregates.
+RNG block size, laid out by ousim.block_layout), each a pure function
+of (seed, block).  Blocks may run in any order on any number of
+processes; results are reassembled in block order, so every statistic
+downstream sees the same concatenated array regardless of scheduling,
+and numpy's pairwise reductions then give bitwise identical aggregates.
 
 Each run makes one run_blocks call and therefore starts at most one
 process pool, of at most one process per block; a check that needs
 several grid sizes computes them all inside one task.  A task covers a
 range of paths: the serial path is one task of all n_paths paths, so a
 run sets up its lanes, their workspaces and its per-run constants once,
-and a pool runs one task per block.  A task deals its row chunks, in
-path order and across block boundaries, to two lanes (ousim.run_lanes),
-the caller and one lane thread, each drawing and computing whole chunks,
-when a core is free for the second: on the serial path, so --workers 1
-can use two cores, and in a pool that leaves a spare core per process.
-A pool whose processes, twice over, outnumber the usable cores runs one
-lane in its workers (ousim.draw_inline): there a second lane would find
-no free core and only share a busy one.  Neither the processes nor the
+and a pool runs one task per block.  The lanes follow one fixed rule.
+A serial run deals its row chunks, in path order and across block
+boundaries, to two lanes (ousim.run_lanes), the caller and one lane
+thread, each drawing and computing whole chunks, so --workers 1 can use
+two cores.  Every pool process runs one lane (ousim.draw_inline), so
+--workers p uses min(p, blocks) cores.  Neither the processes nor the
 threads change any result.
 
 The pool class, and with it multiprocessing, loads only when run_blocks
@@ -29,13 +27,12 @@ replaceable like any other.
 
 from __future__ import annotations
 
-import os
 import sys
 from itertools import repeat
 
 import numpy as np
 
-from .ousim import BLOCK, _check_count, draw_inline
+from .ousim import _check_count, block_layout, draw_inline
 
 
 def __getattr__(name):
@@ -47,28 +44,12 @@ def __getattr__(name):
     return ProcessPoolExecutor
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the OS reports one, else os.cpu_count()."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def block_layout(n_paths: int):
-    """(block_index, count) pairs covering path indices 0..n_paths-1."""
-    n_paths = _check_count(n_paths, "n_paths", 1)
-    full, rem = divmod(n_paths, BLOCK)
-    layout = [(b, BLOCK) for b in range(full)]
-    if rem:
-        layout.append((full, rem))
-    return layout
-
-
 def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
     """The (n_paths, ...) rows of the worker, worker(block, count, *args) those of paths block * BLOCK + [0, count).
 
     The serial path makes one call, worker(0, n_paths, *args); a pool
-    runs one task per block and concatenates them in block order.
+    runs one task per block, one lane per process, and concatenates them
+    in block order.
     """
     workers = _check_count(workers, "workers", 1)
     blocks, counts = zip(*block_layout(n_paths))
@@ -76,9 +57,6 @@ def run_blocks(worker, n_paths: int, workers: int, args: tuple) -> np.ndarray:
         return worker(0, sum(counts), *args)  # all n_paths paths, one task
     columns = (blocks, counts, *map(repeat, args))
     # fork starts every max_workers process at once, so never more than there are blocks
-    processes = min(workers, len(blocks))
-    # a process and its lane thread need two cores; without them, run one lane
-    initializer = draw_inline if 2 * processes > usable_cores() else None
     pool_class = sys.modules[__name__].ProcessPoolExecutor  # the module attribute, so a replacement is honoured
-    with pool_class(max_workers=processes, initializer=initializer) as pool:
+    with pool_class(max_workers=min(workers, len(blocks)), initializer=draw_inline) as pool:
         return np.concatenate(list(pool.map(worker, *columns)), axis=0)

@@ -251,11 +251,6 @@ def _covariation_levels(block, count, seed, lam, m_list, b):
     return out
 
 
-def _covariation_block(block, count, seed, lam, m, b):
-    """The split of the task's paths on m steps: (count, 5), _covariation_levels at one M."""
-    return _covariation_levels(block, count, seed, lam, [m], b)[:, 0]
-
-
 def covariation_check(b: FunctionDescriptor, lam, m_list, n_paths, seed, workers=1):
     """Refinement trend of the covariation identity.
 

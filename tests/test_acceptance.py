@@ -41,16 +41,15 @@ from oulab.ousim import (
     standard_normal,
     substream,
 )
-from oulab.parallel import block_layout, usable_cores
+from oulab.parallel import block_layout
 from oulab.reversal import covariation_check, decomposition_verdict
 
 N_FULL = 100_000
 M_FULL = 4096
 KS_FLOOR = 1e-3
 # criterion 11 and the CLI worker-invariance tests pin results bitwise
-# across worker counts, so the Monte Carlo criteria may use two cores,
-# counted as run_blocks counts them (the CPU affinity, not the host)
-WORKERS = min(2, usable_cores())
+# across worker counts, so the Monte Carlo criteria may run a pool of two
+WORKERS = 2
 
 
 def _verdict(num, text):

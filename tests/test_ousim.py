@@ -67,7 +67,11 @@ class TestStreamKeys:
         assert S.PathStream(seed=1, path=255).block == 0
         with pytest.raises(DomainError):
             S.PathStream(seed=1, path=-1)
-        for bad in ({"path": 1.5}, {"path": "3"}, {"path": None}, {"path": 2, "component": 0.5}):
+        # the whole address is checked at construction: the block fills the key's 32-bit word, the component 24 bits
+        last = S.PathStream(seed=1, path=2**32 * S.BLOCK - 1, component=2**24 - 1)
+        assert (last.block, last.row) == (2**32 - 1, S.BLOCK - 1)
+        for bad in ({"path": 1.5}, {"path": "3"}, {"path": None}, {"path": 2, "component": 0.5},
+                    {"path": 2**40}, {"path": 2**32 * S.BLOCK}, {"path": 0, "component": 2**24}):
             with pytest.raises(DomainError):
                 S.PathStream(seed=1, **bad)
         ps = S.PathStream(seed=1, path=np.int64(517), component=np.uint8(3))
@@ -468,7 +472,8 @@ class TestRowRanges:
                 assert got.shape == (stop - start, m + 1)
                 np.testing.assert_array_equal(got, paths[start:stop])
 
-    @pytest.mark.parametrize("rows", [(-1, 3), (3, 2), (0, 257), (257, 257), (1.0, 3), (0, "4"), (None, 4), (1,), 5])
+    @pytest.mark.parametrize("rows", [(-1, 3), (3, 2), (0, 257), (257, 257), (1.0, 3), (0, "4"), (None, 4), (1,), 5,
+                                      (False, True), (0, True)])
     def test_bad_row_ranges_raise(self, rows):
         with pytest.raises(DomainError):
             S.block_normals(1, 0, 0, 8, rows=rows)

@@ -1,13 +1,11 @@
-"""The task layout and two-lane rule of parallel.run_blocks, and its lazy pool class.
+"""The task layout and lane rule of parallel.run_blocks, and its lazy pool class.
 
 The serial path is one task over all the paths; a pool runs one task
-per block.  A pool whose processes, twice over, outnumber the usable
-cores has its workers run one lane, drawing and computing every row
-chunk inline; the serial path and a pool with a spare core per process
-deal a task's chunks to two lanes, the caller and one lane thread.  The
-tests replace parallel.usable_cores, the count run_blocks reads, to run
-both sides on any machine, and pin that the payload bits do not depend
-on the side or on --workers.
+per block.  The lane rule is fixed: the serial path deals a task's row
+chunks to two lanes, the caller and one lane thread, and every pool
+process runs one lane, drawing and computing every row chunk inline.
+The tests pin that rule and that the payload bits depend neither on
+--workers nor on the number of lanes.
 """
 
 import json
@@ -44,18 +42,18 @@ def _task(block, count):
 
 
 class TestDrawAheadRule:
-    @pytest.mark.parametrize(("workers", "cores", "helpers"), [
-        (1, 1, 1),  # the serial path keeps two lanes, whatever the cores
-        (2, 2, 0),  # two processes fill two cores: one lane
-        (3, 3, 0),  # three processes (three blocks) on three cores
-        (2, 3, 0),  # one core spare, not one per process
-        (2, 4, 1),  # a spare core per process: two lanes
-        (8, 6, 1),  # processes are capped at the three blocks
+    @pytest.mark.parametrize(("workers", "blocks", "helpers"), [
+        (1, 1, 1),  # the serial path runs two lanes
+        (1, 3, 1),  # one lane thread for the whole run, however many blocks
+        (2, 2, 0),  # a pool process runs one lane
+        (2, 3, 0),
+        (3, 3, 0),
+        (2, 4, 0),
+        (8, 6, 0),  # more workers than blocks: at most six processes, one lane each
     ])
-    def test_threads_in_block_tasks(self, monkeypatch, workers, cores, helpers):
-        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
-        got = parallel.run_blocks(_helper_threads, 3 * ousim.BLOCK, workers, ())
-        np.testing.assert_array_equal(got, np.full(3 * ousim.BLOCK, helpers))
+    def test_threads_in_block_tasks(self, workers, blocks, helpers):
+        got = parallel.run_blocks(_helper_threads, blocks * ousim.BLOCK, workers, ())
+        np.testing.assert_array_equal(got, np.full(blocks * ousim.BLOCK, helpers))
 
     @pytest.mark.parametrize("argv", [
         ("verify-thm23", "--M", "4096"),
@@ -64,18 +62,18 @@ class TestDrawAheadRule:
         ("decomposition", "--lambda", "1", "--m-list", "256,4096"),
     ], ids=lambda argv: argv[0])
     def test_payload_is_the_same_on_both_sides_and_any_workers(self, monkeypatch, capsys, tmp_path, argv):
+        # the sides are two lanes and one lane in the serial run; pool processes always run one
         docs = {}
-        for cores in (2, 64):
-            monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
-            for workers in ("1", "2", "3"):
-                path = tmp_path / f"c{cores}-w{workers}.json"
-                assert cli.main([*argv, "--seed", "21", "--n", "600", "--workers", workers, "--out", str(path)]) == 0
-                doc = json.loads(path.read_text())
-                doc.pop("timing")
-                doc["config"].pop("workers", None)
-                docs[cores, workers] = doc
+        for two_lanes, workers in ((True, "1"), (False, "1"), (True, "2"), (True, "3")):
+            monkeypatch.setattr(ousim, "_two_lanes", two_lanes)
+            path = tmp_path / f"l{two_lanes}-w{workers}.json"
+            assert cli.main([*argv, "--seed", "21", "--n", "600", "--workers", workers, "--out", str(path)]) == 0
+            doc = json.loads(path.read_text())
+            doc.pop("timing")
+            doc["config"].pop("workers", None)
+            docs[two_lanes, workers] = doc
         capsys.readouterr()
-        first = docs[2, "1"]
+        first = docs[True, "1"]
         assert all(doc == first for doc in docs.values()), [key for key, doc in docs.items() if doc != first]
 
 
@@ -119,20 +117,6 @@ class TestTasks:
                 parallel.block_layout(bad)
         with pytest.raises(DomainError, match="workers must be an integer"):
             parallel.run_blocks(_task, 10, True, ())
-
-
-class TestUsableCores:
-    def test_affinity_where_the_os_reports_one(self):
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("no CPU affinity on this platform")
-        assert parallel.usable_cores() == len(os.sched_getaffinity(0))
-
-    def test_cpu_count_elsewhere(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert parallel.usable_cores() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert parallel.usable_cores() == 1
 
 
 class TestLazyPoolClass:

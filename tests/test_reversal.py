@@ -269,7 +269,7 @@ class TestChunkedBlock:
         for b in _SPLIT_PROFILES:
             for count in (1, 31, 32, 33, 100, 256):
                 want = _reference_split(b, times, whole[:count], weights)
-                got = R._covariation_block(3, count, 47, 2.0, m, b)
+                got = R._covariation_levels(3, count, 47, 2.0, [m], b)[:, 0]
                 assert got.shape == (count, 5)
                 np.testing.assert_array_equal(got, want, err_msg=f"{b.name} count={count}")
 
