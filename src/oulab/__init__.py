@@ -20,7 +20,7 @@ used: its submodule is imported then, with the submodules that one
 imports, and the name is bound in the package, so later uses are plain
 attribute reads.  So `from oulab import ousim` loads ousim, constants,
 errors and numpy, and `from oulab import check_thm23` loads the sampling,
-function library and process pool layers too.
+function library and block-task layers too.
 """
 
 from importlib import import_module as _import_module

@@ -551,8 +551,8 @@ def _sampling_flags(n="100000"):
         _format("json"),
         Flag("--seed", None, "RNG seed (required, 64-bit)"),
         Flag("--n", n, "number of Monte Carlo paths"),
-        Flag("--workers", "1", "worker processes; 1 runs two lanes (two threads), p >= 2 runs min(p, blocks of 256 "
-                               "paths) processes of one lane each; never changes results"),
+        Flag("--workers", "1", "lanes: p runs min(max(2, p), row chunks) lane threads in this one process; "
+                               "never changes results"),
     )
 
 

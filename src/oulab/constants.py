@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 ALPHA1 = 1.0 / 64.0
 
@@ -115,7 +115,8 @@ def alpha2(lam):
 
 def alpha3(lam):
     arr = _as_rates(lam)
-    out = np.minimum(1.0 / arr, 0.25) / 64.0
+    with np.errstate(over="ignore"):  # 1/lam overflows below lam ~ 5.6e-309, where the minimum is 1/4 anyway
+        out = np.minimum(1.0 / arr, 0.25) / 64.0
     return _maybe_scalar(out, lam)
 
 
@@ -240,8 +241,7 @@ class DriftSpectrum:
         return len(self.eigenvalues)
 
     def truncate(self, n: int) -> "DriftSpectrum":
-        if not 1 <= n <= len(self.eigenvalues):
-            raise DomainError(f"truncation {n} outside 1..{len(self.eigenvalues)}")
+        n = _check_count(n, "truncation", 1, len(self.eigenvalues) + 1)
         if n == len(self.eigenvalues):
             return self
         arr = self.array
@@ -257,8 +257,7 @@ class DriftSpectrum:
         """lam_k = k^2 for k = 1..n, declared as a truncation of the full
         unbounded spectrum; the dropped invariant mass sum_{k>n} 1/(2k^2)
         is below the integral bound 1/(2n)."""
-        if n < 1:
-            raise DomainError("need at least one eigenvalue")
+        n = _check_count(n, "spectrum size", 1)
         return cls(
             eigenvalues=tuple(float(k * k) for k in range(1, n + 1)),
             tail_mode=TAIL_UNBOUNDED,

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the one integer check."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -7,3 +9,22 @@ class DomainError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration cannot be parsed or validated."""
+
+
+def _check_count(value, name, least, below=None) -> int:
+    """value as a Python int with least <= value < below (no upper bound when below is None).
+
+    numpy integers pass; bools, floats and strings do not.  The one
+    integer check of the package: counts, seeds, stream key words, path
+    addresses, row ranges, spectrum sizes, truncations, shift components
+    and drift directions pass through it.
+    """
+    try:
+        value = operator.index(None if isinstance(value, bool) else value)  # a bool is no count
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    if below is not None and value >= below:
+        raise DomainError(f"{name} must be below {below}, got {value}")
+    return value

@@ -32,8 +32,10 @@ term overflows past lam_1 ~ 354, and an infinite weighted norm is
 uncertified.  Certificates are computed from the construction, never
 estimated from samples; sampling only audits them.
 
-Profiles are module-level functions (partial-bound for parameters) so
-descriptors pickle cleanly into worker processes.
+Profiles are module-level functions (partial-bound for parameters), so
+descriptors pickle.  Each profile phi(t, xi, out=None) can write into a
+caller's buffer: a block kernel's lane evaluates its profiles into work
+arrays it allocates once, never into a new array per row chunk.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 SHIFT_SUP_GRID = 4097  # 2^12 intervals, endpoints included, hits t = 1/2 exactly
 
@@ -54,16 +56,17 @@ SHIFT_SUP_GRID = 4097  # 2^12 intervals, endpoints included, hits t = 1/2 exactl
 # ----------------------------------------------------------------------
 
 
-def _scaled(factor, x):
-    """(factor * x, out): factor * x in a new float64 array, which a profile
-    then finishes in place through out=; a scalar x gives a numpy scalar
-    and out=None, so a scalar state still returns a scalar.  At factor
-    1.0 the multiply, exact for every float64, is skipped: x comes back
-    with out=None, and the profile's first ufunc allocates its result."""
+def _scaled(factor, x, out=None):
+    """(factor * x, out): factor * x in out, or in a new float64 array,
+    which a profile then finishes in place through out=; a scalar x
+    without out gives a numpy scalar and out=None, so a scalar state
+    still returns a scalar.  At factor 1.0 the multiply, exact for every
+    float64, is skipped: x comes back with out as given, and the
+    profile's first ufunc writes its result there or allocates it."""
     x = np.asarray(x, dtype=np.float64)
     if factor == 1.0:
-        return x, None
-    y = factor * x
+        return x, out
+    y = np.multiply(factor, x, out=out)
     return y, (y if isinstance(y, np.ndarray) else None)
 
 
@@ -72,33 +75,45 @@ def _times(factor, y):
     return y if factor == 1.0 else np.multiply(factor, y, out=y if isinstance(y, np.ndarray) else None)
 
 
-def _phi_sin(t, xi, omega=1.0):
-    y, out = _scaled(omega, xi)
+def _into(value, out):
+    """value, or value copied into out when out is given: how a profile built on a caller's callable takes out."""
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
+
+
+# profiles phi(t, xi, out=None): out, a float64 array of the result's
+# shape, receives the result, and may be xi itself
+
+
+def _phi_sin(t, xi, out=None, omega=1.0):
+    y, out = _scaled(omega, xi, out)
     return np.sin(y, out=out)
 
 
-def _dphi_sin(t, xi, omega=1.0):
-    y, out = _scaled(omega, xi)
+def _dphi_sin(t, xi, out=None, omega=1.0):
+    y, out = _scaled(omega, xi, out)
     return _times(omega, np.cos(y, out=out))
 
 
-def _phi_cos(t, xi, omega=1.0):
-    y, out = _scaled(omega, xi)
+def _phi_cos(t, xi, out=None, omega=1.0):
+    y, out = _scaled(omega, xi, out)
     return np.cos(y, out=out)
 
 
-def _dphi_cos(t, xi, omega=1.0):
-    y, out = _scaled(omega, xi)
+def _dphi_cos(t, xi, out=None, omega=1.0):
+    y, out = _scaled(omega, xi, out)
     return _times(-omega, np.sin(y, out=out))
 
 
-def _phi_tanh(t, xi, omega=1.0):
-    y, out = _scaled(omega, xi)
+def _phi_tanh(t, xi, out=None, omega=1.0):
+    y, out = _scaled(omega, xi, out)
     return np.tanh(y, out=out)
 
 
-def _dphi_tanh(t, xi, omega=1.0):
-    y, out = _scaled(omega, xi)
+def _dphi_tanh(t, xi, out=None, omega=1.0):
+    y, out = _scaled(omega, xi, out)
     y = np.tanh(y, out=out)
     out = y if isinstance(y, np.ndarray) else None
     return _times(omega, np.subtract(1.0, np.multiply(y, y, out=out), out=out))
@@ -155,22 +170,22 @@ def _pair_plain(t, h1, h2, phi):
     return apply
 
 
-def _phi_sign(t, xi):
-    return np.sign(np.asarray(xi, dtype=np.float64))
+def _phi_sign(t, xi, out=None):
+    return np.sign(np.asarray(xi, dtype=np.float64), out=out)
 
 
-def _phi_one(t, xi):
-    return np.ones_like(np.asarray(xi, dtype=np.float64))
+def _phi_one(t, xi, out=None):
+    return np.ones_like(np.asarray(xi, dtype=np.float64)) if out is None else _into(1.0, out)
 
 
-def _phi_zero(t, xi):
-    return np.zeros_like(np.asarray(xi, dtype=np.float64))
+def _phi_zero(t, xi, out=None):
+    return np.zeros_like(np.asarray(xi, dtype=np.float64)) if out is None else _into(0.0, out)
 
 
-def _phi_time_sin(t, xi):
+def _phi_time_sin(t, xi, out=None):
     # depends on t only; broadcast to the state's shape
     t_arr, xi_arr = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(xi, dtype=np.float64))
-    y, out = _scaled(math.pi, t_arr)
+    y, out = _scaled(math.pi, t_arr, out)
     return np.sin(y, out=out)
 
 
@@ -213,7 +228,10 @@ class FunctionDescriptor:
     for a truncated Hilbert state xi = x[direction].  `norm_inf` and
     `norm_inf_A` are certified analytically by the constructor; np.inf
     marks an uncertified descriptor, which the theorem checkers refuse.
-    `profile_dx_sup` bounds |d phi / d xi| when the profile is smooth.
+    `profile(t, xi, out=None)` and `profile_dx(t, xi, out=None)` evaluate
+    phi and d phi / d xi; out, a float64 array of the result's shape,
+    receives the result and is returned.  `profile_dx_sup` bounds
+    |d phi / d xi| when the profile is smooth.
     `pair(t, h1, h2)` prepares the pair profile for shifts h1, h2 that
     broadcast against t, the one entry point of the shift functionals:
     it computes the factors that read only the shifts once and returns
@@ -317,8 +335,7 @@ def make_b_weighted(spectrum_values, profile="sin", coefficients=None, direction
     csq = float(np.sum(c * c))
     if csq > 1.0 + 1e-12:
         raise DomainError(f"sum of squared coefficients is {csq:.6g} > 1")
-    if not 0 <= direction < n:
-        raise DomainError(f"direction {direction} outside spectrum of size {n}")
+    direction = _check_count(direction, "direction", 0, n)
     if profile not in _PROFILES:
         raise DomainError(f"unknown profile {profile!r}; have {sorted(_PROFILES)}")
     with np.errstate(over="ignore"):
@@ -330,13 +347,15 @@ def raw_profile_b(profile, profile_dx, vector, direction=0, name="raw") -> Funct
     """Uncertified descriptor for quadrature work and oracles.
 
     norm certificates are set to infinity, so the theorem checkers will
-    refuse it; the grid integrals accept anything.
+    refuse it; the grid integrals accept anything.  profile and
+    profile_dx take (t, xi); the descriptor's callables take out= as
+    well and copy their result into it.
     """
     v = np.atleast_1d(np.asarray(vector, dtype=np.float64))
     return FunctionDescriptor(
         name=name,
-        profile=profile,
-        profile_dx=profile_dx,
+        profile=partial(_foreign, fn=profile),
+        profile_dx=None if profile_dx is None else partial(_foreign, fn=profile_dx),
         pair=partial(_pair_plain, phi=profile),
         vector=v,
         direction=direction,
@@ -406,9 +425,8 @@ def _build_shift(name, spectrum_values, profiles, allow_zero):
         raise DomainError("spectrum must be a nonempty list of rates")
     n = lam.size
     comps = []
+    profiles = {_check_count(idx, "shift component", 0, n): entry for idx, entry in profiles.items()}
     for idx, entry in sorted(profiles.items()):
-        if not 0 <= idx < n:
-            raise DomainError(f"shift component {idx} outside truncation {n}")
         if not callable(entry):
             pname = entry
             scale = 1.0
@@ -496,13 +514,19 @@ def shift_difference_norm(h1: ShiftDescriptor, h2: ShiftDescriptor, r=0.0, u=1.0
 # by l^(-1/2), which can grow, so its norms are recomputed from scratch.
 
 
-def _phi_windowed(t, xi, base, ell, r):
-    return base(ell * np.asarray(t, dtype=np.float64) + r, math.sqrt(ell) * np.asarray(xi, dtype=np.float64))
+def _foreign(t, xi, out=None, *, fn):
+    """fn(t, xi) of a caller's profile, copied into out when given."""
+    return _into(fn(t, xi), out)
 
 
-def _dphi_windowed(t, xi, base_dx, ell, r):
+def _phi_windowed(t, xi, out=None, *, base, ell, r):
+    return _into(base(ell * np.asarray(t, dtype=np.float64) + r, math.sqrt(ell) * np.asarray(xi, dtype=np.float64)),
+                 out)
+
+
+def _dphi_windowed(t, xi, out=None, *, base_dx, ell, r):
     inner = base_dx(ell * np.asarray(t, dtype=np.float64) + r, math.sqrt(ell) * np.asarray(xi, dtype=np.float64))
-    return math.sqrt(ell) * np.asarray(inner, dtype=np.float64)
+    return np.multiply(math.sqrt(ell), np.asarray(inner, dtype=np.float64), out=out)
 
 
 def _sh_windowed(t, base, ell, r):

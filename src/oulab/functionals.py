@@ -129,11 +129,16 @@ def _in_range(values, cap) -> np.ndarray:
     return s
 
 
-def exp_moment(values, alpha, value_cap=math.inf) -> Verdict:
-    """The row of exp(alpha S_i^2) against EXP_BOUND, S_i >= 0 the per-path values, each at most value_cap."""
+def _check_alpha(alpha) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
         raise DomainError("alpha must be positive and finite")
+    return alpha
+
+
+def exp_moment(values, alpha, value_cap=math.inf) -> Verdict:
+    """The row of exp(alpha S_i^2) against EXP_BOUND, S_i >= 0 the per-path values, each at most value_cap."""
+    alpha = _check_alpha(alpha)
     s = _in_range(values, value_cap)
     return judge(np.exp(alpha * s * s), EXP_BOUND)
 
@@ -203,7 +208,7 @@ def _check_shifts(spec: ExperimentSpec, **shifts):
 
 
 # ----------------------------------------------------------------------
-# block workers (module level so they pickle into worker processes)
+# block workers (module level, so a task and its arguments pickle)
 # ----------------------------------------------------------------------
 
 
@@ -252,10 +257,10 @@ def _start_decay(rate, m, horizon, x0):
 
 
 # Each worker is one task: it samples paths block * BLOCK + [0, count),
-# count up to all of a serial run's paths, in row chunks dealt in path
-# order, across block boundaries, to up to two lanes (ousim.run_lanes):
-# the caller's thread and, where a core is free for it
-# (parallel.run_blocks decides), one helper thread.  The task computes
+# count up to all of a run's paths, in row chunks dealt in path order,
+# across block boundaries, to `lanes` lanes (ousim.run_lanes; two unless
+# parallel.run_blocks passes more for --workers): the caller's thread and
+# lane threads, never more lanes than chunks.  The task computes
 # its constants once (the prepared pair profile, the step and |v|), and
 # a lane allocates its workspace (ousim._lane_arrays) once; for each
 # chunk it takes, a lane draws the normals into it, runs the recursion
@@ -268,8 +273,8 @@ def _start_decay(rate, m, horizon, x0):
 # block.
 
 
-def _chunk_integrals(block, count, seed, coord: Coordinate, b, integrand):
-    """|int integrand(z) dt| |v| for the task's paths z, integrand a profile of the paths."""
+def _chunk_integrals(block, count, seed, coord: Coordinate, b, integrand, lanes):
+    """|int integrand(z) dt| |v| for the task's paths z, integrand a profile of the paths, in `lanes` lanes."""
     m, dx, norm = coord.m, coord.horizon / coord.m, b.vector_norm
     out = np.empty(count)
 
@@ -282,20 +287,21 @@ def _chunk_integrals(block, count, seed, coord: Coordinate, b, integrand):
             j = _trapezoid_rows(integrand(z), dx, scan[: n * m].reshape(n, m))
             out[at : at + n] = np.abs(j) * norm
 
-    run_lanes(block, count, m, lane)
+    run_lanes(block, count, m, lane, lanes)
     return out
 
 
-def _prop21_block(block, count, seed, coord: Coordinate, b):
+def _prop21_block(block, count, seed, coord: Coordinate, b, *, lanes=2):
     """|int b'(t, xi_t) dt| for the task's paths block * BLOCK + [0, count), xi the coordinate's paths."""
     times = coord.times()
-    return _chunk_integrals(block, count, seed, coord, b, lambda z: np.asarray(b.profile_dx(times, z), np.float64))
+    return _chunk_integrals(block, count, seed, coord, b, lambda z: np.asarray(b.profile_dx(times, z), np.float64),
+                            lanes)
 
 
-def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals):
+def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals, *, lanes=2):
     """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for the task's paths, h1_vals and h2_vals at coord.times()."""
     pair = b.pair(coord.times(), h1_vals, h2_vals)
-    return _chunk_integrals(block, count, seed, coord, b, lambda z: pair(z, out=z))
+    return _chunk_integrals(block, count, seed, coord, b, lambda z: pair(z, out=z), lanes)
 
 
 def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):
@@ -330,7 +336,7 @@ def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, w
         raise DomainError(f"descriptor {b.name!r} has no derivative; the functional needs b'")
     _check_certified(b, need_a_norm=False)
     lam = float(lam)
-    a = alpha_of(lam)
+    a = _check_alpha(alpha_of(lam))  # alpha underflows to 0 for lam above about 373: refused before sampling
     coord = Coordinate(lam, _check_count(m, "m", 2), b.direction)
     values = run_blocks(_prop21_block, n_paths, workers, (seed, coord, b))
     cap = math.inf if b.profile_dx_sup is None else b.profile_dx_sup * b.vector_norm

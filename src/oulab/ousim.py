@@ -31,10 +31,9 @@ per value, so a row cannot start at an offset computed from the rows
 before it; with the row in counter word 1 it starts at a fixed place,
 2^64 counter steps from the next row.  One path therefore costs O(M)
 draws and O(M) memory, and any grouping of a block's rows (whole block,
-row chunks, one path, row chunks of many blocks in one task), any
+row chunks, one path, row chunks of many blocks in one task) and any
 thread that draws a row (run_lanes deals a task's row chunks, across
-its block boundaries, to the caller's thread and, in a serial run, one
-lane thread) and any scheduling of blocks across workers
+its block boundaries, to the caller's thread and its lane threads)
 reproduce identical paths.  No generator is built per row: each
 thread keeps one Philox generator and, before every row, replaces its
 whole state with the fresh state of that row (the key and counter
@@ -65,16 +64,15 @@ two are independent.
 
 Importing this module loads constants, errors and numpy, nothing that
 single-path sampling does not call.  ndtri, which only a verdict row
-needs, imports statistics at its first call.  run_lanes, the block
-kernels' second lane, is a plain threading.Thread, so no run loads
-concurrent.futures (with its logging, traceback and queue) for it.
+needs, imports statistics at its first call.  run_lanes' lane threads
+are plain threading.Threads, so no run loads concurrent.futures (with
+its logging, traceback and queue) or multiprocessing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 
@@ -82,7 +80,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .constants import DriftSpectrum, _coerce_spectrum
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 STREAM_CONTRACT = "philox-rowcounter-ziggurat-block256"
 
@@ -100,30 +98,13 @@ _CLOCK_LIMIT = 700.0
 # entries in each grid-constant cache of the per-path samplers; a grid is (lam, m, horizon)
 _GRID_CACHE_SIZE = 32
 
-# whether run_lanes runs a second lane on a helper thread; draw_inline clears it in a pool process
-_two_lanes = True
-
-
-def _check_count(value, name, least, below=None) -> int:
-    """value as a Python int with least <= value < below (no upper bound when below is None).
-
-    numpy integers pass; bools, floats and strings do not.  The one
-    integer check of the sampling and block-task layers: counts, seeds,
-    stream key words, path addresses and row ranges pass through it.
-    """
-    try:
-        value = operator.index(None if isinstance(value, bool) else value)  # a bool is no count
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be at least {least}, got {value}")
-    if below is not None and value >= below:
-        raise DomainError(f"{name} must be below {below}, got {value}")
-    return value
-
 
 def _check_seed(seed) -> int:
     return _check_count(seed, "seed", 0, 2**64)
+
+
+def _check_domain(domain) -> int:
+    return _check_count(domain, "domain", 0, 2**8)
 
 
 def _key_words(seed, component, block, domain) -> tuple:
@@ -131,8 +112,7 @@ def _key_words(seed, component, block, domain) -> tuple:
     seed = _check_seed(seed)
     component = _check_count(component, "component index", 0, 2**24)
     block = _check_count(block, "block index", 0, 2**32)
-    domain = _check_count(domain, "domain", 0, 2**8)
-    return seed, (domain << 56) | (component << 32) | block
+    return seed, (_check_domain(domain) << 56) | (component << 32) | block
 
 
 def stream_key(seed, component, block, domain=DOMAIN_PATH) -> np.ndarray:
@@ -146,10 +126,14 @@ def substream(seed, component=0, block=0, domain=DOMAIN_PATH, row=0) -> Generato
 
 
 class _ThreadGenerator(threading.local):
-    """The calling thread's one generator for row draws; see _row_generator."""
+    """The calling thread's one generator for row draws and the state dict it is set from; see _row_generator."""
 
     def __init__(self):
         self.gen = Generator(Philox(0))
+        self.counter = [0, 0, 0, 0]
+        self.words = {"counter": self.counter, "key": (0, 0)}
+        self.state = {"bit_generator": "Philox", "state": self.words, "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
 
 
 _THREAD = _ThreadGenerator()
@@ -161,17 +145,14 @@ def _row_generator(key_words, row) -> Generator:
     Bitwise substream(..., row=row): the whole Philox state is replaced by
     the state of a fresh generator there (the key, counter (0, row, 0, 0),
     an empty output buffer), so nothing of an earlier draw carries over.
+    The thread's one state dict changes only in the key and counter word
+    1; the setter copies it into the generator and keeps no reference.
     """
-    gen = _THREAD.gen
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, row, 0, 0], "key": key_words},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+    thread = _THREAD
+    thread.counter[1] = row
+    thread.words["key"] = key_words
+    thread.gen.bit_generator.state = thread.state
+    return thread.gen
 
 
 def standard_normal(gen: Generator, size=None, out=None):
@@ -255,16 +236,6 @@ def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=
     return out
 
 
-def draw_inline():
-    """Make every task in this process run one lane, on the caller's thread.
-
-    The initializer of every process pool (parallel.run_blocks): a pool
-    runs one lane per process, and only a serial run keeps two.
-    """
-    global _two_lanes
-    _two_lanes = False
-
-
 def _lane_arrays(rows, m) -> tuple:
     """One lane's workspace for row chunks of up to `rows` rows on up to m steps: (normals, scan, paths).
 
@@ -297,32 +268,29 @@ def task_chunks(block, count, m) -> list:
             for k, rows in block_layout(count) for start, stop in row_chunks(rows, m)]
 
 
-def run_lanes(block, count, m, lane):
-    """Run lane(rows, chunks) in up to two lanes over the row chunks (task_chunks) of one task's paths.
+def run_lanes(block, count, m, lane, lanes=2):
+    """Run lane(rows, chunks) in min(lanes, chunks) lanes over the row chunks (task_chunks) of one task's paths.
 
     chunks is one iterator over the task's chunks, in path order, shared
     by the lanes: each takes the next chunk as soon as it finishes one,
-    so the chunks cross block boundaries and neither lane waits for the
-    other at the end of a block.  rows is the height of the largest
-    chunk, for the lane's workspace (_lane_arrays).  The caller's thread
-    is one lane; where there are two chunks or more and draw_inline has
-    not run in this process (a serial run, not a pool worker), one
-    helper thread is the other.  Each lane draws and computes whole
-    chunks and writes their rows of the task's result, so both cores
-    draw and compute.  Every row sets its own Philox state on the thread
-    that draws it and nothing a row's values read depends on the other
-    rows of its chunk, so the bits depend on neither the lane nor the
-    dealing.  The helper lives only inside this call: it is joined
-    before the call returns or raises, and an exception in either lane
-    leaves the call, after the other lane has finished the chunk it
-    holds.
+    so the chunks cross block boundaries and no lane waits for another
+    at the end of a block.  rows is the height of the largest chunk, for
+    the lane's workspace (_lane_arrays).  The caller's thread is one
+    lane and each other lane is a helper thread, so one task with p
+    lanes draws and computes on p cores as far as the GIL lets it (numpy
+    releases it in its draws and ufuncs).  Each lane draws and computes
+    whole chunks and writes their rows of the task's result.  Every row
+    sets its own Philox state on the thread that draws it and nothing a
+    row's values read depends on the other rows of its chunk, so the
+    bits depend on neither the lane nor the dealing.  The helpers live
+    only inside this call: they are joined before the call returns or
+    raises, and an exception in any lane leaves the call, after the
+    other lanes have finished the chunks they hold.
     """
+    lanes = _check_count(lanes, "lanes", 1)
     chunks = task_chunks(block, count, m)
     rows = chunks[0][2] - chunks[0][1]
-    dealt = iter(chunks)  # a list iterator's next is one step under the GIL, so no chunk goes to both lanes
-    if not _two_lanes or len(chunks) == 1:
-        lane(rows, dealt)
-        return
+    dealt = iter(chunks)  # a list iterator's next is one step under the GIL, so no chunk goes to two lanes
     failed = []
 
     def helper_lane():
@@ -330,15 +298,19 @@ def run_lanes(block, count, m, lane):
             lane(rows, dealt)
         except BaseException as exc:  # raised again on the caller's thread
             failed.append(exc)
-            chunks.clear()  # ends the dealing: the caller's lane takes no further chunk
+            chunks.clear()  # ends the dealing: no other lane takes a further chunk
 
-    helper = threading.Thread(target=helper_lane, name="oulab-lane")
-    helper.start()
+    helpers = []
     try:
+        for _ in range(min(lanes, len(chunks)) - 1):
+            helper = threading.Thread(target=helper_lane, name="oulab-lane")
+            helper.start()
+            helpers.append(helper)
         lane(rows, dealt)
     finally:
-        chunks.clear()  # a list iterator reads its list's length at each step: the helper takes no further chunk
-        helper.join()
+        chunks.clear()  # a list iterator reads its list's length at each step: no helper takes a further chunk
+        for helper in helpers:
+            helper.join()
     if failed:
         raise failed[0]
 
@@ -352,9 +324,11 @@ class PathStream:
     component: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        _check_count(self.path, "path index", 0, BLOCK * 2**32)  # its block fits the key's 32-bit word
-        _check_count(self.component, "component index", 0, 2**24)
+        seed = _check_seed(self.seed)
+        path = _check_count(self.path, "path index", 0, BLOCK * 2**32)  # its block fits the key's 32-bit word
+        component = _check_count(self.component, "component index", 0, 2**24)
+        # _key_words without the domain, checked and packed once for every path_normals call
+        object.__setattr__(self, "_words", (seed, (component << 32) | (path // BLOCK)))
 
     @property
     def block(self) -> int:
@@ -368,8 +342,8 @@ class PathStream:
 def path_normals(stream: PathStream, m, domain=DOMAIN_PATH) -> np.ndarray:
     """One path's m Gaussians, bitwise its row of block_normals, in O(m) draws."""
     m = _check_count(m, "m", 0)
-    key_words = _key_words(stream.seed, stream.component, stream.block, domain)
-    return standard_normal(_row_generator(key_words, stream.row), m)
+    seed, word = stream._words
+    return standard_normal(_row_generator((seed, (_check_domain(domain) << 56) | word), stream.row), m)
 
 
 # ----------------------------------------------------------------------

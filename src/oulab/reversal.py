@@ -146,29 +146,33 @@ def _split_weights(lam, times):
 
 
 def _split_scratch(rows, m):
-    """Work arrays of _split_arrays for up to `rows` paths on m steps: three (rows, m+1)."""
-    return np.empty((3, rows, m + 1))
+    """Work arrays of _split_arrays for up to `rows` paths on up to m steps: five (rows, m+1)."""
+    return np.empty((5, rows, m + 1))
 
 
 def _split_arrays(b: FunctionDescriptor, times, values, weights, scratch=None):
     """Per-path signed amplitudes of (lhs, covariation, i1, i2, i3).
 
-    values: (n, m+1); weights: _split_weights(lam, times); scratch:
-    three work arrays of at least n rows and m columns, such as
-    _split_scratch(rows, m) with rows >= n, allocated here when None.
-    Returns (n, 5).  Every elementwise step writes into the scratch; the
-    profiles' arrays are only read, as a profile may return a view of
-    its input.  Each reduction reads a forward, row-contiguous operand,
-    so the sums come out as np.diff/np.trapezoid on fresh arrays.
+    values: (n, m+1); weights: _split_weights(lam, times); scratch: five
+    work arrays of at least n * (m + 1) values, the last three of at
+    least n rows and m columns, such as _split_scratch(rows, m) with
+    rows >= n, allocated here when None.  Returns (n, 5).  phi and phi'
+    are evaluated into the first two (out, the profiles' third
+    argument), as (n, m+1) arrays of the shape and layout of values, and
+    every elementwise step writes into the other three, so a block
+    kernel's lane allocates nothing per chunk but the (n, 5) result.
+    Each reduction reads a forward, row-contiguous operand, so the sums
+    come out as np.diff/np.trapezoid on fresh arrays.
     """
     n, m = values.shape[0], times.size - 1
     dt = 1.0 / m
     w, c_rev = weights
     if scratch is None:
         scratch = _split_scratch(n, m)
-    dz, prod, trap = (s[:n, :m] for s in scratch)
-    phi = np.asarray(b.profile(times, values), dtype=np.float64)
-    dphi = np.asarray(b.profile_dx(times, values), dtype=np.float64)
+    phi, dphi = (s.ravel()[: n * (m + 1)].reshape(n, m + 1) for s in scratch[:2])
+    dz, prod, trap = (s[:n, :m] for s in scratch[2:])
+    phi = b.profile(times, values, phi)
+    dphi = b.profile_dx(times, values, dphi)
     np.subtract(values[:, 1:], values[:, :-1], out=dz)
 
     lhs = _trapezoid_rows(dphi, dt, trap)
@@ -218,17 +222,18 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
     return _report(b, path.lam, path.times, split)
 
 
-def _covariation_levels(block, count, seed, lam, m_list, b):
+def _covariation_levels(block, count, seed, lam, m_list, b, *, lanes=2):
     """The split of the task's paths block * BLOCK + [0, count) at every M of m_list: (count, len(m_list), 5).
 
     The task computes each level's grid and split weights once, and
     deals its row chunks, in path order and across block boundaries, to
-    up to two lanes (ousim.run_lanes).  A lane allocates its workspace
+    `lanes` lanes (ousim.run_lanes).  A lane allocates its workspace
     (ousim._lane_arrays) and the split's work arrays once per task and
     draws each chunk it takes once, at the finest M; level M reads the
     first M normals of each row, bitwise its own draw (see
     covariation_check).  The lane's path and scan arrays and the split's
-    work arrays, all sized for the finest level, serve every level.
+    work arrays, phi and phi' among them, all sized for the finest
+    level, serve every level, so a chunk allocates only its results.
     """
     grids = [_grid(m, 1.0) for m in m_list]
     weights = [_split_weights(lam, times) for times in grids]
@@ -237,8 +242,8 @@ def _covariation_levels(block, count, seed, lam, m_list, b):
 
     def lane(rows, chunks):
         normals, scan, paths = _lane_arrays(rows, m_max)
-        # the split's third work array is the scan's, free again once a level's paths are computed
-        scratch = (*np.empty((2, rows, m_max + 1)), scan[: rows * m_max].reshape(rows, m_max))
+        # the split's last work array is the scan's, free again once a level's paths are computed
+        scratch = (*np.empty((4, rows, m_max + 1)), scan[: rows * m_max].reshape(rows, m_max))
         for blk, start, stop, at in chunks:
             n = stop - start
             block_normals(seed, b.direction, blk, m_max, rows=(start, stop), out=normals[:n])
@@ -247,7 +252,7 @@ def _covariation_levels(block, count, seed, lam, m_list, b):
                                         out=paths.ravel()[: n * (m + 1)].reshape(n, m + 1), work=scan)
                 out[at : at + n, k] = _split_arrays(b, grids[k], values, weights[k], scratch)
 
-    run_lanes(block, count, m_max, lane)
+    run_lanes(block, count, m_max, lane, lanes)
     return out
 
 

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert "derivative" in err
+
+    def test_alpha_underflow_exits_two_before_sampling(self, capsys, monkeypatch):
+        # alpha underflows to 0 for lambda above about 373; the run once sampled for a second before refusing it
+        def refuse(*args):
+            raise AssertionError("sampled before alpha was checked")
+
+        monkeypatch.setattr(oulab.functionals, "run_blocks", refuse)
+        code, _, err = _run(capsys, "verify-prop21", "--seed", "1", "--lambda", "400", "--n", "20000", "--M", "1024")
+        assert code == 2
+        assert "alpha must be positive and finite" in err
+
+    def test_subnormal_lambda_prints_only_the_verdict(self, capsys):
+        # 1/lambda overflows in alpha3; numpy's warning once took a line of stderr, which is the verdict's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(capsys, "verify-prop21", "--seed", "1", "--lambda", "1e-320", "--n", "64", "--M", "32")
+        assert code == 0
+        assert len(err.splitlines()) == 1 and err.startswith("PASS verify-prop21:")
 
     def test_passing_run_exits_zero(self, capsys):
         code, out, err = _run(
@@ -467,8 +486,8 @@ class TestPayload:
         assert outs[0] == outs[1]
         assert outs[0]["spec_hash"] == outs[1]["spec_hash"]
 
-    def test_decomposition_starts_one_pool(self, capsys, monkeypatch):
-        # every grid size of a block is one task, so the run needs one pool
+    def test_no_command_starts_a_pool(self, capsys, monkeypatch):
+        # every --workers runs as lane threads of this one process
         pools = []
 
         class CountedPool(oulab.parallel.ProcessPoolExecutor):
@@ -477,26 +496,11 @@ class TestPayload:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(oulab.parallel, "ProcessPoolExecutor", CountedPool)
-        code, _, err = _run(
-            capsys, "decomposition", "--lambda", "1", "--m-list", "16,32,64", "--seed", "21", "--n", "600",
-            "--workers", "2",
-        )
-        assert code == 0, err
-        assert pools == [2]
-
-    def test_pool_starts_one_process_per_block(self, capsys, monkeypatch):
-        # under fork the pool starts all max_workers processes at once, used or not
-        pools = []
-
-        class CountedPool(oulab.parallel.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(oulab.parallel, "ProcessPoolExecutor", CountedPool)
-        code, _, err = _run(capsys, "verify-thm23", "--M", "64", "--seed", "21", "--n", "300", "--workers", "4")
-        assert code == 0, err
-        assert pools == [2]
+        for argv in (("decomposition", "--lambda", "1", "--m-list", "16,32,64", "--workers", "2"),
+                     ("verify-thm23", "--M", "64", "--workers", "4")):
+            code, _, err = _run(capsys, *argv, "--seed", "21", "--n", "600")
+            assert code == 0, err
+        assert pools == []
 
     def test_csv_format(self, capsys):
         code, out, _ = _run(
@@ -761,3 +765,20 @@ class TestImport:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "0 []"]
+
+    def test_no_command_at_any_workers_loads_a_process_pool(self, tmp_path):
+        # --workers p runs lane threads of one process: no command loads multiprocessing or concurrent.futures
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        commands = [["verify-prop21", "--lambda", "1", "--M", "64"], ["verify-thm23", "--M", "64"],
+                    ["concentration", "--M", "64", "--h1", "e1:sin_pi_t", "--etas", "0.5"],
+                    ["moments", "--M", "64", "--x", "0.5,0", "--y", "-0.5,0", "--ps", "1"],
+                    ["decomposition", "--lambda", "1", "--m-list", "16,64"]]
+        code = ("import json, sys, oulab.cli; "
+                "codes = [oulab.cli.main(argv + ['--seed', '5', '--n', '600', '--workers', w, '--out', sys.argv[1]]) "
+                "         for argv in json.loads(sys.argv[2]) for w in ('1', '2', '3')]; "
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "payload.json"), json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"{[0] * 15} []"

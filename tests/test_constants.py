@@ -7,6 +7,7 @@ the closed forms and the numerics check each other.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestDLambda:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 C.d_lambda(bad)
+
+    def test_subnormal_rates_warn_nothing(self):
+        # 1/lam overflows below lam ~ 5.6e-309; stderr is the verdict line's alone, so no numpy warning may print
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert C.alpha3(1e-320) == 0.25 / 64.0
+            assert C.alpha(1e-320) == C.alpha(1.0)
 
     def test_vector_matches_scalar(self):
         lam = np.array([0.25, 1.0, 7.0])
@@ -236,6 +244,21 @@ class TestDriftSpectrum:
             C.DriftSpectrum((1.0,), tail_mode="mystery")
         with pytest.raises(DomainError):
             C.DriftSpectrum.quadratic(16).truncate(0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: C.DriftSpectrum.quadratic(2.5),
+        lambda: C.DriftSpectrum.quadratic(True),
+        lambda: C.DriftSpectrum.quadratic("3"),
+        lambda: C.DriftSpectrum.quadratic(16).truncate(1.5),
+        lambda: C.DriftSpectrum.quadratic(16).truncate(True),
+        lambda: C.DriftSpectrum.quadratic(16).truncate(17),
+    ], ids=["quadratic-float", "quadratic-bool", "quadratic-str", "truncate-float", "truncate-bool", "truncate-17"])
+    def test_sizes_and_truncations_are_integers_in_range(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_numpy_integers_are_sizes(self):
+        assert C.DriftSpectrum.quadratic(np.int64(4)).truncate(np.uint8(2)).eigenvalues == (1.0, 4.0)
 
 
 class TestBeta:

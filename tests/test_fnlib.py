@@ -102,6 +102,11 @@ class TestMakeBWeighted:
         with pytest.raises(DomainError):
             F.make_b_weighted([-1.0])
 
+    @pytest.mark.parametrize("direction", [0.5, True, -1, 2])
+    def test_directions_are_integers_in_range(self, direction):
+        with pytest.raises(DomainError, match="direction"):
+            F.make_b_weighted([1.0, 4.0], direction=direction)
+
     def test_scalar_state_reads_directly(self):
         b = F.make_b_weighted([1.0])
         one = b.evaluate(0.0, 0.7)
@@ -157,6 +162,26 @@ class TestProfilesInPlace:
         assert b.profile(t, xi).tobytes() == np.sin(math.pi * np.broadcast_to(t, xi.shape)).tobytes()
         assert isinstance(b.profile(0.25, 0.7), np.float64)
         assert b.profile(0.25, 0.7) == np.sin(math.pi * 0.25)
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "tanh", "sin:omega=1.7", "tanh:omega=2.5", "one", "zero",
+                                      "time_sin", "sign", "raw", "window", "raw-window"])
+    def test_out_receives_the_result_bitwise(self, name):
+        # a block kernel's lane evaluates the profiles into its work arrays: out, or the state itself
+        if name in ("raw", "raw-window"):
+            b = F.raw_profile_b(lambda t, xi: np.sin(xi) * t, lambda t, xi: np.cos(xi) * t, [1.0])
+        else:
+            base, _, omega = name.replace("window", "sin").partition(":omega=")
+            b = F.make_b_weighted([1.0], profile=base, omega=float(omega or 1.0))
+        if "window" in name:
+            b = F.window_rescaled_b(b, 0.25, 0.75)
+        t = np.linspace(0.0, 1.0, 33)
+        xi = np.random.default_rng(7).standard_normal((7, 33)) * 3.0
+        for fn in (b.profile, b.profile_dx) if b.smooth else (b.profile,):
+            want = np.asarray(fn(t, xi), dtype=np.float64)
+            out = np.full_like(xi, np.nan)
+            assert fn(t, xi, out) is out and out.tobytes() == want.tobytes()
+            state = xi.copy()
+            assert fn(t, state, out=state) is state and state.tobytes() == want.tobytes()
 
 
 EPS = np.finfo(np.float64).eps
@@ -322,6 +347,16 @@ class TestMakeH:
             F.make_h([1.0], {3: "sin_pi_t"})
         with pytest.raises(DomainError):
             F.make_h([1.0], {0: "unknown-profile"})
+
+    @pytest.mark.parametrize("component", [0.5, True, "0", -1, 2])
+    def test_shift_components_are_integers_in_range(self, component):
+        # {0.5: "const"} once reported sup|h| = 1 and shifted nothing, so a thm23 check passed vacuously
+        with pytest.raises(DomainError, match="shift component"):
+            F.make_h([1.0, 4.0], {component: "const"})
+
+    def test_numpy_integer_components_shift(self):
+        h = F.make_h([1.0, 4.0], {np.int64(1): "const:0.5"})
+        assert h.components[0][0] == 1 and h.evaluate(0.5).tolist() == [0.0, 0.5]
 
     def test_zero_shift_object(self):
         z = F.zero_shift([1.0, 2.0])

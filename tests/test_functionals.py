@@ -718,9 +718,16 @@ class TestChunkedBlocksMatchWholeBlock:
 DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
 
 
+def _one_lane(block, count, m, lane, lanes):
+    """ousim.run_lanes with every task in one lane, whatever lane count its caller passes."""
+    ousim.run_lanes(block, count, m, lane, 1)
+
+
 def _lanes(monkeypatch, two):
-    """Let run_lanes deal a block's chunks to two lanes, or keep them all on the caller's thread."""
-    monkeypatch.setattr(ousim, "_two_lanes", two)
+    """Let the kernels' run_lanes run the lanes a task asks for (two by default), or keep them all on the caller's
+    thread."""
+    for module in (FN, reversal):
+        monkeypatch.setattr(module, "run_lanes", ousim.run_lanes if two else _one_lane)
 
 
 class TestDrawAheadKernels:

@@ -77,6 +77,19 @@ class TestStreamKeys:
         ps = S.PathStream(seed=1, path=np.int64(517), component=np.uint8(3))
         np.testing.assert_array_equal(S.path_normals(ps, 5), S.block_normals(1, 3, 2, 5)[5])
 
+    def test_path_normals_read_the_key_packed_by_the_stream(self, monkeypatch):
+        ps = S.PathStream(seed=np.uint64(2**64 - 1), path=np.int64(517), component=np.uint8(3))
+        want = S.block_normals(2**64 - 1, 3, 2, 5, domain=S.DOMAIN_CLOCK)[5]
+
+        def refuse(*args):
+            raise AssertionError("path_normals checked the stream's key words again")
+
+        monkeypatch.setattr(S, "_check_seed", refuse)
+        monkeypatch.setattr(S, "_key_words", refuse)
+        np.testing.assert_array_equal(S.path_normals(ps, 5, S.DOMAIN_CLOCK), want)
+        with pytest.raises(DomainError, match="domain"):
+            S.path_normals(ps, 5, 256)
+
     def test_bools_are_not_integers(self):
         # True would sample seed 1, path 1 or component 1, and a count of True would be 1
         with pytest.raises(DomainError, match="seed must be an integer"):
@@ -558,6 +571,26 @@ class TestDrawnChunks:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_three_lanes_deal_every_chunk_once_under_fast_thread_switching(self):
+        # more lanes than the two cores of the reference VM, from one shared iterator
+        taken = []
+
+        def lane(rows, chunks):
+            for chunk in chunks:
+                taken.append((chunk, threading.current_thread()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                taken.clear()
+                S.run_lanes(0, 3 * 256 + 17, 2**16, lane, lanes=3)
+                assert sorted(chunk for chunk, _ in taken) == S.task_chunks(0, 3 * 256 + 17, 2**16)
+                assert len({thread for _, thread in taken}) <= 3
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == 1 or all(t.name != "oulab-lane" for t in threading.enumerate())
+
     def test_the_helper_thread_lives_only_inside_the_iteration(self):
         before = threading.active_count()
         counts = []
@@ -586,19 +619,26 @@ class TestDrawnChunks:
             # the other lane finishes the chunk it holds and takes no further one
             assert len(taken) < len(S.task_chunks(0, 3 * 256 + 17, 4096))
 
-    def test_inline_draws_start_no_thread_and_share_one_buffer(self, monkeypatch):
-        monkeypatch.setattr(S, "_two_lanes", True)  # restored after the test
-        S.draw_inline()
-        assert S._two_lanes is False
+    def test_one_lane_starts_no_thread_and_reuses_one_buffer(self):
         before = threading.active_count()
         lanes = []
-        S.run_lanes(2, 100, 4096, lambda rows, chunks: lanes.append((rows, list(chunks), threading.active_count())))
+        S.run_lanes(2, 100, 4096, lambda rows, chunks: lanes.append((rows, list(chunks), threading.active_count())),
+                    lanes=1)
         assert lanes == [(16, S.task_chunks(2, 100, 4096), before)]  # one lane with all 7 chunks, on the caller's thread
         draws = {blk: S.block_normals(5, 1, blk, 4096) for blk in (1, 2, 3, 4)}
         for block, count in ((2, 100), (1, 3 * 256 + 17)):
-            for blk, start, stop, at, got, thread in self._drawn(4096, block, count):
-                assert thread is threading.main_thread()
-                np.testing.assert_array_equal(got, draws[blk][start:stop])
+            buffers = []
+
+            def lane(rows, chunks):
+                normals = S._lane_arrays(rows, 4096)[0]
+                buffers.append(normals)
+                for blk, start, stop, at in chunks:
+                    assert threading.current_thread() is threading.main_thread()
+                    got = S.block_normals(5, 1, blk, 4096, rows=(start, stop), out=normals[: stop - start])
+                    np.testing.assert_array_equal(got, draws[blk][start:stop])
+
+            S.run_lanes(block, count, 4096, lane, lanes=1)
+            assert len(buffers) == 1
 
     def test_per_path_samplers_start_no_thread(self, monkeypatch):
         def refuse(thread):

@@ -1,11 +1,10 @@
-"""The task layout and lane rule of parallel.run_blocks, and its lazy pool class.
+"""The lane rule of parallel.run_blocks, and its lazy pool class.
 
-The serial path is one task over all the paths; a pool runs one task
-per block.  The lane rule is fixed: the serial path deals a task's row
-chunks to two lanes, the caller and one lane thread, and every pool
-process runs one lane, drawing and computing every row chunk inline.
-The tests pin that rule and that the payload bits depend neither on
---workers nor on the number of lanes.
+Every run is one task over all its paths, in one process.  The lane rule
+is fixed: the task deals its row chunks to min(max(2, workers), chunks)
+lanes, the caller and lane threads, each drawing and computing whole
+row chunks.  The tests pin that rule and that the payload bits depend
+neither on --workers nor on the number of lanes.
 """
 
 import json
@@ -20,40 +19,53 @@ import pytest
 
 import oulab.cli as cli
 import oulab.parallel as parallel
-from oulab import functionals, ousim
+from oulab import functionals, ousim, reversal
 from oulab.errors import DomainError
 from oulab.fnlib import make_b_weighted
 
-M = 4096  # 16-row chunks: a whole block has 16, so a lane thread would start
+M = 4096  # 16-row chunks: a whole block has 16
 
 
-def _helper_threads(block, count):
-    """Per path: the threads this process ran beyond its own while its lanes ran the task's chunks."""
-    before = threading.active_count()
-    seen = []
-    # a lane thread counts itself
-    ousim.run_lanes(block, count, M, lambda rows, chunks: seen.append(threading.active_count()))
-    return np.full(count, max(seen) - before)
+def _helper_threads(block, count, *, lanes):
+    """Per path: the threads beside the caller's that ran a lane of the task's row chunks."""
+    threads = set()
+    ousim.run_lanes(block, count, M, lambda rows, chunks: threads.add(threading.current_thread()), lanes)
+    return np.full(count, len(threads - {threading.current_thread()}))
 
 
-def _task(block, count):
-    """Per path: the (block, count) of the task that computed it."""
-    return np.tile([block, count], (count, 1))
+def _task(block, count, *, lanes):
+    """Per path: the (block, count, lanes) of the task that computed it."""
+    return np.tile([block, count, lanes], (count, 1))
+
+
+def _one_lane(block, count, m, lane, lanes):
+    """ousim.run_lanes with every task in one lane, whatever lane count its run passes."""
+    ousim.run_lanes(block, count, m, lane, 1)
 
 
 class TestDrawAheadRule:
     @pytest.mark.parametrize(("workers", "blocks", "helpers"), [
-        (1, 1, 1),  # the serial path runs two lanes
+        (1, 1, 1),  # --workers 1 runs two lanes
         (1, 3, 1),  # one lane thread for the whole run, however many blocks
-        (2, 2, 0),  # a pool process runs one lane
-        (2, 3, 0),
-        (3, 3, 0),
-        (2, 4, 0),
-        (8, 6, 0),  # more workers than blocks: at most six processes, one lane each
+        (2, 2, 1),  # --workers 2 runs two lanes as well
+        (2, 3, 1),
+        (2, 4, 1),
+        (3, 3, 2),  # --workers p >= 2 runs p lanes
+        (3, 1, 2),
     ])
     def test_threads_in_block_tasks(self, workers, blocks, helpers):
+        before = threading.active_count()
         got = parallel.run_blocks(_helper_threads, blocks * ousim.BLOCK, workers, ())
         np.testing.assert_array_equal(got, np.full(blocks * ousim.BLOCK, helpers))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(("workers", "n", "helpers"), [
+        (3, 17, 1),  # two row chunks: two lanes
+        (3, 16, 0),  # one row chunk: the caller's thread alone
+        (1, 10, 0),
+    ])
+    def test_no_more_lanes_than_row_chunks(self, workers, n, helpers):
+        np.testing.assert_array_equal(parallel.run_blocks(_helper_threads, n, workers, ()), np.full(n, helpers))
 
     @pytest.mark.parametrize("argv", [
         ("verify-thm23", "--M", "4096"),
@@ -62,29 +74,29 @@ class TestDrawAheadRule:
         ("decomposition", "--lambda", "1", "--m-list", "256,4096"),
     ], ids=lambda argv: argv[0])
     def test_payload_is_the_same_on_both_sides_and_any_workers(self, monkeypatch, capsys, tmp_path, argv):
-        # the sides are two lanes and one lane in the serial run; pool processes always run one
+        # the sides are the rule's lanes and one lane per task, at --workers 1, 2 and 3
         docs = {}
-        for two_lanes, workers in ((True, "1"), (False, "1"), (True, "2"), (True, "3")):
-            monkeypatch.setattr(ousim, "_two_lanes", two_lanes)
-            path = tmp_path / f"l{two_lanes}-w{workers}.json"
+        for one_lane, workers in ((False, "1"), (True, "1"), (False, "2"), (False, "3"), (True, "3")):
+            for module in (functionals, reversal):
+                monkeypatch.setattr(module, "run_lanes", _one_lane if one_lane else ousim.run_lanes)
+            path = tmp_path / f"l{one_lane}-w{workers}.json"
             assert cli.main([*argv, "--seed", "21", "--n", "600", "--workers", workers, "--out", str(path)]) == 0
             doc = json.loads(path.read_text())
             doc.pop("timing")
             doc["config"].pop("workers", None)
-            docs[two_lanes, workers] = doc
+            docs[one_lane, workers] = doc
         capsys.readouterr()
-        first = docs[True, "1"]
+        first = docs[False, "1"]
         assert all(doc == first for doc in docs.values()), [key for key, doc in docs.items() if doc != first]
 
 
 class TestTasks:
     N = 13 * ousim.BLOCK - 5  # 13 blocks, the last one partial
 
-    def test_a_serial_run_is_one_task_and_a_pool_one_per_block(self):
-        np.testing.assert_array_equal(parallel.run_blocks(_task, self.N, 1, ()), np.tile([0, self.N], (self.N, 1)))
-        per_block = np.concatenate([_task(block, count) for block, count in parallel.block_layout(self.N)])
-        for workers in (2, 3):
-            np.testing.assert_array_equal(parallel.run_blocks(_task, self.N, workers, ()), per_block)
+    def test_every_run_is_one_task(self):
+        for workers in (1, 2, 3):
+            want = np.tile([0, self.N, max(2, workers)], (self.N, 1))
+            np.testing.assert_array_equal(parallel.run_blocks(_task, self.N, workers, ()), want)
 
     def test_a_serial_run_sets_up_each_lane_once(self, monkeypatch):
         workspaces, started = [], []
@@ -101,7 +113,6 @@ class TestTasks:
 
         monkeypatch.setattr(functionals, "_lane_arrays", lane_arrays)
         monkeypatch.setattr(ousim.threading, "Thread", Thread)
-        monkeypatch.setattr(ousim, "_two_lanes", True)
         coord = functionals.Coordinate(4.0, M, 0)
         b = make_b_weighted([4.0], profile="sin")
         values = parallel.run_blocks(functionals._shifted_pair_block, self.N, 1,

@@ -1,7 +1,8 @@
 """The benchmark's child process still finds every library name it reads or patches.
 
 perfbench/child.py wraps module globals of oulab (samplers, run_blocks,
-the process pool class, resolvers) by name.  A library change that drops
+the process pool class, which the library no longer uses, resolvers) by
+name.  A library change that drops
 or renames one of them breaks the benchmark without failing any other
 test, so each mode of the child runs here once, at small sizes, with its
 sidecar written into a temporary directory.
@@ -50,7 +51,9 @@ def test_fully_traced_cli_run(tmp_path):
     assert {"functionals.block", "fnlib.profile"} <= names["verify-prop21"]
 
 
-def test_pool_traced_cli_run_starts_one_pool(tmp_path):
+def test_pool_traced_cli_run_starts_no_pool(tmp_path):
+    # --workers 2 runs lane threads of one process; the child's pool counter still resolves and reads 0
     side = run_child(tmp_path, "cli", "--trace", "pool", "--", "decomposition", "--seed", "1", "--n", "600",
                      "--lambda", "1", "--m-list", "16,64", "--workers", "2", "--out", str(tmp_path / "payload.json"))
-    assert side["counters"]["parallel.pools"] == 1
+    assert side["counters"]["parallel.pools"] == 0
+    assert side["counters"]["parallel.submit_calls"] == 1

@@ -302,15 +302,37 @@ class TestSharedDraw:
                     np.testing.assert_array_equal(got[:, k], want, err_msg=f"{b.name} count={count} m={m}")
 
     @pytest.mark.parametrize("m_list", [[33, 1000, 4097], [256, 1024, 4096]])
-    def test_one_lane_is_two(self, monkeypatch, m_list):
+    def test_one_lane_is_two(self, m_list):
         # M = 33, 1000 and 4097 leave a partial scan chunk; the coarser levels read prefixes of a lane's normals
         b = make_b_weighted([2.0], profile="sin", omega=1.7)
         for count in (1, 15, 16, 17, 100, 256):
-            runs = []
-            for two in (False, True):
-                monkeypatch.setattr(ousim, "_two_lanes", two)
-                runs.append(R._covariation_levels(2, count, 61, 2.0, m_list, b))
-            np.testing.assert_array_equal(runs[0], runs[1], err_msg=f"count={count}")
+            runs = [R._covariation_levels(2, count, 61, 2.0, m_list, b, lanes=lanes) for lanes in (1, 2, 3)]
+            for lanes, run in zip((2, 3), runs[1:]):
+                np.testing.assert_array_equal(runs[0], run, err_msg=f"count={count} lanes={lanes}")
+
+    def test_profiles_are_evaluated_into_each_lanes_work_arrays(self):
+        # phi and phi' of every level and chunk go into arrays a lane allocates once, never into new ones
+        b = make_b_weighted([2.0], profile="sin", omega=1.7)
+        outs = []
+
+        def recorded(real):
+            def profile(t, xi, out=None):
+                outs.append(out)
+                return real(t, xi, out)
+
+            return profile
+
+        def root(array):
+            while array.base is not None:
+                array = array.base
+            return array
+
+        traced = dataclasses.replace(b, profile=recorded(b.profile), profile_dx=recorded(b.profile_dx))
+        got = R._covariation_levels(0, 3 * 256 + 17, 61, 2.0, self.M_LIST, traced, lanes=2)
+        np.testing.assert_array_equal(got, R._covariation_levels(0, 3 * 256 + 17, 61, 2.0, self.M_LIST, b))
+        assert len(outs) == 2 * len(self.M_LIST) * len(ousim.task_chunks(0, 3 * 256 + 17, self.M_LIST[-1]))
+        assert all(out is not None for out in outs)
+        assert len({id(root(out)) for out in outs}) == 2  # one set of work arrays per lane
 
     def test_no_thread_outlives_a_block_task(self):
         b = make_b_weighted([2.0], profile="sin")
