@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import platform
 import re
@@ -486,21 +487,32 @@ class TestPayload:
         assert outs[0] == outs[1]
         assert outs[0]["spec_hash"] == outs[1]["spec_hash"]
 
-    def test_no_command_starts_a_pool(self, capsys, monkeypatch):
-        # every --workers runs as lane threads of this one process
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # every --workers runs as lane threads of this one process, so no pool is ever made
+        made = []
 
         class CountedPool(oulab.parallel.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
+                made.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(oulab.parallel, "ProcessPoolExecutor", CountedPool)
-        for argv in (("decomposition", "--lambda", "1", "--m-list", "16,32,64", "--workers", "2"),
-                     ("verify-thm23", "--M", "64", "--workers", "4")):
-            code, _, err = _run(capsys, *argv, "--seed", "21", "--n", "600")
-            assert code == 0, err
+        return made
+
+    def test_decomposition_starts_no_pool(self, capsys, pools):
+        code, _, err = _run(
+            capsys, "decomposition", "--lambda", "1", "--m-list", "16,32,64", "--seed", "21", "--n", "600",
+            "--workers", "2",
+        )
+        assert code == 0, err
         assert pools == []
+
+    def test_verify_thm23_starts_no_pool_process(self, capsys, pools):
+        code, _, err = _run(capsys, "verify-thm23", "--M", "64", "--seed", "21", "--n", "300", "--workers", "4")
+        assert code == 0, err
+        assert pools == []
+        assert multiprocessing.active_children() == []
 
     def test_csv_format(self, capsys):
         code, out, _ = _run(
