@@ -7,7 +7,7 @@ Layout:
   reversal     time reversal, forward/backward integrals, covariation split
   fnlib        certified drift functions b and shifts h
   functionals  shift functionals, exponential moment checks, tail/moment runs
-  parallel     block scheduling over worker processes
+  parallel     the process pool class, resolvable but used by no module
   cli          reproducible experiment runner (`oulab ...`)
 
 The package exports the names the README and the demos use (__all__);
@@ -20,7 +20,7 @@ used: its submodule is imported then, with the submodules that one
 imports, and the name is bound in the package, so later uses are plain
 attribute reads.  So `from oulab import ousim` loads ousim, constants,
 errors and numpy, and `from oulab import check_thm23` loads the sampling,
-function library and block-task layers too.
+function library and block kernel layers too.
 """
 
 from importlib import import_module as _import_module

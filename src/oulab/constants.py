@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_positive
 
 ALPHA1 = 1.0 / 64.0
 
@@ -60,15 +60,19 @@ PROP_C_EXACT = (6.0 + math.sqrt(2.0)) / 3.0
 PROP_C_STATED = 3.0
 
 
-def _as_rates(lam):
-    """Validate rate arguments: positive, finite, float64."""
+def _as_rates(lam, name="rate"):
+    """lam as a nonempty float64 array of positive finite values; messages name it `name`.
+
+    The one array positivity check of the package: the rate functions
+    here, DriftSpectrum's eigenvalues and make_b_weighted's spectrum
+    pass through it.
+    """
     arr = np.asarray(lam, dtype=np.float64)
     if arr.size == 0:
-        raise DomainError("rate argument is empty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("rate must be finite")
-    if np.any(arr <= 0.0):
-        raise DomainError("rate must be positive")
+        raise DomainError(f"{name} argument is empty")
+    ok = (arr > 0.0) & (arr < math.inf)  # NaN fails both
+    if not ok.all():
+        _check_positive(arr[~ok][0], name)  # refuses the first bad value
     return arr
 
 
@@ -222,9 +226,7 @@ class DriftSpectrum:
         eig = tuple(float(v) for v in self.eigenvalues)
         if len(eig) == 0:
             raise DomainError("spectrum must list at least one eigenvalue")
-        arr = np.asarray(eig, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("eigenvalues must be positive and finite")
+        arr = _as_rates(eig, "eigenvalues")
         if self.tail_mode not in (TAIL_FINITE, TAIL_UNBOUNDED):
             raise DomainError(f"unknown tail_mode: {self.tail_mode!r}")
         if self.tail_inverse_mass < 0.0 or not math.isfinite(self.tail_inverse_mass):

@@ -1,5 +1,6 @@
-"""Shared exception types and the one integer check."""
+"""Shared exception types, the one integer check and the one positive-number check."""
 
+import math
 import operator
 
 
@@ -27,4 +28,17 @@ def _check_count(value, name, least, below=None) -> int:
         raise DomainError(f"{name} must be at least {least}, got {value}")
     if below is not None and value >= below:
         raise DomainError(f"{name} must be below {below}, got {value}")
+    return value
+
+
+def _check_positive(value, name) -> float:
+    """value as a Python float with 0 < value < inf.
+
+    The one scalar positivity check of the package: rates, alpha,
+    horizons, times and omega pass through it, and constants._as_rates
+    refuses an array's first bad value through it.
+    """
+    value = float(value)
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return value

@@ -46,7 +46,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DomainError, _check_count
+from .constants import _as_rates
+from .errors import DomainError, _check_count, _check_positive
 
 SHIFT_SUP_GRID = 4097  # 2^12 intervals, endpoints included, hits t = 1/2 exactly
 
@@ -289,8 +290,7 @@ def _certified(name, profile, omega, vector, weights, coefficients, direction) -
     """
     phi, dphi, dsup, sup, takes_omega, pair = _PROFILES[profile]
     if takes_omega:
-        if not (math.isfinite(omega) and omega > 0):
-            raise DomainError("omega must be positive and finite")
+        omega = _check_positive(omega, "omega")
         phi, dphi, dsup = partial(phi, omega=omega), partial(dphi, omega=omega), omega * dsup
         pair = partial(pair, omega=omega)
         if omega != 1.0:
@@ -322,9 +322,9 @@ def make_b_weighted(spectrum_values, profile="sin", coefficients=None, direction
     coefficients default to the uniform unit vector c_n = N^(-1/2).
     Rejects sum c_n^2 > 1.
     """
-    lam = np.asarray(spectrum_values, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0 or np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-        raise DomainError("spectrum must be a nonempty list of positive rates")
+    lam = _as_rates(spectrum_values, "spectrum_values")
+    if lam.ndim != 1:
+        raise DomainError(f"spectrum_values must be a list of rates, got shape {lam.shape}")
     n = lam.size
     if coefficients is None:
         c = np.full(n, 1.0 / math.sqrt(n))

@@ -57,11 +57,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_positive
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, _norm, shift_difference_norm
-from .ousim import (_as_vector, _check_count, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d,
-                    ndtri, run_lanes)
-from .parallel import run_blocks
+from .ousim import (_as_vector, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d, ndtri, run_blocks,
+                    run_lanes)
 
 CONFIDENCE = 0.999
 EXP_BOUND = 3.0
@@ -129,16 +128,9 @@ def _in_range(values, cap) -> np.ndarray:
     return s
 
 
-def _check_alpha(alpha) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise DomainError("alpha must be positive and finite")
-    return alpha
-
-
 def exp_moment(values, alpha, value_cap=math.inf) -> Verdict:
     """The row of exp(alpha S_i^2) against EXP_BOUND, S_i >= 0 the per-path values, each at most value_cap."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_positive(alpha, "alpha")
     s = _in_range(values, value_cap)
     return judge(np.exp(alpha * s * s), EXP_BOUND)
 
@@ -208,7 +200,7 @@ def _check_shifts(spec: ExperimentSpec, **shifts):
 
 
 # ----------------------------------------------------------------------
-# block workers (module level, so a task and its arguments pickle)
+# block workers (module level, so a worker and its arguments pickle)
 # ----------------------------------------------------------------------
 
 
@@ -256,25 +248,15 @@ def _start_decay(rate, m, horizon, x0):
     return decay
 
 
-# Each worker is one task: it samples paths block * BLOCK + [0, count),
-# count up to all of a run's paths, in row chunks dealt in path order,
-# across block boundaries, to `lanes` lanes (ousim.run_lanes; two unless
-# parallel.run_blocks passes more for --workers): the caller's thread and
-# lane threads, never more lanes than chunks.  The task computes
-# its constants once (the prepared pair profile, the step and |v|), and
-# a lane allocates its workspace (ousim._lane_arrays) once; for each
-# chunk it takes, a lane draws the normals into it, runs the recursion
-# into its path array, evaluates the profile (the pair profile in place
-# on the paths), reduces through its scan array and writes the chunk's
-# per-path values into the task's one result array.  Every row's draw,
-# recursion, profile evaluation and reduction along the last axis is
-# independent of the thread and of the rows sharing its array, so the
-# values are bitwise those of single-thread whole-block passes, one per
-# block.
+def _chunk_integrals(count, seed, coord: Coordinate, b, integrand, lanes):
+    """|int integrand(z) dt| |v| for paths z in [0, count), integrand a profile of the paths, in `lanes` lanes.
 
-
-def _chunk_integrals(block, count, seed, coord: Coordinate, b, integrand, lanes):
-    """|int integrand(z) dt| |v| for the task's paths z, integrand a profile of the paths, in `lanes` lanes."""
+    A lane allocates its workspace (ousim._lane_arrays) once, draws,
+    samples, evaluates and reduces each row chunk it takes in it, and
+    writes the chunk's values into the one result array.  Each row's
+    steps read only that row, so the values are bitwise those of
+    whole-block passes, one per block.
+    """
     m, dx, norm = coord.m, coord.horizon / coord.m, b.vector_norm
     out = np.empty(count)
 
@@ -287,21 +269,23 @@ def _chunk_integrals(block, count, seed, coord: Coordinate, b, integrand, lanes)
             j = _trapezoid_rows(integrand(z), dx, scan[: n * m].reshape(n, m))
             out[at : at + n] = np.abs(j) * norm
 
-    run_lanes(block, count, m, lane, lanes)
+    run_lanes(count, m, lane, lanes=lanes)
     return out
 
 
-def _prop21_block(block, count, seed, coord: Coordinate, b, *, lanes=2):
-    """|int b'(t, xi_t) dt| for the task's paths block * BLOCK + [0, count), xi the coordinate's paths."""
+def _prop21_block(count, seed, coord: Coordinate, b, *, lanes):
+    """|int b'(t, xi_t) dt| for paths [0, count), xi the coordinate's paths."""
     times = coord.times()
-    return _chunk_integrals(block, count, seed, coord, b, lambda z: np.asarray(b.profile_dx(times, z), np.float64),
-                            lanes)
+    return _chunk_integrals(count, seed, coord, b, lambda z: np.asarray(b.profile_dx(times, z), np.float64), lanes)
 
 
-def _shifted_pair_block(block, count, seed, coord: Coordinate, b, h1_vals, h2_vals, *, lanes=2):
-    """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for the task's paths, h1_vals and h2_vals at coord.times()."""
+def _shifted_pair_block(count, seed, coord: Coordinate, b, h1_vals, h2_vals, *, lanes):
+    """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for paths [0, count), h1_vals and h2_vals at coord.times().
+
+    The pair profile is prepared once and evaluated in place on the paths.
+    """
     pair = b.pair(coord.times(), h1_vals, h2_vals)
-    return _chunk_integrals(block, count, seed, coord, b, lambda z: pair(z, out=z), lanes)
+    return _chunk_integrals(count, seed, coord, b, lambda z: pair(z, out=z), lanes)
 
 
 def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):
@@ -336,7 +320,7 @@ def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, w
         raise DomainError(f"descriptor {b.name!r} has no derivative; the functional needs b'")
     _check_certified(b, need_a_norm=False)
     lam = float(lam)
-    a = _check_alpha(alpha_of(lam))  # alpha underflows to 0 for lam above about 373: refused before sampling
+    a = _check_positive(alpha_of(lam), "alpha")  # alpha underflows to 0 above lam of about 373: refused before sampling
     coord = Coordinate(lam, _check_count(m, "m", 2), b.direction)
     values = run_blocks(_prop21_block, n_paths, workers, (seed, coord, b))
     cap = math.inf if b.profile_dx_sup is None else b.profile_dx_sup * b.vector_norm
@@ -366,16 +350,13 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
     if not 0.0 < ell <= 1.0:
         raise DomainError("ell must be in (0, 1]")
     _check_shifts(spec, h=h)
-    if h.norm_inf <= 0.0:
-        raise DomainError("sup |h| must be positive (and finite)")
+    _check_positive(h.norm_inf, "sup |h|")
     beta_val = beta_of(spec.truncated_spectrum())
     try:
         rate = beta_val / h.norm_inf**2
     except (OverflowError, ZeroDivisionError):  # sup|h|^2 leaves the float range
         rate = math.inf if h.norm_inf < 1.0 else 0.0
-    if not 0.0 < rate < math.inf:
-        raise DomainError(f"rate beta/sup|h|^2 = {beta_val:.6g}/{h.norm_inf:.6g}^2 = {rate:g} "
-                          "is not positive and finite")
+    rate = _check_positive(rate, f"rate beta/sup|h|^2 = {beta_val:.6g}/{h.norm_inf:.6g}^2")
     coord = spec.coordinate(ell)
     values = _pair_values(spec, coord, h.component, lambda d, t: np.zeros_like(t))
     rows = (exp_moment(values, rate, 2.0 * spec.b.norm_inf),)

@@ -31,8 +31,8 @@ per value, so a row cannot start at an offset computed from the rows
 before it; with the row in counter word 1 it starts at a fixed place,
 2^64 counter steps from the next row.  One path therefore costs O(M)
 draws and O(M) memory, and any grouping of a block's rows (whole block,
-row chunks, one path, row chunks of many blocks in one task) and any
-thread that draws a row (run_lanes deals a task's row chunks, across
+row chunks, one path, row chunks of many blocks in one run) and any
+thread that draws a row (run_lanes deals a run's row chunks, across
 its block boundaries, to the caller's thread and its lane threads)
 reproduce identical paths.  No generator is built per row: each
 thread keeps one Philox generator and, before every row, replaces its
@@ -80,7 +80,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .constants import DriftSpectrum, _coerce_spectrum
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_positive
 
 STREAM_CONTRACT = "philox-rowcounter-ziggurat-block256"
 
@@ -242,9 +242,8 @@ def _lane_arrays(rows, m) -> tuple:
     normals (rows, m) takes a chunk's draw, the flat scan holds the
     recursion's scan array (_recursion_paths' work) and afterwards serves
     as scratch for up to rows * m values, and paths (rows, m + 1) takes
-    the chunk's paths.  A block kernel allocates them once per task and
-    lane, and every chunk the lane takes, in any block of the task,
-    reuses them.
+    the chunk's paths.  A block kernel allocates them once per run and
+    lane, and every chunk the lane takes, in any block, reuses them.
     """
     steps = min(SCAN_STEPS, m)
     return np.empty((rows, m)), np.empty(rows * steps * -(-m // steps)), np.empty((rows, m + 1))
@@ -256,39 +255,46 @@ def block_layout(n_paths) -> list:
     return [(b, BLOCK) for b in range(full)] + ([(full, rem)] if rem else [])
 
 
-def task_chunks(block, count, m) -> list:
-    """(block, start, stop, at) of every row chunk of the task's paths block * BLOCK + [0, count), in path order.
+def task_chunks(count, m) -> list:
+    """(block, start, stop, at) of every row chunk of a run's paths [0, count), in path order.
 
-    Rows [start, stop) of a chunk's block are the task's paths at + [0,
-    stop - start).  count may exceed BLOCK, so a task may span blocks
-    (those of block_layout(count), shifted by block), and its first chunk
-    is its largest.
+    Rows [start, stop) of a chunk's block are the run's paths at + [0,
+    stop - start).  The chunks cross the blocks of block_layout(count),
+    and the first chunk is the largest.
     """
-    return [(block + k, start, stop, k * BLOCK + start)
-            for k, rows in block_layout(count) for start, stop in row_chunks(rows, m)]
+    return [(blk, start, stop, blk * BLOCK + start)
+            for blk, rows in block_layout(count) for start, stop in row_chunks(rows, m)]
 
 
-def run_lanes(block, count, m, lane, lanes=2):
-    """Run lane(rows, chunks) in min(lanes, chunks) lanes over the row chunks (task_chunks) of one task's paths.
+def run_lanes(count, m, lane, *, lanes):
+    """Run lane(rows, chunks) in min(lanes, chunks) lanes over the row chunks (task_chunks) of paths [0, count).
 
-    chunks is one iterator over the task's chunks, in path order, shared
+    chunks is one iterator over the run's chunks, in path order, shared
     by the lanes: each takes the next chunk as soon as it finishes one,
     so the chunks cross block boundaries and no lane waits for another
     at the end of a block.  rows is the height of the largest chunk, for
     the lane's workspace (_lane_arrays).  The caller's thread is one
-    lane and each other lane is a helper thread, so one task with p
-    lanes draws and computes on p cores as far as the GIL lets it (numpy
+    lane and each other lane is a helper thread, so p lanes draw and
+    compute on p cores as far as the interpreter lock lets them (numpy
     releases it in its draws and ufuncs).  Each lane draws and computes
-    whole chunks and writes their rows of the task's result.  Every row
+    whole chunks and writes their rows of the run's result.  Every row
     sets its own Philox state on the thread that draws it and nothing a
     row's values read depends on the other rows of its chunk, so the
-    bits depend on neither the lane nor the dealing.  The helpers live
-    only inside this call: they are joined before the call returns or
-    raises, and an exception in any lane leaves the call, after the
+    bits depend on neither the lane count nor the dealing.  The helpers
+    live only inside this call: they are joined before the call returns
+    or raises, and an exception in any lane leaves the call, after the
     other lanes have finished the chunks they hold.
+
+    Beside a busy pure-Python thread of the same process, each lane
+    waits out that thread's switch interval whenever it takes the lock
+    back after a numpy call: a convoy at any lane count.  One lane is
+    the slowest there too (thm23's kernel, n = 512, M = 4096, 2-vCPU VM:
+    7.7-8.7 s against 1.7-2.5 s for two lanes; 0.066-0.094 s and
+    0.045-0.054 s without the busy thread), so the rule stays at least
+    two lanes.
     """
     lanes = _check_count(lanes, "lanes", 1)
-    chunks = task_chunks(block, count, m)
+    chunks = task_chunks(count, m)
     rows = chunks[0][2] - chunks[0][1]
     dealt = iter(chunks)  # a list iterator's next is one step under the GIL, so no chunk goes to two lanes
     failed = []
@@ -313,6 +319,19 @@ def run_lanes(block, count, m, lane, lanes=2):
             helper.join()
     if failed:
         raise failed[0]
+
+
+def run_blocks(worker, n_paths, workers, args) -> np.ndarray:
+    """The (n_paths, ...) rows of worker(n_paths, *args, lanes=...), one call over all of a run's paths.
+
+    The package's one lane rule: a run of `workers` p deals its row
+    chunks to max(2, p) lanes of this one process (run_lanes, which runs
+    no more lanes than chunks); the lane count never changes a result.
+    worker(count, *args, lanes=...) returns the rows of paths [0, count)
+    and passes lanes to run_lanes.
+    """
+    workers = _check_count(workers, "workers", 1)
+    return worker(_check_count(n_paths, "n_paths", 1), *args, lanes=max(2, workers))
 
 
 @dataclass(frozen=True)
@@ -349,13 +368,6 @@ def path_normals(stream: PathStream, m, domain=DOMAIN_PATH) -> np.ndarray:
 # ----------------------------------------------------------------------
 # one-dimensional paths
 # ----------------------------------------------------------------------
-
-
-def _check_rate(lam) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0:
-        raise DomainError("rate must be positive and finite")
-    return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,9 +407,7 @@ class PathGrid:
 def _grid(m, horizon):
     """The read-only uniform grid 0 = t_0 < ... < t_m = horizon."""
     m = _check_count(m, "m", 2)
-    horizon = float(horizon)
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise DomainError("horizon must be positive")
+    horizon = _check_positive(horizon, "horizon")
     times = np.linspace(0.0, horizon, m + 1)
     times.setflags(write=False)
     return times
@@ -479,7 +489,7 @@ def block_paths_1d(lam, m, seed, component, block, horizon=1.0, domain=DOMAIN_PA
     block kernel's lane draws them into its workspace) and replace the
     draw; out and work are _recursion_paths' (the lane's paths and scan).
     """
-    lam = _check_rate(lam)
+    lam = _check_positive(lam, "rate")
     times = _grid(m, horizon)  # validates m and horizon
     if normals is None:
         normals = block_normals(seed, component, block, m, domain, rows=rows)
@@ -502,7 +512,7 @@ def sample_path_1d(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
 
 def deformed_clock(lam, t):
     """tau(t) = e^(2 lam t) - 1, the Brownian clock of the time change."""
-    lam = _check_rate(lam)
+    lam = _check_positive(lam, "rate")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(2.0 * lam * t_arr > _CLOCK_LIMIT):
         raise DomainError(
@@ -536,7 +546,7 @@ def sample_path_timechange(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
     Reads stream domain 2, so a same-seed pair (recursion, time change)
     is independent.
     """
-    lam = _check_rate(lam)
+    lam = _check_positive(lam, "rate")
     times, sqrt_dtau, decay = _clock_grid(lam, m, horizon)
     values = np.empty(times.size)
     values[0] = 0.0
@@ -550,17 +560,15 @@ def sample_path_timechange(lam, m, stream: PathStream, horizon=1.0) -> PathGrid:
 
 def marginal_variance(lam, t):
     """Var Z_t = (1 - e^(-2 lam t)) / (2 lam), exact for all t >= 0."""
-    lam = _check_rate(lam)
+    lam = _check_positive(lam, "rate")
     t_arr = np.asarray(t, dtype=np.float64)
     return -np.expm1(-2.0 * lam * t_arr) / (2.0 * lam)
 
 
 def marginal_density(lam, t, x):
     """Density of Z_t started from 0; t must be positive."""
-    lam = _check_rate(lam)
-    t = float(t)
-    if not math.isfinite(t) or t <= 0:
-        raise DomainError("marginal density needs t > 0")
+    lam = _check_positive(lam, "rate")
+    t = _check_positive(t, "t")
     denom = -math.expm1(-2.0 * lam * t)
     x_arr = np.asarray(x, dtype=np.float64)
     return np.sqrt(lam / (math.pi * denom)) * np.exp(-lam * x_arr * x_arr / denom)

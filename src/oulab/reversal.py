@@ -41,18 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_positive
 from .fnlib import FunctionDescriptor
-from .ousim import (PathGrid, _check_count, _check_rate, _grid, _lane_arrays, _trapezoid_rows, block_normals,
-                    block_paths_1d, run_lanes)
-from .parallel import run_blocks
+from .ousim import PathGrid, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d, run_blocks, run_lanes
 
 EPS_PIN = 1e-9
 
 
 def reversed_drift_coefficient(lam, t):
     """c(lam, t) = lam - 2 lam / (1 - e^(2 lam (t-1))) for 0 <= t < 1."""
-    lam = _check_rate(lam)
+    lam = _check_positive(lam, "rate")
     t_arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0):
         raise DomainError("time must be finite and nonnegative")
@@ -133,7 +131,7 @@ def _i2_head_mass(lam, t1):
 def _split_weights(lam, times):
     """The reversed-drift weights of the split on a grid: (I2's w, I1's c_rev).
 
-    They depend only on (lam, times), so a task computes them once for
+    They depend only on (lam, times), so a run computes them once for
     all its paths.
     """
     # I2 in original time: weight c(lam, 1-u) on u in [t_1, 1]
@@ -222,13 +220,13 @@ def decompose_path(b: FunctionDescriptor, path: PathGrid) -> DecompositionReport
     return _report(b, path.lam, path.times, split)
 
 
-def _covariation_levels(block, count, seed, lam, m_list, b, *, lanes=2):
-    """The split of the task's paths block * BLOCK + [0, count) at every M of m_list: (count, len(m_list), 5).
+def _covariation_levels(count, seed, lam, m_list, b, *, lanes):
+    """The split of paths [0, count) at every M of m_list: (count, len(m_list), 5).
 
-    The task computes each level's grid and split weights once, and
+    The run computes each level's grid and split weights once, and
     deals its row chunks, in path order and across block boundaries, to
     `lanes` lanes (ousim.run_lanes).  A lane allocates its workspace
-    (ousim._lane_arrays) and the split's work arrays once per task and
+    (ousim._lane_arrays) and the split's work arrays once per run and
     draws each chunk it takes once, at the finest M; level M reads the
     first M normals of each row, bitwise its own draw (see
     covariation_check).  The lane's path and scan arrays and the split's
@@ -252,7 +250,7 @@ def _covariation_levels(block, count, seed, lam, m_list, b, *, lanes=2):
                                         out=paths.ravel()[: n * (m + 1)].reshape(n, m + 1), work=scan)
                 out[at : at + n, k] = _split_arrays(b, grids[k], values, weights[k], scratch)
 
-    run_lanes(block, count, m_max, lane, lanes)
+    run_lanes(count, m_max, lane, lanes=lanes)
     return out
 
 
@@ -266,8 +264,8 @@ def covariation_check(b: FunctionDescriptor, lam, m_list, n_paths, seed, workers
 
     The levels are not independent samples: path r of every level reads
     the same stream row, so the level-M2 path starts with exactly the
-    M1 normals of the level-M1 path and the levels are correlated.  Every
-    level of a block is one task, so a run makes one run_blocks call.
+    M1 normals of the level-M1 path and the levels are correlated.  One
+    run_blocks call computes every level.
     """
     if not b.smooth:
         raise DomainError(f"descriptor {b.name!r} has no derivative; the split needs b'")

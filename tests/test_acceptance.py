@@ -35,20 +35,20 @@ from oulab.functionals import (
 from oulab.ousim import (
     BLOCK,
     PathStream,
+    block_layout,
     block_paths_1d,
     marginal_variance,
     sample_path_timechange,
     standard_normal,
     substream,
 )
-from oulab.parallel import block_layout
 from oulab.reversal import covariation_check, decomposition_verdict
 
 N_FULL = 100_000
 M_FULL = 4096
 KS_FLOOR = 1e-3
 # criterion 11 and the CLI worker-invariance tests pin results bitwise
-# across worker counts, so the Monte Carlo criteria may run a pool of two
+# across worker counts, so the Monte Carlo criteria may run at --workers 2
 WORKERS = 2
 
 

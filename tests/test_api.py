@@ -2,12 +2,15 @@
 and loads a submodule only when one of its names is first used."""
 
 import ast
+import math
 import os
 import re
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import oulab
 
@@ -95,3 +98,32 @@ ousim.sample_hilbert(DriftSpectrum.quadratic(4), 4, 16, 42, path=300)
 print(sorted(m for m in {UNUSED_BY_PATH_SAMPLING!r} if m in sys.modules))
 """
     assert _fresh(code).splitlines() == ["[]", "[]", "[]"]
+
+
+# (argument name, call with the bad number x) of every entry that takes a positive finite number
+POSITIVE_ARGUMENTS = {
+    "alpha": ("rate", lambda x: oulab.alpha(x)),
+    "exp_moment": ("alpha", lambda x: oulab.functionals.exp_moment([0.1, 0.2], x)),
+    "d_lambda": ("rate", lambda x: oulab.d_lambda([1.0, x])),
+    "DriftSpectrum": ("eigenvalues", lambda x: oulab.DriftSpectrum((1.0, x))),
+    "make_b_weighted": ("spectrum_values", lambda x: oulab.make_b_weighted([1.0, x])),
+    "resolve_b": ("omega", lambda x: oulab.resolve_b(f"weighted:sin:omega={x}", [1.0])),
+    "sample_path_1d": ("rate", lambda x: oulab.sample_path_1d(x, 8, oulab.PathStream(1, 0))),
+    "block_paths_1d": ("horizon", lambda x: oulab.block_paths_1d(1.0, 8, 1, 0, 0, horizon=x)),
+    "marginal_density": ("t", lambda x: oulab.ousim.marginal_density(1.0, x, 0.0)),
+    "check_prop21": ("rate", lambda x: oulab.check_prop21(x, oulab.make_b_weighted([1.0]), 8, 8, seed=1)),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("entry", POSITIVE_ARGUMENTS)
+def test_positive_arguments_refuse_bad_numbers_by_name(entry, bad):
+    name, call = POSITIVE_ARGUMENTS[entry]
+    with pytest.raises(oulab.DomainError, match=f"^{name} must be positive and finite, got {bad!r}$"):
+        call(bad)
+
+
+def test_check_prop21_refuses_an_underflowed_alpha_by_name():
+    # alpha(400) underflows to 0, which the guard refuses before any path is drawn
+    with pytest.raises(oulab.DomainError, match="^alpha must be positive and finite, got 0.0$"):
+        oulab.check_prop21(400.0, oulab.make_b_weighted([1.0]), 8, 8, seed=1)

@@ -24,7 +24,7 @@ import pytest
 from oulab.constants import DriftSpectrum
 from oulab.fnlib import make_b_weighted
 from oulab.functionals import Coordinate, ExperimentSpec, _pair_values, _prop21_block
-from oulab.parallel import run_blocks
+from oulab.ousim import run_blocks
 
 Z_MAX = 4.5
 SEED = 20161222

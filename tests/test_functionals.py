@@ -36,8 +36,7 @@ from oulab.functionals import (
     moment_bound,
 )
 from oulab import ousim, reversal
-from oulab.ousim import block_paths_1d, sample_hilbert, standard_normal, substream
-from oulab.parallel import block_layout, run_blocks
+from oulab.ousim import BLOCK, block_layout, block_paths_1d, run_blocks, sample_hilbert, standard_normal, substream
 
 
 class TestJudge:
@@ -333,7 +332,7 @@ class TestCheckThm23:
     def test_rejects_a_rate_outside_the_floats_before_sampling(self, monkeypatch, scale, rate):
         # sup|h|^2 underflows to 0 or overflows: beta/sup|h|^2 is inf or 0
         _refuse_sampling(monkeypatch)
-        with pytest.raises(DomainError, match=rf"rate beta/sup\|h\|\^2 = .* = {rate} is not positive"):
+        with pytest.raises(DomainError, match=rf"rate beta/sup\|h\|\^2 = .* must be positive and finite, got {rate}"):
             check_thm23(self._spec(), resolve_h(f"e1:const:{scale}", (1.0, 4.0)))
 
 
@@ -585,7 +584,7 @@ class TestReducedSamplingMatchesFullPaths:
         # bit-identical to recomputing from full Hilbert paths
         lam = (1.0, 4.0)
         b = make_b_weighted(lam, profile="sin", direction=0)
-        got = FN._prop21_block(0, 5, 23, FN.Coordinate(1.0, 128, 0), b)
+        got = FN._prop21_block(5, 23, FN.Coordinate(1.0, 128, 0), b, lanes=2)
         times = np.linspace(0.0, 1.0, 129)
         want = np.empty(5)
         for i in range(5):
@@ -602,7 +601,7 @@ class TestReducedSamplingMatchesFullPaths:
         times = np.linspace(0.0, 1.0, 129)
         hv = h.component(1, times)
         zero = np.zeros_like(times)
-        got = FN._shifted_pair_block(0, 4, 29, FN.Coordinate(9.0, 128, 1), b, hv, zero)
+        got = FN._shifted_pair_block(4, 29, FN.Coordinate(9.0, 128, 1), b, hv, zero, lanes=2)
         want = np.empty(4)
         for i in range(4):
             hp = sample_hilbert(lam, 2, 128, seed=29, path=i)
@@ -676,24 +675,31 @@ class TestChecksMatchHandBuiltBlocks:
         assert [row.mean for row in res.rows] == [float(np.mean(values**p)) for p in (1, 2, 3)]
 
 
-# partial and whole block sizes around the 32-row chunks of M = 4096
+# partial and whole block sizes around two 16-row chunks of M = 4096
 CHUNK_COUNTS = (1, 31, 32, 33, 100, 256)
 
 
+def _rows_of_block(worker, blk, count, *args):
+    """Rows of paths blk * BLOCK + [0, count) of a run of blk * BLOCK + count paths, in two lanes."""
+    return worker(blk * BLOCK + count, *args, lanes=2)[blk * BLOCK :]
+
+
 class TestChunkedBlocksMatchWholeBlock:
-    """At M = 4096 (32-row chunks) and M = 1000 (131-row chunks) a block
+    """At M = 4096 (16-row chunks) and M = 1000 (65-row chunks) a block
     spans several chunks; each worker must equal its whole-block formula
-    (all BLOCK paths sampled, then the first count kept) bitwise."""
+    (all BLOCK paths sampled, then the first count kept) bitwise, also in
+    a block after the first."""
 
     @pytest.mark.parametrize("m", [4096, 1000])
     def test_prop21_block(self, m):
         b = make_b_weighted((1.0, 4.0), profile="sin", direction=1)
         times = np.linspace(0.0, 1.0, m + 1)
-        whole = block_paths_1d(4.0, m, 41, 1, 2)
+        whole = block_paths_1d(4.0, m, 41, 1, 1)
         for count in CHUNK_COUNTS:
             dphi = np.asarray(b.profile_dx(times, whole[:count]), dtype=np.float64)
             want = np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * b.vector_norm
-            np.testing.assert_array_equal(FN._prop21_block(2, count, 41, FN.Coordinate(4.0, m, 1), b), want)
+            got = _rows_of_block(FN._prop21_block, 1, count, 41, FN.Coordinate(4.0, m, 1), b)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("m", [4096, 1000])
     @pytest.mark.parametrize("x0_dir, r, horizon", [(0.0, 0.0, 1.0), (0.7, 0.25, 0.5)])
@@ -709,23 +715,23 @@ class TestChunkedBlocksMatchWholeBlock:
             z = whole[:count] + np.exp(-1.0 * tau) * x0_dir if x0_dir != 0.0 else whole[:count]
             diff = np.cos(z + (h1 + h2) / 2.0) * (2.0 * np.sin((h1 - h2) / 2.0))  # sin's identity at omega = 1
             want = np.abs(np.trapezoid(diff, dx=horizon / m, axis=-1)) * b.vector_norm
-            got = FN._shifted_pair_block(1, count, 43, FN.Coordinate(1.0, m, 0, horizon, r, x0_dir), b, h1, h2)
+            got = _rows_of_block(FN._shifted_pair_block, 1, count, 43, FN.Coordinate(1.0, m, 0, horizon, r, x0_dir),
+                                 b, h1, h2)
             np.testing.assert_array_equal(got, want)
 
 
 # partial and whole blocks around the 16-row chunks of M = 4096; M = 1000 has
 # 65-row chunks and M = 33 one chunk per block
-DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
+LANE_COUNTS = (1, 15, 16, 17, 100, 256)
 
 
-def _one_lane(block, count, m, lane, lanes):
-    """ousim.run_lanes with every task in one lane, whatever lane count its caller passes."""
-    ousim.run_lanes(block, count, m, lane, 1)
+def _one_lane(count, m, lane, *, lanes):
+    """ousim.run_lanes with every run in one lane, whatever lane count its caller passes."""
+    ousim.run_lanes(count, m, lane, lanes=1)
 
 
 def _lanes(monkeypatch, two):
-    """Let the kernels' run_lanes run the lanes a task asks for (two by default), or keep them all on the caller's
-    thread."""
+    """Let the kernels' run_lanes run the lanes a run asks for, or keep them all on the caller's thread."""
     for module in (FN, reversal):
         monkeypatch.setattr(module, "run_lanes", ousim.run_lanes if two else _one_lane)
 
@@ -741,11 +747,12 @@ class TestDrawAheadKernels:
     @pytest.mark.parametrize("m", [4096, 1000, 33])
     def test_prop21_block(self, m):
         times = np.linspace(0.0, 1.0, m + 1)
-        whole = block_paths_1d(4.0, m, 53, 1, 5)
-        for count in DRAW_AHEAD_COUNTS:
+        whole = block_paths_1d(4.0, m, 53, 1, 0)
+        for count in LANE_COUNTS:
             dphi = np.asarray(self.B.profile_dx(times, whole[:count]), dtype=np.float64)
             want = np.abs(np.trapezoid(dphi, dx=1.0 / m, axis=-1)) * self.B.vector_norm
-            np.testing.assert_array_equal(FN._prop21_block(5, count, 53, FN.Coordinate(4.0, m, 1), self.B), want)
+            got = FN._prop21_block(count, 53, FN.Coordinate(4.0, m, 1), self.B, lanes=2)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("m", [4096, 1000, 33])
     def test_shifted_pair_block(self, m):
@@ -753,12 +760,12 @@ class TestDrawAheadKernels:
         tau = np.linspace(0.0, horizon, m + 1)
         h1 = np.sin(np.pi * (r + tau))
         h2 = np.full(m + 1, -0.3)
-        z_all = block_paths_1d(4.0, m, 59, 1, 4, horizon=horizon) + np.exp(-4.0 * tau) * x0_dir
+        z_all = block_paths_1d(4.0, m, 59, 1, 0, horizon=horizon) + np.exp(-4.0 * tau) * x0_dir
         coord = FN.Coordinate(4.0, m, 1, horizon, r, x0_dir)
-        for count in DRAW_AHEAD_COUNTS:
+        for count in LANE_COUNTS:
             diff = np.cos(z_all[:count] + (h1 + h2) / 2.0) * (2.0 * np.sin((h1 - h2) / 2.0))  # sin at omega = 1
             want = np.abs(np.trapezoid(diff, dx=horizon / m, axis=-1)) * self.B.vector_norm
-            np.testing.assert_array_equal(FN._shifted_pair_block(4, count, 59, coord, self.B, h1, h2), want)
+            np.testing.assert_array_equal(FN._shifted_pair_block(count, 59, coord, self.B, h1, h2, lanes=2), want)
 
     def test_no_thread_outlives_a_kernel(self):
         coord = FN.Coordinate(4.0, 4096, 1)
@@ -780,7 +787,7 @@ class TestDrawAheadKernels:
         for b, kernel, args in ((self.B, FN._prop21_block, ()), (self.B, FN._shifted_pair_block, (h1, h2)),
                                 (failing, FN._prop21_block, ()), (failing, FN._shifted_pair_block, (h1, h2))):
             try:
-                kernel(0, 256, 3, coord, b, *args)
+                kernel(256, 3, coord, b, *args, lanes=2)
             except FloatingPointError:
                 assert b is failing
             else:
@@ -803,11 +810,11 @@ class TestLanes:
     @pytest.mark.parametrize("m", MS)
     def test_prop21_block_one_lane_is_two(self, monkeypatch, m):
         coord = FN.Coordinate(4.0, m, 1)
-        for count in DRAW_AHEAD_COUNTS:
+        for count in LANE_COUNTS:
             runs = []
             for two in (False, True):
                 _lanes(monkeypatch, two)
-                runs.append(FN._prop21_block(3, count, 61, coord, self.B))
+                runs.append(FN._prop21_block(count, 61, coord, self.B, lanes=2))
             np.testing.assert_array_equal(runs[0], runs[1], err_msg=f"count={count}")
 
     @pytest.mark.parametrize("m", MS)
@@ -816,11 +823,11 @@ class TestLanes:
         tau = np.linspace(0.0, 0.5, m + 1)
         h1, h2 = np.sin(np.pi * (0.25 + tau)), np.full(m + 1, 0.2)
         for b in (self.B, self.TANH):
-            for count in DRAW_AHEAD_COUNTS:
+            for count in LANE_COUNTS:
                 runs = []
                 for two in (False, True):
                     _lanes(monkeypatch, two)
-                    runs.append(FN._shifted_pair_block(2, count, 67, coord, b, h1, h2))
+                    runs.append(FN._shifted_pair_block(count, 67, coord, b, h1, h2, lanes=2))
                 np.testing.assert_array_equal(runs[0], runs[1], err_msg=f"{b.name} count={count}")
 
     @pytest.mark.parametrize("lane", ["caller", "helper"])
@@ -837,12 +844,12 @@ class TestLanes:
             return self.B.profile_dx(t, z)
 
         with pytest.raises(FloatingPointError, match=lane):
-            FN._prop21_block(0, 256, 3, coord, dataclasses.replace(self.B, profile_dx=profile_dx))
+            FN._prop21_block(256, 3, coord, dataclasses.replace(self.B, profile_dx=profile_dx), lanes=2)
         assert threading.active_count() == before
         assert before + 1 in seen  # the lane thread ran beside the caller, and only inside the call
 
 
-# the cases of a task's boundaries: inside one block, a partial block alone,
+# the cases of a run's block boundaries: inside one block, a partial block alone,
 # one path past a block, and three whole blocks and a partial one
 TASK_COUNTS = (1, 255, 257, 3 * 256 + 17)
 KERNELS = ("prop21", "thm23", "concentration", "moments", "decomposition")
@@ -863,25 +870,41 @@ def _kernel(name, m, wrap=lambda b: b):
     }[name]
 
 
+def _whole_block(kernel, args, m, blk):
+    """The kernel's values on block blk by its whole-block formula: all BLOCK paths in one array, no chunks or lanes."""
+    if kernel == "decomposition":
+        seed, lam, m_list, b = args
+        levels = []
+        for level in m_list:
+            times = np.linspace(0.0, 1.0, level + 1)
+            paths = block_paths_1d(lam, level, seed, b.direction, blk)
+            levels.append(reversal._split_arrays(b, times, paths, reversal._split_weights(lam, times)))
+        return np.stack(levels, axis=1)
+    seed, coord, b, *shifts = args
+    z = block_paths_1d(coord.rate, m, seed, coord.component, blk, horizon=coord.horizon)
+    if coord.x0 != 0.0:
+        z += np.exp(-coord.rate * np.linspace(0.0, coord.horizon, m + 1)) * coord.x0
+    integrand = b.pair(coord.times(), *shifts)(z) if shifts else np.asarray(b.profile_dx(coord.times(), z), np.float64)
+    return np.abs(np.trapezoid(integrand, dx=coord.horizon / m, axis=-1)) * b.vector_norm
+
+
 class TestTaskBoundaries:
-    """A task's row chunks cross its block boundaries: the one task of a
-    serial run equals the per-block tasks of a pool, concatenated, and one
+    """A run's row chunks cross its block boundaries: the run equals each
+    block's whole-block formula, concatenated, at any lane count, and one
     lane equals two, bitwise, for every kernel."""
 
     @pytest.mark.parametrize("m", [33, 1000, 4096, 4097])
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_one_task_is_the_per_block_tasks(self, monkeypatch, kernel, m):
+    def test_one_task_is_the_per_block_tasks(self, kernel, m):
         worker, args = _kernel(kernel, m)
+        whole = np.concatenate([_whole_block(kernel, args, m, blk) for blk, _ in block_layout(TASK_COUNTS[-1])])
         for n in TASK_COUNTS:
-            per_block = np.concatenate([worker(block, count, *args) for block, count in block_layout(n)])
-            runs = {"serial": run_blocks(worker, n, 1, args)}
-            _lanes(monkeypatch, False)
-            runs["one lane"] = worker(0, n, *args)
-            _lanes(monkeypatch, True)
+            want = whole[:n]
+            runs = {"serial": run_blocks(worker, n, 1, args), "one lane": worker(n, *args, lanes=1)}
             if n == TASK_COUNTS[-1]:
                 runs.update({f"workers {w}": run_blocks(worker, n, w, args) for w in (2, 3)})
             for name, got in runs.items():
-                assert got.shape == per_block.shape and got.tobytes() == per_block.tobytes(), (name, n)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, n)
 
     @pytest.mark.parametrize("lane", ["caller", "helper"])
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -903,7 +926,7 @@ class TestTaskBoundaries:
         worker, args = _kernel(kernel, 4096, wrap)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match=lane):
-            worker(0, TASK_COUNTS[-1], *args)
+            worker(TASK_COUNTS[-1], *args, lanes=2)
         assert threading.active_count() == before
 
 

@@ -502,19 +502,19 @@ class TestRowRanges:
 
 # partial and whole blocks around the 16-row chunks of M = 4096; M = 1000 has
 # 65-row chunks and M = 33 one chunk per block
-DRAW_AHEAD_COUNTS = (1, 15, 16, 17, 100, 256)
-# (first block, count) of tasks that cross block boundaries, ending in a whole or a partial block
-MULTI_BLOCK_TASKS = ((0, 257), (1, 3 * 256 + 17), (2, 512))
+CHUNK_COUNTS = (1, 15, 16, 17, 100, 256)
+# counts of runs that cross block boundaries, ending in a partial or a whole block
+MULTI_BLOCK_COUNTS = (257, 3 * 256 + 17, 512)
 
 
 class TestDrawnChunks:
-    """Row chunks as run_lanes deals them: one iterator over a task's
+    """Row chunks as run_lanes deals them: one iterator over a run's
     chunks, in path order and across its block boundaries, shared by the
     caller's thread and one lane thread, each drawing into its own
     workspace."""
 
     @staticmethod
-    def _drawn(m, block, count, component=1):
+    def _drawn(m, count, component=1):
         """(block, start, stop, at, normals, thread) of every chunk, drawn by its lane as a block kernel draws it."""
         seen = []
 
@@ -524,27 +524,27 @@ class TestDrawnChunks:
                 got = S.block_normals(5, component, blk, m, rows=(start, stop), out=normals[: stop - start])
                 seen.append((blk, start, stop, at, got.copy(), threading.current_thread()))
 
-        S.run_lanes(block, count, m, lane)
+        S.run_lanes(count, m, lane, lanes=2)
         return sorted(seen, key=lambda chunk: chunk[3])
 
     def test_task_chunks_cover_the_paths_in_order(self):
         for m in (33, 1000, 4096):
-            for block, count in [(2, c) for c in DRAW_AHEAD_COUNTS] + list(MULTI_BLOCK_TASKS):
-                chunks = S.task_chunks(block, count, m)
-                paths = [block * S.BLOCK + at + k for blk, start, stop, at in chunks for k in range(stop - start)]
-                assert paths == list(range(block * S.BLOCK, block * S.BLOCK + count))
-                assert all(blk * S.BLOCK + start == block * S.BLOCK + at for blk, start, stop, at in chunks)
+            for count in CHUNK_COUNTS + MULTI_BLOCK_COUNTS:
+                chunks = S.task_chunks(count, m)
+                paths = [at + k for blk, start, stop, at in chunks for k in range(stop - start)]
+                assert paths == list(range(count))
+                assert all(blk * S.BLOCK + start == at for blk, start, stop, at in chunks)
                 assert all(0 < stop - start <= chunks[0][2] - chunks[0][1] for _, start, stop, _ in chunks)
-        assert S.task_chunks(3, 257, 4096)[15:] == [(3, 240, 256, 240), (4, 0, 1, 256)]
+        assert S.task_chunks(257, 4096)[15:] == [(0, 240, 256, 240), (1, 0, 1, 256)]
 
     @pytest.mark.parametrize("m", [4096, 1000, 33])
     def test_chunks_are_the_rows_of_the_block_draw(self, m):
-        draws = {blk: S.block_normals(5, 1, blk, m) for blk in range(6)}
+        draws = {blk: S.block_normals(5, 1, blk, m) for blk in range(4)}
         main = threading.main_thread()
-        for block, count in [(2, c) for c in DRAW_AHEAD_COUNTS] + list(MULTI_BLOCK_TASKS):
-            seen = self._drawn(m, block, count)
-            # every chunk of the task exactly once
-            assert [chunk[:4] for chunk in seen] == S.task_chunks(block, count, m)
+        for count in CHUNK_COUNTS + MULTI_BLOCK_COUNTS:
+            seen = self._drawn(m, count)
+            # every chunk of the run exactly once
+            assert [chunk[:4] for chunk in seen] == S.task_chunks(count, m)
             for blk, start, stop, _, got, _ in seen:
                 np.testing.assert_array_equal(got, draws[blk][start:stop])
             helpers = {thread for *_, thread in seen if thread is not main}
@@ -566,8 +566,8 @@ class TestDrawnChunks:
         try:
             for _ in range(20):
                 taken.clear()
-                S.run_lanes(0, 3 * 256 + 17, 2**16, lane)
-                assert sorted(chunk for chunk, _ in taken) == S.task_chunks(0, 3 * 256 + 17, 2**16)
+                S.run_lanes(3 * 256 + 17, 2**16, lane, lanes=2)
+                assert sorted(chunk for chunk, _ in taken) == S.task_chunks(3 * 256 + 17, 2**16)
         finally:
             sys.setswitchinterval(interval)
 
@@ -584,8 +584,8 @@ class TestDrawnChunks:
         try:
             for _ in range(20):
                 taken.clear()
-                S.run_lanes(0, 3 * 256 + 17, 2**16, lane, lanes=3)
-                assert sorted(chunk for chunk, _ in taken) == S.task_chunks(0, 3 * 256 + 17, 2**16)
+                S.run_lanes(3 * 256 + 17, 2**16, lane, lanes=3)
+                assert sorted(chunk for chunk, _ in taken) == S.task_chunks(3 * 256 + 17, 2**16)
                 assert len({thread for _, thread in taken}) <= 3
         finally:
             sys.setswitchinterval(interval)
@@ -594,10 +594,10 @@ class TestDrawnChunks:
     def test_the_helper_thread_lives_only_inside_the_iteration(self):
         before = threading.active_count()
         counts = []
-        S.run_lanes(2, 16, 4096, lambda rows, chunks: counts.append(threading.active_count()))  # one chunk: no thread
+        S.run_lanes(16, 4096, lambda rows, chunks: counts.append(threading.active_count()), lanes=2)  # one chunk
         assert counts == [before]
         counts.clear()
-        S.run_lanes(0, 3 * 256 + 17, 4096, lambda rows, chunks: counts.append((rows, threading.active_count())))
+        S.run_lanes(3 * 256 + 17, 4096, lambda rows, chunks: counts.append((rows, threading.active_count())), lanes=2)
         # two lanes, each sized for the largest chunk; the lane thread counts itself (the caller's lane may run
         # after it ended)
         assert [rows for rows, _ in counts] == [16, 16] and max(active for _, active in counts) == before + 1
@@ -614,19 +614,19 @@ class TestDrawnChunks:
                     time.sleep(0.001)  # a chunk's work
 
             with pytest.raises(FloatingPointError, match=failing):
-                S.run_lanes(0, 3 * 256 + 17, 4096, lane)
+                S.run_lanes(3 * 256 + 17, 4096, lane, lanes=2)
             assert threading.active_count() == before
             # the other lane finishes the chunk it holds and takes no further one
-            assert len(taken) < len(S.task_chunks(0, 3 * 256 + 17, 4096))
+            assert len(taken) < len(S.task_chunks(3 * 256 + 17, 4096))
 
     def test_one_lane_starts_no_thread_and_reuses_one_buffer(self):
         before = threading.active_count()
         lanes = []
-        S.run_lanes(2, 100, 4096, lambda rows, chunks: lanes.append((rows, list(chunks), threading.active_count())),
+        S.run_lanes(100, 4096, lambda rows, chunks: lanes.append((rows, list(chunks), threading.active_count())),
                     lanes=1)
-        assert lanes == [(16, S.task_chunks(2, 100, 4096), before)]  # one lane with all 7 chunks, on the caller's thread
-        draws = {blk: S.block_normals(5, 1, blk, 4096) for blk in (1, 2, 3, 4)}
-        for block, count in ((2, 100), (1, 3 * 256 + 17)):
+        assert lanes == [(16, S.task_chunks(100, 4096), before)]  # one lane with all 7 chunks, on the caller's thread
+        draws = {blk: S.block_normals(5, 1, blk, 4096) for blk in range(4)}
+        for count in (100, 3 * 256 + 17):
             buffers = []
 
             def lane(rows, chunks):
@@ -637,7 +637,7 @@ class TestDrawnChunks:
                     got = S.block_normals(5, 1, blk, 4096, rows=(start, stop), out=normals[: stop - start])
                     np.testing.assert_array_equal(got, draws[blk][start:stop])
 
-            S.run_lanes(block, count, 4096, lane, lanes=1)
+            S.run_lanes(count, 4096, lane, lanes=1)
             assert len(buffers) == 1
 
     def test_per_path_samplers_start_no_thread(self, monkeypatch):

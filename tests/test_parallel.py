@@ -1,10 +1,9 @@
-"""The lane rule of parallel.run_blocks, and its lazy pool class.
+"""The lane rule of ousim.run_blocks, and the lazy pool class of oulab.parallel.
 
-Every run is one task over all its paths, in one process.  The lane rule
-is fixed: the task deals its row chunks to min(max(2, workers), chunks)
-lanes, the caller and lane threads, each drawing and computing whole
-row chunks.  The tests pin that rule and that the payload bits depend
-neither on --workers nor on the number of lanes.
+Every run is one call over all its paths, in one process, dealing its
+row chunks to the lanes of ousim.run_blocks' rule.  The tests pin that
+rule and that the payload bits depend neither on --workers nor on the
+number of lanes.
 """
 
 import json
@@ -26,24 +25,26 @@ from oulab.fnlib import make_b_weighted
 M = 4096  # 16-row chunks: a whole block has 16
 
 
-def _helper_threads(block, count, *, lanes):
-    """Per path: the threads beside the caller's that ran a lane of the task's row chunks."""
+def _helper_threads(count, *, lanes):
+    """Per path: the threads beside the caller's that ran a lane of the run's row chunks."""
     threads = set()
-    ousim.run_lanes(block, count, M, lambda rows, chunks: threads.add(threading.current_thread()), lanes)
+    ousim.run_lanes(count, M, lambda rows, chunks: threads.add(threading.current_thread()), lanes=lanes)
     return np.full(count, len(threads - {threading.current_thread()}))
 
 
-def _task(block, count, *, lanes):
-    """Per path: the (block, count, lanes) of the task that computed it."""
-    return np.tile([block, count, lanes], (count, 1))
+def _call(count, *, lanes):
+    """Per path: the (count, lanes) of the worker call that computed it."""
+    return np.tile([count, lanes], (count, 1))
 
 
-def _one_lane(block, count, m, lane, lanes):
-    """ousim.run_lanes with every task in one lane, whatever lane count its run passes."""
-    ousim.run_lanes(block, count, m, lane, 1)
+def _one_lane(count, m, lane, *, lanes):
+    """ousim.run_lanes with every run in one lane, whatever lane count its caller passes."""
+    ousim.run_lanes(count, m, lane, lanes=1)
 
 
 class TestDrawAheadRule:
+    """The lane rule: the lanes a run of --workers p runs, and a payload that does not depend on them."""
+
     @pytest.mark.parametrize(("workers", "blocks", "helpers"), [
         (1, 1, 1),  # --workers 1 runs two lanes
         (1, 3, 1),  # one lane thread for the whole run, however many blocks
@@ -55,7 +56,7 @@ class TestDrawAheadRule:
     ])
     def test_threads_in_block_tasks(self, workers, blocks, helpers):
         before = threading.active_count()
-        got = parallel.run_blocks(_helper_threads, blocks * ousim.BLOCK, workers, ())
+        got = ousim.run_blocks(_helper_threads, blocks * ousim.BLOCK, workers, ())
         np.testing.assert_array_equal(got, np.full(blocks * ousim.BLOCK, helpers))
         assert threading.active_count() == before
 
@@ -65,7 +66,7 @@ class TestDrawAheadRule:
         (1, 10, 0),
     ])
     def test_no_more_lanes_than_row_chunks(self, workers, n, helpers):
-        np.testing.assert_array_equal(parallel.run_blocks(_helper_threads, n, workers, ()), np.full(n, helpers))
+        np.testing.assert_array_equal(ousim.run_blocks(_helper_threads, n, workers, ()), np.full(n, helpers))
 
     @pytest.mark.parametrize("argv", [
         ("verify-thm23", "--M", "4096"),
@@ -74,7 +75,7 @@ class TestDrawAheadRule:
         ("decomposition", "--lambda", "1", "--m-list", "256,4096"),
     ], ids=lambda argv: argv[0])
     def test_payload_is_the_same_on_both_sides_and_any_workers(self, monkeypatch, capsys, tmp_path, argv):
-        # the sides are the rule's lanes and one lane per task, at --workers 1, 2 and 3
+        # the sides are the rule's lanes and one lane per run, at --workers 1, 2 and 3
         docs = {}
         for one_lane, workers in ((False, "1"), (True, "1"), (False, "2"), (False, "3"), (True, "3")):
             for module in (functionals, reversal):
@@ -94,9 +95,9 @@ class TestTasks:
     N = 13 * ousim.BLOCK - 5  # 13 blocks, the last one partial
 
     def test_every_run_is_one_task(self):
-        for workers in (1, 2, 3):
-            want = np.tile([0, self.N, max(2, workers)], (self.N, 1))
-            np.testing.assert_array_equal(parallel.run_blocks(_task, self.N, workers, ()), want)
+        for workers, lanes in ((1, 2), (2, 2), (3, 3)):
+            want = np.tile([self.N, lanes], (self.N, 1))
+            np.testing.assert_array_equal(ousim.run_blocks(_call, self.N, workers, ()), want)
 
     def test_a_serial_run_sets_up_each_lane_once(self, monkeypatch):
         workspaces, started = [], []
@@ -115,8 +116,8 @@ class TestTasks:
         monkeypatch.setattr(ousim.threading, "Thread", Thread)
         coord = functionals.Coordinate(4.0, M, 0)
         b = make_b_weighted([4.0], profile="sin")
-        values = parallel.run_blocks(functionals._shifted_pair_block, self.N, 1,
-                                     (3, coord, b, np.full(M + 1, 0.5), np.zeros(M + 1)))
+        values = ousim.run_blocks(functionals._shifted_pair_block, self.N, 1,
+                                  (3, coord, b, np.full(M + 1, 0.5), np.zeros(M + 1)))
         assert values.shape == (self.N,)
         assert started == ["oulab-lane"]  # one lane thread for the 13 blocks
         assert [(rows, m) for rows, m, _ in workspaces] == [(16, M), (16, M)]  # one workspace per lane
@@ -125,9 +126,9 @@ class TestTasks:
     def test_block_layout_refuses_bools(self):
         for bad in (True, False):
             with pytest.raises(DomainError, match="n_paths must be an integer"):
-                parallel.block_layout(bad)
+                ousim.block_layout(bad)
         with pytest.raises(DomainError, match="workers must be an integer"):
-            parallel.run_blocks(_task, 10, True, ())
+            ousim.run_blocks(_call, 10, True, ())
 
 
 class TestLazyPoolClass:

@@ -4,7 +4,7 @@ perfbench/child.py wraps module globals of oulab (samplers, run_blocks,
 the process pool class, which the library no longer uses, resolvers) by
 name.  A library change that drops
 or renames one of them breaks the benchmark without failing any other
-test, so each mode of the child runs here once, at small sizes, with its
+test, so each mode of the child runs here, at small sizes, with its
 sidecar written into a temporary directory.
 """
 
@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
@@ -57,3 +59,15 @@ def test_pool_traced_cli_run_starts_no_pool(tmp_path):
                      "--lambda", "1", "--m-list", "16,64", "--workers", "2", "--out", str(tmp_path / "payload.json"))
     assert side["counters"]["parallel.pools"] == 0
     assert side["counters"]["parallel.submit_calls"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-thm23", "--M", "64"),
+    ("decomposition", "--lambda", "1", "--m-list", "16,64"),
+], ids=lambda argv: argv[0])
+def test_untraced_cli_run_stamps_the_first_block(tmp_path, argv):
+    # run.py's setup_s ends at this mark, which the child sets when the library first calls run_blocks through
+    # the globals of functionals or reversal
+    side = run_child(tmp_path, "cli", "--", *argv, "--seed", "1", "--n", "300", "--out", str(tmp_path / "payload.json"))
+    marks = side["marks"]
+    assert marks["import_end"] < marks["first_block"] < marks["main_end"]

@@ -264,12 +264,12 @@ class TestChunkedBlock:
         # share one scratch; the reference split of the whole block, cut
         # to count rows, must come out bitwise
         times = np.linspace(0.0, 1.0, m + 1)
-        whole = block_paths_1d(2.0, m, 47, 0, 3)
+        whole = block_paths_1d(2.0, m, 47, 0, 0)
         weights = R._split_weights(2.0, times)
         for b in _SPLIT_PROFILES:
             for count in (1, 31, 32, 33, 100, 256):
                 want = _reference_split(b, times, whole[:count], weights)
-                got = R._covariation_levels(3, count, 47, 2.0, [m], b)[:, 0]
+                got = R._covariation_levels(count, 47, 2.0, [m], b, lanes=2)[:, 0]
                 assert got.shape == (count, 5)
                 np.testing.assert_array_equal(got, want, err_msg=f"{b.name} count={count}")
 
@@ -283,19 +283,19 @@ class TestChunkedBlock:
 
 
 class TestSharedDraw:
-    """A block task draws each row chunk once, at the finest M, and every
-    level reads a prefix of it while the next chunk is drawn on a helper
-    thread; each level must equal its own per-level block_paths_1d split."""
+    """A lane draws each row chunk once, at the finest M, and every level
+    reads a prefix of it; each level must equal its own per-level
+    block_paths_1d split."""
 
     M_LIST = [33, 1000, 4096]
 
     def test_levels_match_the_per_level_split(self):
-        wholes = [block_paths_1d(2.0, m, 61, 0, 2) for m in self.M_LIST]
+        wholes = [block_paths_1d(2.0, m, 61, 0, 0) for m in self.M_LIST]
         grids = [np.linspace(0.0, 1.0, m + 1) for m in self.M_LIST]
         weights = [R._split_weights(2.0, times) for times in grids]
         for b in (make_b_weighted([2.0], profile="sin", omega=1.7), _identity_b()):
             for count in (1, 15, 16, 17, 100, 256):
-                got = R._covariation_levels(2, count, 61, 2.0, self.M_LIST, b)
+                got = R._covariation_levels(count, 61, 2.0, self.M_LIST, b, lanes=2)
                 assert got.shape == (count, len(self.M_LIST), 5)
                 for k, m in enumerate(self.M_LIST):
                     want = _reference_split(b, grids[k], wholes[k][:count], weights[k])
@@ -306,7 +306,7 @@ class TestSharedDraw:
         # M = 33, 1000 and 4097 leave a partial scan chunk; the coarser levels read prefixes of a lane's normals
         b = make_b_weighted([2.0], profile="sin", omega=1.7)
         for count in (1, 15, 16, 17, 100, 256):
-            runs = [R._covariation_levels(2, count, 61, 2.0, m_list, b, lanes=lanes) for lanes in (1, 2, 3)]
+            runs = [R._covariation_levels(count, 61, 2.0, m_list, b, lanes=lanes) for lanes in (1, 2, 3)]
             for lanes, run in zip((2, 3), runs[1:]):
                 np.testing.assert_array_equal(runs[0], run, err_msg=f"count={count} lanes={lanes}")
 
@@ -328,9 +328,9 @@ class TestSharedDraw:
             return array
 
         traced = dataclasses.replace(b, profile=recorded(b.profile), profile_dx=recorded(b.profile_dx))
-        got = R._covariation_levels(0, 3 * 256 + 17, 61, 2.0, self.M_LIST, traced, lanes=2)
-        np.testing.assert_array_equal(got, R._covariation_levels(0, 3 * 256 + 17, 61, 2.0, self.M_LIST, b))
-        assert len(outs) == 2 * len(self.M_LIST) * len(ousim.task_chunks(0, 3 * 256 + 17, self.M_LIST[-1]))
+        got = R._covariation_levels(3 * 256 + 17, 61, 2.0, self.M_LIST, traced, lanes=2)
+        np.testing.assert_array_equal(got, R._covariation_levels(3 * 256 + 17, 61, 2.0, self.M_LIST, b, lanes=2))
+        assert len(outs) == 2 * len(self.M_LIST) * len(ousim.task_chunks(3 * 256 + 17, self.M_LIST[-1]))
         assert all(out is not None for out in outs)
         assert len({id(root(out)) for out in outs}) == 2  # one set of work arrays per lane
 
@@ -345,10 +345,10 @@ class TestSharedDraw:
             return b.profile_dx(*args)
 
         before = threading.active_count()
-        R._covariation_levels(0, 256, 3, 2.0, self.M_LIST, b)
+        R._covariation_levels(256, 3, 2.0, self.M_LIST, b, lanes=2)
         assert threading.active_count() == before
         with pytest.raises(FloatingPointError):
-            R._covariation_levels(0, 256, 3, 2.0, self.M_LIST, dataclasses.replace(b, profile_dx=profile_dx))
+            R._covariation_levels(256, 3, 2.0, self.M_LIST, dataclasses.replace(b, profile_dx=profile_dx), lanes=2)
         assert threading.active_count() == before
 
 
