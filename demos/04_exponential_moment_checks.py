@@ -34,11 +34,10 @@ for lam in (0.25, 1.0, 4.0):
 # the rate infimum sits at the first eigenvalue
 spectrum = DriftSpectrum.quadratic(16)
 live = spectrum.eigenvalues
-print(f"\nspectrum n^2, N=16: beta = {beta(spectrum.truncate(16)):.6e}")
+print(f"\nspectrum n^2, N=16: beta = {beta(spectrum):.6e}")
 for b_name in ("weighted:sin", "weighted:sign"):
     spec = ExperimentSpec(
         spectrum=spectrum,
-        truncation=16,
         b=resolve_b(b_name, live),
         seed=4,
         m=512,

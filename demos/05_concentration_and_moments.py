@@ -27,7 +27,6 @@ from oulab import (
 lam = (1.0, 4.0)
 spec = ExperimentSpec(
     spectrum=DriftSpectrum(lam),
-    truncation=2,
     b=resolve_b("weighted:sin", lam),
     seed=12,
     m=512,

@@ -17,7 +17,9 @@ fallback, runs are reproducible or they do not start.
 Results go to --out as JSON (schema 1) or CSV; a one-line PASS/FAIL
 verdict per check is printed either way, naming the inequality it
 tested.  Exit status: 0 all checks passed, 1 a bound was violated,
-2 the configuration did not parse or an output could not be written.
+2 the configuration did not parse, a value lies outside the range its
+guard (errors._check_count, errors._check_positive) or library check
+allows, or an output could not be written.
 
 The payload is a pure function of the canonical config and seed, given
 the versions its provenance block records (the stream contract id, numpy,
@@ -37,7 +39,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import platform
 import re
@@ -51,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import DriftSpectrum, alpha_components, exp_weighted_alpha
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _check_count, _check_positive
 from .fnlib import resolve_b, resolve_h
 from .functionals import (
     STATEMENT_DECOMPOSITION,
@@ -65,7 +66,7 @@ from .functionals import (
     moment_bound,
 )
 from . import __version__
-from .ousim import STREAM_CONTRACT
+from .ousim import BLOCK, STREAM_CONTRACT, _check_seed
 from .reversal import covariation_check, decomposition_verdict
 
 SCHEMA = 1
@@ -135,7 +136,8 @@ class RunConfig:
         text = self.command + "\n" + self.canonical().serialize()
         return hashlib.sha256(text.encode()).hexdigest()
 
-    # typed accessors; every failure is a config error, exit code 2
+    # typed accessors: text that does not parse is a config error, a parsed
+    # value out of range the guard's domain error; both exit with code 2
 
     def get(self, key, default=None):
         for k, v in self.entries:
@@ -150,29 +152,23 @@ class RunConfig:
             raise ConfigError(f"missing required setting {key!r}")
         return raw
 
+    def _parse(self, key, kind, what):
+        raw = self.require(key)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
+
     def get_int(self, key, default=None, minimum=1):
         if default is not None and self.get(key) is None:
             return default
-        raw = self.require(key)
-        try:
-            val = int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {val}")
-        return val
+        return _check_count(self._parse(key, int, "an integer"), key, minimum)
 
-    def get_float(self, key, default=None, positive=False):
+    def get_float(self, key, default=None):
+        """The setting as a float, any float: the check that reads it owns its range."""
         if default is not None and self.get(key) is None:
             return default
-        raw = self.require(key)
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-        if not math.isfinite(val) or (positive and val <= 0):
-            raise ConfigError(f"{key} must be {'positive and ' if positive else ''}finite, got {raw!r}")
-        return val
+        return self._parse(key, float, "a number")
 
     def get_floats(self, key):
         raw = self.require(key)
@@ -193,16 +189,9 @@ class RunConfig:
         return out
 
     def get_seed(self) -> int:
-        raw = self.get("seed")
-        if raw is None:
+        if self.get("seed") is None:
             raise ConfigError("seed is required: pass --seed or set seed= in the config")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError(f"seed must be an integer, got {raw!r}") from None
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
-        return seed
+        return _check_seed(self._parse("seed", int, "an integer"))
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -215,40 +204,31 @@ def parse_grid(text: str) -> np.ndarray:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError:
             raise ConfigError(f"grid spec {text!r} does not parse") from None
-        if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise ConfigError(f"grid spec {text!r}: need lo < hi and n >= 1")
+        if not lo < hi:  # NaN fails too
+            raise ConfigError(f"grid spec {text!r}: need lo < hi")
+        n = _check_count(n, "grid size n", 1)
         if parts[0] == "log":
-            if lo <= 0:
-                raise ConfigError("log grid needs lo > 0")
-            return np.geomspace(lo, hi, n)
+            return np.geomspace(_check_positive(lo, "log grid lo"), hi, n)
         return np.linspace(lo, hi, n)
     try:
-        vals = np.asarray([float(v) for v in str(text).split(",")], dtype=np.float64)
+        return np.asarray([float(v) for v in str(text).split(",")], dtype=np.float64)
     except ValueError:
         raise ConfigError(f"grid spec {text!r} does not parse") from None
-    if vals.size == 0:
-        raise ConfigError("empty grid")
-    return vals
 
 
 _FAMILY_RE = re.compile(r"^n\^2:(\d+)$")
 
 
-def parse_spectrum(text: str):
+def parse_spectrum(text: str) -> DriftSpectrum:
     """Spectrum spec: explicit comma list, or the family n^2:<N>."""
     m = _FAMILY_RE.match(str(text).strip())
     if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise ConfigError("family size must be >= 1")
-        return DriftSpectrum.quadratic(n), n
+        return DriftSpectrum.quadratic(int(m.group(1)))
     try:
         vals = tuple(float(v) for v in str(text).split(","))
     except ValueError:
         raise ConfigError(f"spectrum {text!r} does not parse") from None
-    if not vals or any(v <= 0 or not math.isfinite(v) for v in vals):
-        raise ConfigError("spectrum must be positive rates")
-    return DriftSpectrum(vals), len(vals)
+    return DriftSpectrum(vals)
 
 
 def parse_vector(text, truncation, name):
@@ -347,9 +327,7 @@ def _dump_paths(cfg: RunConfig) -> int:
     """Paths to dump (0 without --dump), validated before any sampling."""
     if cfg.get("dump") is None:
         return 0
-    k = cfg.get_int("dump_paths")
-    if k > 256:
-        raise ConfigError("dump_paths is capped at 256 (one block)")
+    k = _check_count(cfg.get_int("dump_paths"), "dump_paths", 1, BLOCK + 1)  # the rows of block 0
     m = cfg.get_int("m", minimum=2)
     if k * (m + 1) > MAX_DUMP_ROWS:
         raise ConfigError(f"dump of {k * (m + 1)} rows exceeds the {MAX_DUMP_ROWS} row cap; lower dump_paths or m")
@@ -395,14 +373,11 @@ def _sampling(cfg: RunConfig, seed):
     return dict(seed=seed, n_paths=n_paths, m=cfg.get_int("m", minimum=2), workers=cfg.get_int("workers"))
 
 
-def _hilbert(cfg: RunConfig, seed):
-    """(ExperimentSpec, live rates) of a Hilbert-space command."""
-    spectrum, family_n = parse_spectrum(cfg.get("spectrum"))
-    truncation = cfg.get_int("truncation", family_n)
-    if truncation > len(spectrum):
-        raise ConfigError(f"truncation {truncation} exceeds the listed spectrum ({len(spectrum)})")
-    live = spectrum.eigenvalues[:truncation]
-    return ExperimentSpec(spectrum, truncation, resolve_b(cfg.get("b"), live), **_sampling(cfg, seed)), live
+def _hilbert(cfg: RunConfig, seed) -> ExperimentSpec:
+    """The ExperimentSpec of a Hilbert-space command, on the listed spectrum truncated to --truncation."""
+    listed = parse_spectrum(cfg.get("spectrum"))
+    spectrum = listed.truncate(cfg.get_int("truncation", len(listed)))
+    return ExperimentSpec(spectrum, resolve_b(cfg.get("b"), spectrum.eigenvalues), **_sampling(cfg, seed))
 
 
 def _window(cfg: RunConfig, truncation):
@@ -412,15 +387,13 @@ def _window(cfg: RunConfig, truncation):
 
 def _constants(cfg: RunConfig, seed):
     grid = parse_grid(cfg.get("lambda_grid"))
-    if np.any(grid <= 0):
-        raise ConfigError("lambda grid must be positive")
     p = alpha_components(grid)
     cols = np.broadcast_arrays(p.lam, p.d_lambda, p.alpha1, p.alpha2, p.alpha3, p.alpha, exp_weighted_alpha(grid))
     return Outcome([dict(zip(CONSTANTS_COLUMNS, row)) for row in np.column_stack(cols).tolist()], [])
 
 
 def _prop21(cfg: RunConfig, seed):
-    lam = cfg.get_float("lambda", positive=True)
+    lam = _check_positive(cfg.get_float("lambda"), "lambda")
     sizes = _sampling(cfg, seed)
     b = resolve_b(cfg.get("b"), [lam])
     res = check_prop21(lam, b, **sizes)
@@ -431,12 +404,12 @@ def _prop21(cfg: RunConfig, seed):
 
 
 def _thm23(cfg: RunConfig, seed):
-    spec, live = _hilbert(cfg, seed)
-    h = resolve_h(cfg.get("h"), live)
-    res = check_thm23(spec, h, cfg.get_float("ell", positive=True))
+    spec = _hilbert(cfg, seed)
+    h = resolve_h(cfg.get("h"), spec.spectrum.eigenvalues)
+    res = check_thm23(spec, h, cfg.get_float("ell"))
     (row,) = res.rows
     detail = f"b={spec.b.name} upper999={row.upper999:.6g} bound={row.limit:g}"
-    rows = [_row(row, statement=res.statement, spectrum=cfg.get("spectrum"), truncation=spec.truncation,
+    rows = [_row(row, statement=res.statement, spectrum=cfg.get("spectrum"), truncation=len(spec.spectrum),
                  b=spec.b.name, h=h.name, ell=res.ell, beta=res.beta, rate=res.rate, h_sup=res.h_sup, m=spec.m)]
     return Outcome(rows, [(res.passed, res.statement, detail)], coordinate=res.coordinate)
 
@@ -444,9 +417,10 @@ def _thm23(cfg: RunConfig, seed):
 def _concentration(cfg: RunConfig, seed):
     etas = cfg.get_floats("etas")
     h1 = cfg.require("h1")
-    spec, live = _hilbert(cfg, seed)
+    spec = _hilbert(cfg, seed)
+    live = spec.spectrum.eigenvalues
     h1, h2 = resolve_h(h1, live), resolve_h(cfg.get("h2"), live)
-    res = concentration_tail(spec, h1, h2, etas, **_window(cfg, spec.truncation))
+    res = concentration_tail(spec, h1, h2, etas, **_window(cfg, len(live)))
     rows = [_row(row, "empirical", statement=res.statement, eta=eta, threshold=thr)
             for eta, thr, row in zip(res.etas, res.thresholds, res.rows)]
     extra = dict(beta=res.beta, ell=res.ell, diff_sup=res.diff_sup, degenerate=res.degenerate, note=res.note,
@@ -458,12 +432,10 @@ def _concentration(cfg: RunConfig, seed):
 
 def _moments(cfg: RunConfig, seed):
     ps = cfg.get_ints("ps")
-    x, y = cfg.get("x"), cfg.get("y")
-    if x is None or y is None:
-        raise ConfigError("moments needs both constant shifts: x=<list> and y=<list>")
-    spec, live = _hilbert(cfg, seed)
-    x, y = parse_vector(x, spec.truncation, "x"), parse_vector(y, spec.truncation, "y")
-    res = moment_bound(spec, x, y, ps, **_window(cfg, spec.truncation))
+    x, y = cfg.require("x"), cfg.require("y")
+    spec = _hilbert(cfg, seed)
+    n = len(spec.spectrum)
+    res = moment_bound(spec, parse_vector(x, n, "x"), parse_vector(y, n, "y"), ps, **_window(cfg, n))
     rows = [_row(row, "moment", "bound_derived", statement=res.statement, p=p, bound_stated=stated)
             for p, stated, row in zip(res.ps, res.bounds_stated, res.rows)]
     gamma_rows = [{"statement": STATEMENT_GAMMA, "p": p, "lhs": lhs, "rhs": rhs, "pass": ok}
@@ -476,7 +448,7 @@ def _moments(cfg: RunConfig, seed):
 
 
 def _decomposition(cfg: RunConfig, seed):
-    lam = cfg.get_float("lambda", positive=True)
+    lam = _check_positive(cfg.get_float("lambda"), "lambda")
     m_list = cfg.get_ints("m_list")
     if len(m_list) < 2:
         raise ConfigError(f"m_list needs at least two grid sizes for a refinement trend, got {m_list}")

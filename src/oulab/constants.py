@@ -160,11 +160,13 @@ def alpha2_exp_ratio(lam):
     """f(lam) = alpha2(lam) e^(2 lam) / lam, non-increasing, limit 1/pi^2.
 
     Written as 1 / (4 (1 + e^(-2 lam)) arctan^2(...)) so it stays finite
-    for every representable rate.
+    for every rate above about 3.5e-310; below, f ~ 1/(16 lam) overflows
+    to inf.
     """
     arr = _as_rates(lam)
     t = _arctan_root(arr)
-    out = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * arr)) * t * t)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * arr)) * t * t)
     return _maybe_scalar(out, lam)
 
 
@@ -224,16 +226,16 @@ class DriftSpectrum:
 
     def __post_init__(self):
         eig = tuple(float(v) for v in self.eigenvalues)
-        if len(eig) == 0:
-            raise DomainError("spectrum must list at least one eigenvalue")
         arr = _as_rates(eig, "eigenvalues")
         if self.tail_mode not in (TAIL_FINITE, TAIL_UNBOUNDED):
             raise DomainError(f"unknown tail_mode: {self.tail_mode!r}")
         if self.tail_inverse_mass < 0.0 or not math.isfinite(self.tail_inverse_mass):
             raise DomainError("tail_inverse_mass must be finite and >= 0")
         object.__setattr__(self, "eigenvalues", eig)
-        # numpy sums pairwise, which is the accuracy contract for long lists
-        object.__setattr__(self, "inverse_sum", float(np.sum(1.0 / arr)))
+        # numpy sums pairwise, which is the accuracy contract for long lists;
+        # a rate below about 5.6e-309 has no float reciprocal, and LAM is inf
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "inverse_sum", float(np.sum(1.0 / arr)))
 
     @property
     def array(self) -> np.ndarray:
@@ -246,8 +248,8 @@ class DriftSpectrum:
         n = _check_count(n, "truncation", 1, len(self.eigenvalues) + 1)
         if n == len(self.eigenvalues):
             return self
-        arr = self.array
-        dropped = float(np.sum(0.5 / arr[n:]))
+        with np.errstate(over="ignore"):  # inf, which __post_init__ refuses as a tail mass
+            dropped = float(np.sum(0.5 / self.array[n:]))
         return DriftSpectrum(
             eigenvalues=self.eigenvalues[:n],
             tail_mode=self.tail_mode,
@@ -273,9 +275,26 @@ def _coerce_spectrum(spectrum) -> DriftSpectrum:
     return DriftSpectrum(eigenvalues=tuple(np.atleast_1d(np.asarray(spectrum, dtype=np.float64))))
 
 
+def _per_lam_squared(spec: DriftSpectrum, rate) -> float:
+    """(1/4) LAM^-2 rate, the product left to right, as a float that may be 0 or inf; never raises.
+
+    LAM^-2 overflows for rates above about 1e154, which makes the value
+    inf, and underflows for rates below about 1e-154, which makes it 0.
+    An infinite LAM (a rate without a float reciprocal, where rate may be
+    inf as well) makes it 0.  Callers that need a usable beta refuse 0
+    and inf.
+    """
+    if spec.inverse_sum == math.inf:
+        return 0.0
+    try:
+        return 0.25 * spec.inverse_sum**-2 * rate
+    except OverflowError:  # float ** raises where * and / give inf
+        return math.inf
+
+
 def beta_floor(spectrum) -> float:
     """(1/4) LAM^-2 e/1152 with LAM = sum of 1/lam_n: the spectrum-independent part of the rate."""
-    return 0.25 * _coerce_spectrum(spectrum).inverse_sum**-2 * RATE_FLOOR
+    return _per_lam_squared(_coerce_spectrum(spectrum), RATE_FLOOR)
 
 
 def beta(spectrum) -> float:
@@ -289,7 +308,7 @@ def beta(spectrum) -> float:
     m = float(np.min(exp_weighted_alpha(spec.array)))
     if spec.tail_mode == TAIL_UNBOUNDED:
         m = min(m, TAIL_LIMIT)
-    return 0.25 * spec.inverse_sum**-2 * m
+    return _per_lam_squared(spec, m)
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ def _check_count(value, name, least, below=None) -> int:
 
     numpy integers pass; bools, floats and strings do not.  The one
     integer check of the package: counts, seeds, stream key words, path
-    addresses, row ranges, spectrum sizes, truncations, shift components
-    and drift directions pass through it.
+    addresses, row ranges, spectrum sizes, truncations, shift components,
+    drift directions and the CLI's integer settings pass through it.
     """
     try:
         value = operator.index(None if isinstance(value, bool) else value)  # a bool is no count
@@ -34,9 +34,10 @@ def _check_count(value, name, least, below=None) -> int:
 def _check_positive(value, name) -> float:
     """value as a Python float with 0 < value < inf.
 
-    The one scalar positivity check of the package: rates, alpha,
-    horizons, times and omega pass through it, and constants._as_rates
-    refuses an array's first bad value through it.
+    The one scalar positivity check of the package: rates, alpha, beta,
+    horizons, times, omega and the CLI's lambda and log grid lo pass
+    through it, and constants._as_rates refuses an array's first bad
+    value through it.
     """
     value = float(value)
     if not 0.0 < value < math.inf:  # NaN fails too

@@ -316,15 +316,21 @@ def weighted_scales(spectrum_values) -> np.ndarray:
     return np.minimum(np.exp(-lam) / np.sqrt(lam), 1.0)
 
 
+def _spectrum_values(spectrum_values) -> np.ndarray:
+    """spectrum_values as a float64 vector of positive finite rates, the rates every b and h is built on."""
+    lam = _as_rates(spectrum_values, "spectrum_values")
+    if lam.ndim != 1:
+        raise DomainError(f"spectrum_values must be a list of rates, got shape {lam.shape}")
+    return lam
+
+
 def make_b_weighted(spectrum_values, profile="sin", coefficients=None, direction=0, omega=1.0) -> FunctionDescriptor:
     """Spectrally weighted rank-one b with both norms certified <= 1.
 
     coefficients default to the uniform unit vector c_n = N^(-1/2).
     Rejects sum c_n^2 > 1.
     """
-    lam = _as_rates(spectrum_values, "spectrum_values")
-    if lam.ndim != 1:
-        raise DomainError(f"spectrum_values must be a list of rates, got shape {lam.shape}")
+    lam = _spectrum_values(spectrum_values)
     n = lam.size
     if coefficients is None:
         c = np.full(n, 1.0 / math.sqrt(n))
@@ -420,9 +426,7 @@ def _parse_number(token, what, name) -> float:
 
 
 def _build_shift(name, spectrum_values, profiles, allow_zero):
-    lam = np.asarray(spectrum_values, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0:
-        raise DomainError("spectrum must be a nonempty list of rates")
+    lam = _spectrum_values(spectrum_values)
     n = lam.size
     comps = []
     profiles = {_check_count(idx, "shift component", 0, n): entry for idx, entry in profiles.items()}
@@ -602,7 +606,7 @@ def resolve_b(name: str, spectrum_values) -> FunctionDescriptor:
         c = _parse_number(parts[1], "constant", name) if len(parts) > 1 else 1.0
         if not 0.0 <= abs(c) <= 1.0:
             raise DomainError("constant drift must have |c| <= 1 to stay certified")
-        lam = np.asarray(spectrum_values, dtype=np.float64)
+        lam = _spectrum_values(spectrum_values)
         vector = np.zeros(lam.size)
         vector[0] = c
         with np.errstate(over="ignore"):

@@ -156,14 +156,17 @@ def _check_certified(b: FunctionDescriptor, need_a_norm: bool):
 class ExperimentSpec:
     """What every Hilbert-space check reads: the process, b and the sampling, picklable.
 
-    b must carry both norm certificates.  The settings only some checks
-    read (shifts, constant shifts, the window [r, u], the start value x0
-    and ell) are arguments of those checks, validated there before any
-    path is drawn.  Equality and hashing are by identity.
+    spectrum is the run's truncated spectrum, every component of it live:
+    a run on the first N rates of a longer spectrum passes
+    longer.truncate(N), whose tail_inverse_mass carries the dropped mass.  b must carry both
+    norm certificates and read a component of it.  The settings only
+    some checks read (shifts, constant shifts, the window [r, u], the
+    start value x0 and ell) are arguments of those checks, validated
+    there before any path is drawn.  Equality and hashing are by
+    identity.
     """
 
     spectrum: DriftSpectrum
-    truncation: int
     b: FunctionDescriptor
     seed: int
     m: int = 4096
@@ -171,32 +174,35 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if _check_count(self.truncation, "truncation", 1) > len(self.spectrum):
-            raise DomainError(f"truncation {self.truncation} outside the listed spectrum")
         _check_count(self.m, "m", 2)
         _check_count(self.n_paths, "n_paths", 2)
         _check_certified(self.b, need_a_norm=True)
-        if self.b.direction >= self.truncation:
+        if self.b.direction >= len(self.spectrum):
             raise DomainError("descriptor direction outside the truncation")
-
-    def truncated_spectrum(self) -> DriftSpectrum:
-        return self.spectrum.truncate(self.truncation)
 
     def coordinate(self, ell=1.0, r=0.0, u=1.0, x0=None) -> Coordinate:
         """b's coordinate at rate ell * lam_d on the window [r, u], started at x0 along it (0 without x0)."""
         _check_window(r, u)
         d = self.b.direction
-        x0_dir = 0.0 if x0 is None else float(_as_vector(x0, self.truncation, "x0")[d])
+        x0_dir = 0.0 if x0 is None else float(_as_vector(x0, len(self.spectrum), "x0")[d])
         return Coordinate(ell * self.spectrum.eigenvalues[d], self.m, d, u - r, r, x0_dir)
 
 
 def _check_shifts(spec: ExperimentSpec, **shifts):
-    """Refuse a shift built on another truncation or spectrum than spec's."""
+    """Refuse a shift built on other rates than spec's spectrum."""
     for name, h in shifts.items():
-        if h.truncation != spec.truncation:
-            raise DomainError(f"{name} is built on truncation {h.truncation}, experiment uses {spec.truncation}")
-        if h.eigenvalues != spec.spectrum.eigenvalues[: spec.truncation]:
-            raise DomainError(f"{name} was built on a different spectrum")
+        if h.eigenvalues != spec.spectrum.eigenvalues:
+            raise DomainError(f"{name} was built on a different spectrum (truncation {h.truncation}) than the "
+                              f"experiment's (truncation {len(spec.spectrum)})")
+
+
+def _beta(spec: ExperimentSpec) -> float:
+    """beta of spec's spectrum, refused unless positive and finite: the Hilbert checks' rate, before any path is drawn.
+
+    constants.beta is 0 or inf where LAM^-2 leaves the float range (rates
+    below about 1e-154 or above about 1e154).
+    """
+    return _check_positive(beta_of(spec.spectrum), "beta")
 
 
 # ----------------------------------------------------------------------
@@ -344,14 +350,14 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
     """Exponential moment of the shift functional for the rescaled process.
 
     Components are sampled at rates ell * lam_n, with ell in (0, 1];
-    beta comes from the truncated spectrum the run actually lives on (a
-    declared-unbounded tail still contributes its analytic infimum).
+    beta comes from spec's truncated spectrum, the one the run lives on
+    (a declared-unbounded tail still contributes its analytic infimum).
     """
     if not 0.0 < ell <= 1.0:
         raise DomainError("ell must be in (0, 1]")
     _check_shifts(spec, h=h)
     _check_positive(h.norm_inf, "sup |h|")
-    beta_val = beta_of(spec.truncated_spectrum())
+    beta_val = _beta(spec)
     try:
         rate = beta_val / h.norm_inf**2
     except (OverflowError, ZeroDivisionError):  # sup|h|^2 leaves the float range
@@ -389,7 +395,7 @@ def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescr
     etas = tuple(float(e) for e in etas)
     if not etas or any(e < 0 or not math.isfinite(e) for e in etas):
         raise DomainError("eta grid must be nonempty, nonnegative and finite")
-    beta_val = beta_of(spec.truncated_spectrum())
+    beta_val = _beta(spec)
     ell = coord.horizon
     diff_sup = shift_difference_norm(h1, h2, r, u)
     if diff_sup == 0.0:  # the functional vanishes: no sampling
@@ -450,9 +456,9 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
     ps = tuple(_check_count(p, "moment order p", 1) for p in ps)
     if not ps:
         raise DomainError("need at least one moment order p")
-    x = _as_vector(x, spec.truncation, "x")
-    y = _as_vector(y, spec.truncation, "y")
-    beta_val = beta_of(spec.truncated_spectrum())
+    x = _as_vector(x, len(spec.spectrum), "x")
+    y = _as_vector(y, len(spec.spectrum), "y")
+    beta_val = _beta(spec)
     ell = coord.horizon
     sep = _norm(x - y)
     if sep == 0.0:  # the functional vanishes: no sampling

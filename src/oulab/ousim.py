@@ -343,11 +343,9 @@ class PathStream:
     component: int = 0
 
     def __post_init__(self):
-        seed = _check_seed(self.seed)
         path = _check_count(self.path, "path index", 0, BLOCK * 2**32)  # its block fits the key's 32-bit word
-        component = _check_count(self.component, "component index", 0, 2**24)
-        # _key_words without the domain, checked and packed once for every path_normals call
-        object.__setattr__(self, "_words", (seed, (component << 32) | (path // BLOCK)))
+        # the key at domain 0, checked and packed once for every path_normals call, which ORs in its domain
+        object.__setattr__(self, "_words", _key_words(self.seed, self.component, path // BLOCK, DOMAIN_PATH))
 
     @property
     def block(self) -> int:
@@ -614,11 +612,9 @@ def sample_hilbert(spectrum, truncation, m, seed, path=0, horizon=1.0) -> Hilber
     evolves all components at once.
     """
     spec = _coerce_spectrum(spectrum)
-    truncation = _check_count(truncation, "truncation", 1)
-    if truncation > len(spec):
-        raise DomainError(f"truncation {truncation} exceeds the listed spectrum ({len(spec)})")
+    rates = spec.truncate(truncation).eigenvalues
+    truncation = len(rates)
     times = _grid(m, horizon)
-    rates = spec.eigenvalues[:truncation]
     normals = np.array([path_normals(PathStream(seed, path, n), m) for n in range(truncation)])
     values = _recursion_paths(np.array(rates), m, normals, horizon)
     comps = tuple(PathGrid(lam, times, row) for lam, row in zip(rates, values))
@@ -628,7 +624,7 @@ def sample_hilbert(spectrum, truncation, m, seed, path=0, horizon=1.0) -> Hilber
 def tail_mass_bound(spectrum, truncation) -> float:
     """Invariant mass dropped by the truncation: sum_{n>N} 1/(2 lam_n)
     over the listed tail, plus any certified mass beyond the list."""
-    return _coerce_spectrum(spectrum).truncate(_check_count(truncation, "truncation", 1)).tail_inverse_mass
+    return _coerce_spectrum(spectrum).truncate(truncation).tail_inverse_mass
 
 
 def _as_vector(v, n, name) -> np.ndarray:

@@ -171,8 +171,7 @@ def test_criterion_08_shift_functional_exponential_moment():
     details = []
     for b_name in ("weighted:sin", "weighted:sign"):
         spec = ExperimentSpec(
-            spectrum=spectrum,
-            truncation=16,
+            spectrum=spectrum.truncate(16),
             b=resolve_b(b_name, live),
             seed=808,
             m=M_FULL,
@@ -190,8 +189,7 @@ def test_criterion_08_shift_functional_exponential_moment():
 def test_criterion_09_concentration_tails():
     lam = (1.0, 4.0)
     spec = ExperimentSpec(
-        spectrum=DriftSpectrum(lam),
-        truncation=2,
+        spectrum=DriftSpectrum(lam).truncate(2),
         b=resolve_b("weighted:sin", lam),
         seed=909,
         m=M_FULL,
@@ -208,8 +206,7 @@ def test_criterion_09_concentration_tails():
 def test_criterion_10_moment_bounds_and_gamma_identity():
     lam = (1.0, 4.0)
     spec = ExperimentSpec(
-        spectrum=DriftSpectrum(lam),
-        truncation=2,
+        spectrum=DriftSpectrum(lam).truncate(2),
         b=resolve_b("weighted:sin", lam),
         seed=1010,
         m=M_FULL,

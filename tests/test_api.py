@@ -108,6 +108,9 @@ POSITIVE_ARGUMENTS = {
     "DriftSpectrum": ("eigenvalues", lambda x: oulab.DriftSpectrum((1.0, x))),
     "make_b_weighted": ("spectrum_values", lambda x: oulab.make_b_weighted([1.0, x])),
     "resolve_b": ("omega", lambda x: oulab.resolve_b(f"weighted:sin:omega={x}", [1.0])),
+    "resolve_b_const": ("spectrum_values", lambda x: oulab.resolve_b("const:0.5", [x])),
+    "make_h": ("spectrum_values", lambda x: oulab.fnlib.make_h([1.0, x], {0: "sin_pi_t"})),
+    "zero_shift": ("spectrum_values", lambda x: oulab.zero_shift([1.0, x])),
     "sample_path_1d": ("rate", lambda x: oulab.sample_path_1d(x, 8, oulab.PathStream(1, 0))),
     "block_paths_1d": ("horizon", lambda x: oulab.block_paths_1d(1.0, 8, 1, 0, 0, horizon=x)),
     "marginal_density": ("t", lambda x: oulab.ousim.marginal_density(1.0, x, 0.0)),

@@ -30,6 +30,7 @@ from oulab.cli import (
     parse_vector,
     serialize_config,
 )
+from oulab.errors import DomainError
 from oulab.ousim import block_paths_1d
 
 
@@ -103,10 +104,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cfg.get_int("n")
         with pytest.raises(ConfigError):
-            cfg.get_float("r", positive=True)
+            cfg.get_float("n")
         with pytest.raises(ConfigError):
             cfg.get_ints("ps")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             cfg.get_seed()
         with pytest.raises(ConfigError, match="seed is required"):
             RunConfig.build("x", {}, None, {}).get_seed()
@@ -121,25 +122,31 @@ class TestParsers:
         np.testing.assert_allclose(parse_grid("0.5,1,2"), [0.5, 1.0, 2.0])
 
     def test_grid_errors(self):
-        for bad in ("log:1:10", "lin:a:b:5", "log:0:1:5", "log:1:10:0", ""):
+        for bad in ("log:1:10", "lin:a:b:5", ""):
             with pytest.raises(ConfigError):
+                parse_grid(bad)
+        for bad in ("log:0:1:5", "log:1:10:0"):
+            with pytest.raises(DomainError):
                 parse_grid(bad)
 
     def test_spectrum_quadratic(self):
-        spec, n = parse_spectrum("n^2:4")
-        assert n == 4
+        spec = parse_spectrum("n^2:4")
+        assert len(spec) == 4
         assert spec.eigenvalues == (1.0, 4.0, 9.0, 16.0)
         assert spec.tail_inverse_mass > 0.0
 
     def test_spectrum_listed(self):
-        spec, n = parse_spectrum("1,4")
-        assert n == 2
+        spec = parse_spectrum("1,4")
+        assert len(spec) == 2
         assert spec.eigenvalues == (1.0, 4.0)
         assert spec.tail_inverse_mass == 0.0
 
     def test_spectrum_errors(self):
-        for bad in ("n^2:0", "n^3:4", "1,-4", ""):
+        for bad in ("n^3:4", ""):
             with pytest.raises(ConfigError):
+                parse_spectrum(bad)
+        for bad in ("n^2:0", "1,-4"):
+            with pytest.raises(DomainError):
                 parse_spectrum(bad)
 
     def test_vector_padding(self):
@@ -199,6 +206,52 @@ class TestExitCodes:
         code, _, err = _run(capsys, "verify-prop21", "--seed", "1", "--lambda", "400", "--n", "20000", "--M", "1024")
         assert code == 2
         assert "alpha must be positive and finite" in err
+
+    # (command line, fragment of its one error line): each exits 2 before any path is drawn
+    BAD_INPUT = [
+        # beta outside the float range: an OverflowError traceback (1e200), a ZeroDivisionError traceback
+        # (moments at 1e-200), a PASS against beta = 0 (concentration at 1e-200), a RuntimeWarning (1e-320)
+        ("verify-thm23 --spectrum 1e200", "beta must be positive and finite, got inf"),
+        ("concentration --spectrum 1e200 --h1 e1:sin_pi_t", "beta must be positive and finite"),
+        ("moments --spectrum 1e200 --x 0.5 --y -0.5", "beta must be positive and finite"),
+        ("moments --spectrum 1e-200 --x 0.5 --y -0.5", "beta must be positive and finite"),
+        ("concentration --spectrum 1e-200 --h1 e1:sin_pi_t", "beta must be positive and finite"),
+        ("verify-thm23 --spectrum 1e-320", "beta must be positive and finite, got 0.0"),
+        # numbers that parse but lie outside the range a guard owns
+        ("verify-prop21 --lambda 0", "lambda must be positive"),
+        ("decomposition --lambda 0", "lambda must be positive"),
+        ("verify-prop21 --lambda 1 --n 1", "n must be at least 2"),
+        ("verify-thm23 --M 1", "m must be at least 2"),
+        ("verify-thm23 --seed -1", "seed must be at least 0"),
+        ("verify-thm23 --seed 18446744073709551616", "seed must be below"),
+        ("verify-thm23 --workers 0", "workers must be at least 1"),
+        ("verify-thm23 --spectrum 1,4 --truncation 3", "truncation must be below 3"),
+        ("verify-thm23 --spectrum n^2:0", "spectrum size must be at least 1"),
+        ("verify-thm23 --spectrum -1,4", "eigenvalues must be positive"),
+        ("concentration --h1 e1:sin_pi_t --r nan", "0 <= r < u <= 1"),
+        ("verify-thm23 --ell 0", "ell"),
+        ("verify-prop21 --lambda 1 --dump d.csv --dump-paths 257", "dump_paths must be below 257"),
+        ("constants --lambda-grid lin:0:1:4", "rate must be positive"),
+        ("constants --lambda-grid log:0:1:5", "log grid lo must be positive"),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # pytest captures warnings; this makes one fail the row
+    @pytest.mark.parametrize("argv, fragment", BAD_INPUT, ids=[argv for argv, _ in BAD_INPUT])
+    def test_bad_input_exits_two_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv, fragment):
+        def sampled(*args, **kwargs):
+            raise AssertionError("a refused setting reached the sampler")
+
+        for module in (oulab.functionals, oulab.reversal):
+            monkeypatch.setattr(module, "run_blocks", sampled)
+        monkeypatch.chdir(tmp_path)  # where a dump would land
+        command, *flags = argv.split()
+        sizes = () if command == "constants" else ("--seed", "1", "--n", "64")  # a row's own flags come last and win
+        code, _, err = _run(capsys, command, *sizes, *flags)
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and fragment in line
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_subnormal_lambda_prints_only_the_verdict(self, capsys):
         # 1/lambda overflows in alpha3; numpy's warning once took a line of stderr, which is the verdict's
@@ -278,7 +331,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting, message", [
         ("format=xml", "format must be json or csv"),
-        ("dump=d.csv\ndump_paths=300", "capped at 256"),
+        pytest.param("dump=d.csv\ndump_paths=300", "dump_paths must be below 257",
+                     id="dump=d.csv\ndump_paths=300-capped at 256"),
         ("dump=d.csv\ndump_paths=256\nm=8000", "row cap"),
     ])
     def test_plumbing_rejected_before_the_check(self, capsys, monkeypatch, tmp_path, setting, message):
@@ -628,7 +682,7 @@ class TestDump:
             "--M", "32", "--dump", str(tmp_path / "d.csv"), "--dump-paths", "300",
         )
         assert code == 2
-        assert "256" in err
+        assert "dump_paths must be below 257" in err
 
 
 class TestDecompositionCommand:

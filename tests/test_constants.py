@@ -281,6 +281,13 @@ class TestBeta:
         assert declared == pytest.approx(4.0 * C.TAIL_LIMIT, rel=1e-12)
         assert declared < finite
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate, value", [(1e200, math.inf), (1e-320, 0.0)])
+    def test_out_of_range_values_return_without_raising(self, rate, value):
+        # LAM^-2 overflowed (an OverflowError), or LAM and h both overflowed (NaN, with warnings)
+        assert C.beta((rate,)) == value
+        assert C.beta_floor((rate,)) == value
+
     def test_floor_is_a_floor(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

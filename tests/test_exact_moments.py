@@ -99,7 +99,7 @@ def test_pair_values_second_moment(profile, lam, omega, m, n, x0, r, u, h1, h2):
     # J = int_r^u phi(Z_s + h1(s)) - phi(Z_s + h2(s)) ds, Z started at x0 at time r
     spectrum = DriftSpectrum((lam,))
     b = make_b_weighted(spectrum.eigenvalues, profile=profile, omega=omega)
-    spec = ExperimentSpec(spectrum, 1, b, SEED, m=m, n_paths=n)
+    spec = ExperimentSpec(spectrum.truncate(1), b, SEED, m=m, n_paths=n)
     values = _pair_values(spec, Coordinate(lam, m, 0, u - r, r, x0), lambda d, t: h1(t), lambda d, t: h2(t))
     t_abs = r + np.linspace(0.0, u - r, m + 1)
     w = _trapezoid_weights(m, u - r)

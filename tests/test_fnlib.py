@@ -418,7 +418,7 @@ class TestWindowRescaling:
         lam = [1.0]
         b = F.make_b_weighted(lam)
         h = F.make_h(lam, {0: "sin_pi_t"})
-        spec = ExperimentSpec(spectrum=DriftSpectrum(tuple(lam)), truncation=1, b=b, seed=0, m=8, n_paths=2)
+        spec = ExperimentSpec(spectrum=DriftSpectrum(tuple(lam)).truncate(1), b=b, seed=0, m=8, n_paths=2)
         entry_points = (
             lambda r, u: F.window_rescaled_b(b, r, u),
             lambda r, u: F.window_rescaled_h(h, r, u),

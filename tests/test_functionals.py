@@ -120,10 +120,9 @@ class TestExperimentSpec:
 
     LAM = (1.0, 4.0)
 
-    def _spec(self, **kw):
+    def _spec(self, truncation=2, **kw):
         base = dict(
-            spectrum=DriftSpectrum(self.LAM),
-            truncation=2,
+            spectrum=DriftSpectrum(self.LAM).truncate(truncation),
             b=make_b_weighted(self.LAM),
             seed=7,
             m=64,
@@ -134,7 +133,8 @@ class TestExperimentSpec:
 
     def test_truncated_spectrum_drops_tail(self):
         spec = self._spec(truncation=1, b=make_b_weighted((1.0, 4.0), direction=0))
-        assert spec.truncated_spectrum().eigenvalues == (1.0,)
+        assert spec.spectrum.eigenvalues == (1.0,)
+        assert spec.spectrum.tail_inverse_mass == 0.5 / 4.0
 
     def test_rejects_bad_windows_and_ell(self, monkeypatch):
         _refuse_sampling(monkeypatch)
@@ -191,7 +191,7 @@ class TestExperimentSpec:
             with pytest.raises(DomainError, match=message):
                 self._spec(**kw)
         spec = self._spec(truncation=np.int64(2), m=np.int64(64), n_paths=np.int32(16))
-        assert (spec.truncation, spec.m, spec.n_paths) == (2, 64, 16)
+        assert (len(spec.spectrum), spec.m, spec.n_paths) == (2, 64, 16)
 
     def test_picklable(self):
         spec = self._spec()
@@ -215,7 +215,7 @@ class TestCoordinate:
     """The one sampled coordinate: its grid, its paths and which one each check builds."""
 
     LAM = (1.0, 4.0)
-    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, direction=1), seed=7,
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM).truncate(2), b=make_b_weighted(LAM, direction=1), seed=7,
                           m=32, n_paths=300)
 
     def test_times_and_paths_are_the_window_grid_and_the_started_block(self):
@@ -297,8 +297,7 @@ class TestCheckThm23:
     def _spec(self, **kw):
         lam = (1.0, 4.0)
         base = dict(
-            spectrum=DriftSpectrum(lam),
-            truncation=2,
+            spectrum=DriftSpectrum(lam).truncate(2),
             b=make_b_weighted(lam, profile="sin"),
             seed=13,
             m=256,
@@ -339,7 +338,7 @@ class TestCheckThm23:
 class TestConcentration:
     LAM = (1.0, 4.0)
     SPEC = ExperimentSpec(
-        spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, profile="sin"), seed=17, m=256,
+        spectrum=DriftSpectrum(LAM).truncate(2), b=make_b_weighted(LAM, profile="sin"), seed=17, m=256,
         n_paths=2048,
     )
 
@@ -379,7 +378,7 @@ class TestConcentration:
     def test_shift_below_float_spacing_keeps_its_size(self):
         # S/sup|h| barely depends on the scale of a constant shift for a smooth b;
         # the difference of two sin values cancelled e1:const:1e-20 to S = 0
-        spec = ExperimentSpec(spectrum=DriftSpectrum(self.LAM), truncation=2, b=make_b_weighted(self.LAM), seed=1,
+        spec = ExperimentSpec(spectrum=DriftSpectrum(self.LAM).truncate(2), b=make_b_weighted(self.LAM), seed=1,
                               m=64, n_paths=2000)
         coord = spec.coordinate()
         zero = zero_shift(self.LAM).component
@@ -405,7 +404,7 @@ class TestConcentration:
 class TestMoments:
     LAM = (1.0, 4.0)
     SPEC = ExperimentSpec(
-        spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, profile="sin"), seed=19, m=256,
+        spectrum=DriftSpectrum(LAM).truncate(2), b=make_b_weighted(LAM, profile="sin"), seed=19, m=256,
         n_paths=2048,
     )
 
@@ -489,7 +488,7 @@ class TestCertifiedRange:
     """Each check refuses a statistic S above its certified cap, before f is applied."""
 
     LAM = (1.0, 4.0)
-    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM), seed=3, m=16,
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM).truncate(2), b=make_b_weighted(LAM), seed=3, m=16,
                           n_paths=300)
     H = make_h(LAM, {0: "sin_pi_t"})
 
@@ -558,7 +557,7 @@ class TestWindowRescalingLaw:
         h1 = make_h([lam], {0: "sin_pi_t"})
         h2 = zero_shift([lam])
 
-        spec = ExperimentSpec(spectrum=DriftSpectrum((lam,)), truncation=1, b=b, seed=101, m=m, n_paths=n)
+        spec = ExperimentSpec(spectrum=DriftSpectrum((lam,)).truncate(1), b=b, seed=101, m=m, n_paths=n)
         window_values = FN._pair_values(
             spec, FN.Coordinate(lam, m, 0, ell, r), h1.component, h2.component
         )
@@ -642,7 +641,7 @@ class TestChecksMatchHandBuiltBlocks:
 
     LAM = (1.0, 4.0)
     B = make_b_weighted(LAM, profile="sin", direction=1)
-    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=B, seed=37, m=128, n_paths=600)
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM).truncate(2), b=B, seed=37, m=128, n_paths=600)
     X0 = (0.3, -0.2)
     T_WINDOW = 0.25 + np.linspace(0.0, 0.5, 129)
 
@@ -935,7 +934,7 @@ class TestStartDecay:
     paths are still the block paths plus that decay, bitwise."""
 
     LAM = (1.0, 4.0)
-    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM), truncation=2, b=make_b_weighted(LAM, direction=1), seed=23,
+    SPEC = ExperimentSpec(spectrum=DriftSpectrum(LAM).truncate(2), b=make_b_weighted(LAM, direction=1), seed=23,
                           m=4096, n_paths=300)
 
     def _values(self, coord, h1, h2):
