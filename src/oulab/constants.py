@@ -279,17 +279,21 @@ def _per_lam_squared(spec: DriftSpectrum, rate) -> float:
     """(1/4) LAM^-2 rate, the product left to right, as a float that may be 0 or inf; never raises.
 
     LAM^-2 overflows for rates above about 1e154, which makes the value
-    inf, and underflows for rates below about 1e-154, which makes it 0.
-    An infinite LAM (a rate without a float reciprocal, where rate may be
-    inf as well) makes it 0.  Callers that need a usable beta refuse 0
-    and inf.
+    inf.  Where LAM^-2 is 0 or subnormal (rates below about 1e-154) the
+    value is the quotient (1/4) (rate / LAM) / LAM instead, which keeps
+    every value the float range holds; every other rate keeps the
+    product's bits.  An infinite LAM (a rate without a float reciprocal,
+    where rate may be inf as well) makes it 0.  Callers that need a
+    usable beta refuse 0 and inf.
     """
     if spec.inverse_sum == math.inf:
         return 0.0
     try:
-        return 0.25 * spec.inverse_sum**-2 * rate
+        square = spec.inverse_sum**-2
     except OverflowError:  # float ** raises where * and / give inf
         return math.inf
+    # 2^-1022 is the least normal float
+    return 0.25 * square * rate if square >= 2.0**-1022 else 0.25 * (rate / spec.inverse_sum) / spec.inverse_sum
 
 
 def beta_floor(spectrum) -> float:

@@ -231,8 +231,9 @@ class FunctionDescriptor:
     marks an uncertified descriptor, which the theorem checkers refuse.
     `profile(t, xi, out=None)` and `profile_dx(t, xi, out=None)` evaluate
     phi and d phi / d xi; out, a float64 array of the result's shape,
-    receives the result and is returned.  `profile_dx_sup` bounds
-    |d phi / d xi| when the profile is smooth.
+    receives the result, is returned, and may be xi itself, as pair's
+    may (_prop21_block evaluates b' over its paths).  `profile_dx_sup`
+    bounds |d phi / d xi| when the profile is smooth.
     `pair(t, h1, h2)` prepares the pair profile for shifts h1, h2 that
     broadcast against t, the one entry point of the shift functionals:
     it computes the factors that read only the shifts once and returns

@@ -59,8 +59,8 @@ import numpy as np
 from .constants import DriftSpectrum, alpha as alpha_of, beta as beta_of
 from .errors import DomainError, _check_count, _check_positive
 from .fnlib import FunctionDescriptor, ShiftDescriptor, _check_window, _norm, shift_difference_norm
-from .ousim import (_as_vector, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d, ndtri, run_blocks,
-                    run_lanes)
+from .ousim import (_as_vector, _chunk_views, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d,
+                    ndtri, run_blocks, run_lanes)
 
 CONFIDENCE = 0.999
 EXP_BOUND = 3.0
@@ -259,30 +259,32 @@ def _chunk_integrals(count, seed, coord: Coordinate, b, integrand, lanes):
 
     A lane allocates its workspace (ousim._lane_arrays) once, draws,
     samples, evaluates and reduces each row chunk it takes in it, and
-    writes the chunk's values into the one result array.  Each row's
-    steps read only that row, so the values are bitwise those of
-    whole-block passes, one per block.
+    writes the chunk's values into the one result array.  A chunk's
+    paths overwrite its normals (ousim._chunk_views), integrand(z) may
+    overwrite z, and the trapezoid runs in the scan, so a lane works in
+    two arrays.  Each row's steps read only that row, so the values are
+    bitwise those of whole-block passes, one per block.
     """
     m, dx, norm = coord.m, coord.horizon / coord.m, b.vector_norm
     out = np.empty(count)
 
     def lane(rows, chunks):
-        normals, scan, paths = _lane_arrays(rows, m)
+        scan, paths = _lane_arrays(rows, m)
         for blk, start, stop, at in chunks:
             n = stop - start
-            block_normals(seed, coord.component, blk, m, rows=(start, stop), out=normals[:n])
-            z = coord.paths(seed, blk, (start, stop), normals[:n], paths[:n], scan)
-            j = _trapezoid_rows(integrand(z), dx, scan[: n * m].reshape(n, m))
-            out[at : at + n] = np.abs(j) * norm
+            normals, z = _chunk_views(paths, n, m)
+            block_normals(seed, coord.component, blk, m, rows=(start, stop), out=normals)
+            z = coord.paths(seed, blk, (start, stop), normals, z, scan)
+            out[at : at + n] = np.abs(_trapezoid_rows(integrand(z), dx, scan[: n * m].reshape(n, m))) * norm
 
     run_lanes(count, m, lane, lanes=lanes)
     return out
 
 
 def _prop21_block(count, seed, coord: Coordinate, b, *, lanes):
-    """|int b'(t, xi_t) dt| for paths [0, count), xi the coordinate's paths."""
+    """|int b'(t, xi_t) dt| for paths [0, count), xi the coordinate's paths; b' is evaluated in place on the paths."""
     times = coord.times()
-    return _chunk_integrals(count, seed, coord, b, lambda z: np.asarray(b.profile_dx(times, z), np.float64), lanes)
+    return _chunk_integrals(count, seed, coord, b, lambda z: b.profile_dx(times, z, z), lanes)
 
 
 def _shifted_pair_block(count, seed, coord: Coordinate, b, h1_vals, h2_vals, *, lanes):

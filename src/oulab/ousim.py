@@ -179,9 +179,9 @@ def chunk_rows(m) -> int:
     """Rows of a block that a block kernel processes at once.
 
     About 2^16 values (512 KB of float64) per array of a lane's workspace
-    (_lane_arrays: normals, scan and paths), so the arrays one chunk
-    works on stay in cache: 16 rows at m = 4096, the whole block at
-    m <= 256.
+    (_lane_arrays: the scan, and the paths written over the chunk's
+    normals), so the arrays one chunk works on stay in cache: 16 rows at
+    m = 4096, the whole block at m <= 256.
     """
     return min(BLOCK, max(1, 2**16 // int(m)))
 
@@ -237,16 +237,26 @@ def block_normals(seed, component, block, m, domain=DOMAIN_PATH, rows=None, out=
 
 
 def _lane_arrays(rows, m) -> tuple:
-    """One lane's workspace for row chunks of up to `rows` rows on up to m steps: (normals, scan, paths).
+    """One lane's workspace for row chunks of up to `rows` rows on up to m steps: two flat arrays (scan, paths).
 
-    normals (rows, m) takes a chunk's draw, the flat scan holds the
-    recursion's scan array (_recursion_paths' work) and afterwards serves
-    as scratch for up to rows * m values, and paths (rows, m + 1) takes
-    the chunk's paths.  A block kernel allocates them once per run and
+    scan holds the recursion's scan array (_recursion_paths' work) and
+    afterwards serves as scratch for up to rows * m values; paths, of
+    rows * (m + 1) values, holds a chunk's normals and then its paths
+    (_chunk_views).  A block kernel allocates them once per run and
     lane, and every chunk the lane takes, in any block, reuses them.
     """
     steps = min(SCAN_STEPS, m)
-    return np.empty((rows, m)), np.empty(rows * steps * -(-m // steps)), np.empty((rows, m + 1))
+    return np.empty(rows * steps * -(-m // steps)), np.empty(rows * (m + 1))
+
+
+def _chunk_views(paths, n, m) -> tuple:
+    """(normals, paths) of an n-row chunk on m steps in a flat path buffer (_lane_arrays).
+
+    The (n, m) normals are the buffer's first n * m values and the
+    (n, m + 1) paths its first n * (m + 1): _recursion_paths reads the
+    normals before it writes the paths, so the paths overwrite them.
+    """
+    return paths[: n * m].reshape(n, m), paths[: n * (m + 1)].reshape(n, m + 1)
 
 
 def block_layout(n_paths) -> list:
@@ -435,8 +445,10 @@ def _recursion_paths(lam, m, normals, horizon, out=None, work=None):
     (..., 1) columns of the same libm calls and float products, so each
     row's bits are those of a one-rate call at its rate.  out, a
     C-contiguous normals.shape[:-1] + (m + 1,) array, receives the paths
-    in place of a new array; work, a flat float array (a lane's scan,
-    _lane_arrays), holds t in place of a new array.
+    in place of a new array, and may hold the normals themselves
+    (_chunk_views): they are read only into t, before out is written.
+    work, a flat float array (a lane's scan, _lane_arrays), holds t in
+    place of a new array.
     """
     dt = horizon / m
     lead = normals.shape[:-1]
@@ -458,8 +470,7 @@ def _recursion_paths(lam, m, normals, horizon, out=None, work=None):
         t[rem:, ..., full] = 0.0
     for j in range(1, steps):
         t[j] += a * t[j - 1]
-    if out is None:
-        out = np.empty(lead + (m + 1,))
+    out = np.empty(lead + (m + 1,)) if out is None else out
     if chunks > 1:
         powers = [a]  # a^(j+1) for j < L as float products: no libm pow in the bits
         for _ in range(steps - 1):

@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import DomainError, _check_count, _check_positive
 from .fnlib import FunctionDescriptor
-from .ousim import PathGrid, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d, run_blocks, run_lanes
+from .ousim import (PathGrid, _chunk_views, _grid, _lane_arrays, _trapezoid_rows, block_normals, block_paths_1d,
+                    run_blocks, run_lanes)
 
 EPS_PIN = 1e-9
 
@@ -135,57 +136,49 @@ def _split_weights(lam, times):
     all its paths.
     """
     # I2 in original time: weight c(lam, 1-u) on u in [t_1, 1]
-    u = times[1:]
-    w = reversed_drift_coefficient(lam, 1.0 - u[:-1])
+    w = reversed_drift_coefficient(lam, 1.0 - times[1:-1])
     w = np.concatenate((w, [lam - 2.0 * lam / (-math.expm1(-2.0 * lam))]))  # u = 1 -> c(lam, 0)
     # I1 on the reversed path: c(lam, s) at the left ends s_0 = 0, ..., s_{M-1} = 1 - dt
-    s_left = 1.0 - times[::-1][:-1]
-    return w, reversed_drift_coefficient(lam, s_left)
+    return w, reversed_drift_coefficient(lam, 1.0 - times[:0:-1])
 
 
-def _split_scratch(rows, m):
-    """Work arrays of _split_arrays for up to `rows` paths on up to m steps: five (rows, m+1)."""
-    return np.empty((5, rows, m + 1))
-
-
-def _split_arrays(b: FunctionDescriptor, times, values, weights, scratch=None):
+def _split_arrays(b: FunctionDescriptor, times, values, weights, work=None):
     """Per-path signed amplitudes of (lhs, covariation, i1, i2, i3).
 
-    values: (n, m+1); weights: _split_weights(lam, times); scratch: five
-    work arrays of at least n * (m + 1) values, the last three of at
-    least n rows and m columns, such as _split_scratch(rows, m) with
-    rows >= n, allocated here when None.  Returns (n, 5).  phi and phi'
-    are evaluated into the first two (out, the profiles' third
-    argument), as (n, m+1) arrays of the shape and layout of values, and
-    every elementwise step writes into the other three, so a block
-    kernel's lane allocates nothing per chunk but the (n, 5) result.
-    Each reduction reads a forward, row-contiguous operand, so the sums
-    come out as np.diff/np.trapezoid on fresh arrays.
+    values: (n, m+1); weights: _split_weights(lam, times); work: two
+    work arrays of at least n * (m + 1) values and a flat scratch of at
+    least n * m (a lane's scan, ousim._lane_arrays, free once the level's
+    paths exist), allocated here when None.  Returns (n, 5).  phi and
+    phi' are evaluated into the two work arrays (out, the profiles' third
+    argument), as (n, m+1) arrays of the shape and layout of values.
+    Once lhs is summed phi' is dead, and its array takes every product;
+    dz and each trapezoid run in the scratch.  So a block kernel's lane
+    allocates nothing per chunk but the (n, 5) result.  Each reduction
+    reads a forward, row-contiguous operand, so the sums come out as
+    np.diff/np.trapezoid on fresh arrays.
     """
     n, m = values.shape[0], times.size - 1
     dt = 1.0 / m
     w, c_rev = weights
-    if scratch is None:
-        scratch = _split_scratch(n, m)
-    phi, dphi = (s.ravel()[: n * (m + 1)].reshape(n, m + 1) for s in scratch[:2])
-    dz, prod, trap = (s[:n, :m] for s in scratch[2:])
+    work = np.empty((3, n * (m + 1))) if work is None else work
+    phi, dphi = (a.reshape(-1)[: n * (m + 1)].reshape(n, m + 1) for a in work[:2])
+    scratch, prod = work[2][: n * m].reshape(n, m), dphi[:, :m]
     phi = b.profile(times, values, phi)
-    dphi = b.profile_dx(times, values, dphi)
-    np.subtract(values[:, 1:], values[:, :-1], out=dz)
+    lhs = _trapezoid_rows(b.profile_dx(times, values, dphi), dt, scratch)
 
-    lhs = _trapezoid_rows(dphi, dt, trap)
+    dz = np.subtract(values[:, 1:], values[:, :-1], out=scratch)
     np.subtract(phi[..., 1:], phi[..., :-1], out=prod)
     cov = np.multiply(prod, dz, out=prod).sum(-1)
     i3 = np.multiply(phi[..., :-1], dz, out=prod).sum(-1)
 
     np.multiply(phi[..., 1:], values[:, 1:], out=prod)
-    i2 = _trapezoid_rows(np.multiply(prod, w, out=prod), dt, trap[:, : m - 1])
+    i2 = _trapezoid_rows(np.multiply(prod, w, out=prod), dt, scratch[:, : m - 1])
 
     # I1 on the reversed path: dW-bar_k = dZ-bar_k - c(s_k) Z-bar_k ds,
     # Z-bar_k = Z_{m-k}, so Z-bar_{k+1} - Z-bar_k reads values[m-1-k] - values[m-k]
     np.multiply(c_rev, values[:, :0:-1], out=prod)
     np.multiply(prod, dt, out=prod)
-    dwbar = np.subtract(values[:, -2::-1], values[:, :0:-1], out=trap)
+    dwbar = np.subtract(values[:, -2::-1], values[:, :0:-1], out=scratch)
     np.subtract(dwbar, prod, out=dwbar)
     i1 = np.multiply(phi[..., :0:-1], dwbar, out=dwbar).sum(-1)
 
@@ -226,12 +219,15 @@ def _covariation_levels(count, seed, lam, m_list, b, *, lanes):
     The run computes each level's grid and split weights once, and
     deals its row chunks, in path order and across block boundaries, to
     `lanes` lanes (ousim.run_lanes).  A lane allocates its workspace
-    (ousim._lane_arrays) and the split's work arrays once per run and
-    draws each chunk it takes once, at the finest M; level M reads the
-    first M normals of each row, bitwise its own draw (see
-    covariation_check).  The lane's path and scan arrays and the split's
-    work arrays, phi and phi' among them, all sized for the finest
-    level, serve every level, so a chunk allocates only its results.
+    (ousim._lane_arrays), a path buffer for the lower levels and the
+    split's two work arrays once per run, and draws each chunk it takes
+    once, at the finest M, into its path buffer (ousim._chunk_views);
+    level M reads the first M normals of each row, bitwise its own draw
+    (see covariation_check).  The lower levels' paths go to the lower
+    buffer, sized for the largest of them, and the finest level, the
+    last to read the normals, writes its paths over them.  The split's
+    phi and phi' arrays, sized for the finest level, and the lane's
+    scan serve every level, so a chunk allocates only its results.
     """
     grids = [_grid(m, 1.0) for m in m_list]
     weights = [_split_weights(lam, times) for times in grids]
@@ -239,16 +235,17 @@ def _covariation_levels(count, seed, lam, m_list, b, *, lanes):
     out = np.empty((count, len(m_list), 5))
 
     def lane(rows, chunks):
-        normals, scan, paths = _lane_arrays(rows, m_max)
-        # the split's last work array is the scan's, free again once a level's paths are computed
-        scratch = (*np.empty((4, rows, m_max + 1)), scan[: rows * m_max].reshape(rows, m_max))
+        scan, paths = _lane_arrays(rows, m_max)
+        lower = np.empty(rows * (max(m_list[:-1], default=-1) + 1))
+        work = (*np.empty((2, rows, m_max + 1)), scan)
         for blk, start, stop, at in chunks:
             n = stop - start
-            block_normals(seed, b.direction, blk, m_max, rows=(start, stop), out=normals[:n])
+            normals, top = _chunk_views(paths, n, m_max)
+            block_normals(seed, b.direction, blk, m_max, rows=(start, stop), out=normals)
             for k, m in enumerate(m_list):
-                values = block_paths_1d(lam, m, seed, b.direction, blk, rows=(start, stop), normals=normals[:n, :m],
-                                        out=paths.ravel()[: n * (m + 1)].reshape(n, m + 1), work=scan)
-                out[at : at + n, k] = _split_arrays(b, grids[k], values, weights[k], scratch)
+                values = block_paths_1d(lam, m, seed, b.direction, blk, rows=(start, stop), normals=normals[:, :m],
+                                        out=top if m == m_max else _chunk_views(lower, n, m)[1], work=scan)
+                out[at : at + n, k] = _split_arrays(b, grids[k], values, weights[k], work)
 
     run_lanes(count, m_max, lane, lanes=lanes)
     return out

@@ -30,6 +30,7 @@ from oulab.cli import (
     parse_vector,
     serialize_config,
 )
+from oulab.constants import beta
 from oulab.errors import DomainError
 from oulab.ousim import block_paths_1d
 
@@ -210,12 +211,12 @@ class TestExitCodes:
     # (command line, fragment of its one error line): each exits 2 before any path is drawn
     BAD_INPUT = [
         # beta outside the float range: an OverflowError traceback (1e200), a ZeroDivisionError traceback
-        # (moments at 1e-200), a PASS against beta = 0 (concentration at 1e-200), a RuntimeWarning (1e-320)
+        # (moments at beta = 0), a PASS against beta = 0 (concentration), a RuntimeWarning (1e-320)
         ("verify-thm23 --spectrum 1e200", "beta must be positive and finite, got inf"),
         ("concentration --spectrum 1e200 --h1 e1:sin_pi_t", "beta must be positive and finite"),
         ("moments --spectrum 1e200 --x 0.5 --y -0.5", "beta must be positive and finite"),
-        ("moments --spectrum 1e-200 --x 0.5 --y -0.5", "beta must be positive and finite"),
-        ("concentration --spectrum 1e-200 --h1 e1:sin_pi_t", "beta must be positive and finite"),
+        ("moments --spectrum 1e-320 --x 0.5 --y -0.5", "beta must be positive and finite, got 0.0"),
+        ("concentration --spectrum 1e-320 --h1 e1:sin_pi_t", "beta must be positive and finite, got 0.0"),
         ("verify-thm23 --spectrum 1e-320", "beta must be positive and finite, got 0.0"),
         # numbers that parse but lie outside the range a guard owns
         ("verify-prop21 --lambda 0", "lambda must be positive"),
@@ -252,6 +253,18 @@ class TestExitCodes:
         assert line.startswith("error:") and fragment in line
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flags", [("concentration", ("--h1", "e1:sin_pi_t")),
+                                                ("moments", ("--x", "0.5", "--y", "-0.5"))],
+                             ids=["concentration", "moments"])
+    def test_a_tiny_rate_with_a_representable_beta_runs(self, capsys, command, flags):
+        # LAM^-2 underflows at the rate 1e-200, but beta = 1.085e-204 does not, so the run is not refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, command, "--spectrum", "1e-200", "--seed", "1", "--n", "64", "--M", "32",
+                                  *flags)
+        assert code == 0, err
+        assert json.loads(out)["beta"] == beta((1e-200,)) == 1.0850694444444445e-204
 
     def test_subnormal_lambda_prints_only_the_verdict(self, capsys):
         # 1/lambda overflows in alpha3; numpy's warning once took a line of stderr, which is the verdict's

@@ -288,6 +288,15 @@ class TestBeta:
         assert C.beta((rate,)) == value
         assert C.beta_floor((rate,)) == value
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate", [1e-154, 1e-200, 1e-300])
+    def test_tiny_rates_keep_a_representable_beta(self, rate):
+        # LAM^-2 is subnormal or 0 here, though beta = (1/4) (m / LAM) / LAM is a normal float
+        spec = C.DriftSpectrum((rate,))
+        m = float(np.min(C.exp_weighted_alpha(spec.array)))
+        assert C.beta(spec) == 0.25 * (m / spec.inverse_sum) / spec.inverse_sum
+        assert C.beta(spec) == pytest.approx(0.25 / 2304.0 * rate, rel=1e-12)  # h(lam) -> 1/(2304 lam) as lam -> 0
+
     def test_floor_is_a_floor(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

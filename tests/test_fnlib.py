@@ -183,6 +183,23 @@ class TestProfilesInPlace:
             state = xi.copy()
             assert fn(t, state, out=state) is state and state.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", [*sorted(F._PROFILES), "raw"])
+    def test_every_profile_takes_its_state_as_out(self, name):
+        # _prop21_block evaluates b' in place on a chunk's paths: every registry profile, and a caller's
+        # through raw_profile_b, must give the bits of a call on a copy
+        if name == "raw":
+            descriptors = [F.raw_profile_b(lambda t, xi: np.tanh(xi) * t, lambda t, xi: xi, [1.0])]
+        else:
+            omegas = (1.0, 1.7) if F._PROFILES[name][4] else (1.0,)
+            descriptors = [F.make_b_weighted([1.0], profile=name, omega=omega) for omega in omegas]
+        t = np.linspace(0.0, 1.0, 33)
+        xi = np.random.default_rng(11).standard_normal((7, 33)) * 3.0
+        for b in descriptors:
+            for fn in (b.profile, b.profile_dx) if b.smooth else (b.profile,):
+                want = fn(t, xi.copy())
+                state = xi.copy()
+                assert fn(t, state, state) is state and state.tobytes() == want.tobytes(), (b.name, fn)
+
 
 EPS = np.finfo(np.float64).eps
 

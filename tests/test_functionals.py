@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -836,16 +837,78 @@ class TestLanes:
         before = threading.active_count()
         seen = []
 
-        def profile_dx(t, z):
+        def profile_dx(t, z, out=None):
             seen.append(threading.active_count())
             if (threading.current_thread() is main) == (lane == "caller"):
                 raise FloatingPointError(f"profile failed in the {lane} lane")
-            return self.B.profile_dx(t, z)
+            return self.B.profile_dx(t, z, out)
 
         with pytest.raises(FloatingPointError, match=lane):
             FN._prop21_block(256, 3, coord, dataclasses.replace(self.B, profile_dx=profile_dx), lanes=2)
         assert threading.active_count() == before
         assert before + 1 in seen  # the lane thread ran beside the caller, and only inside the call
+
+
+class TestLaneWorkspace:
+    """A lane works in its workspace (ousim._lane_arrays) and a few work
+    arrays: a chunk's paths overwrite its normals, so one lane of 16-row
+    chunks at M = 4096 stays near two (one level) or four and a quarter
+    (decomposition) arrays of 16 x 4097 floats, 0.52 MB each."""
+
+    COORD = FN.Coordinate(2.0, 4096, 0)
+    SIN = make_b_weighted([2.0], profile="sin")
+
+    @staticmethod
+    def _peak_mb(call):
+        """tracemalloc's peak, in MB, of call() run once more after a run that fills the grid caches."""
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    # the bound of each kernel; 1.78, 2.14 and 3.99 MB when the normals had an array of their own and the split five
+    @pytest.mark.parametrize("kernel, bound", [("thm23", 1.4), ("prop21", 1.4), ("decomposition", 2.7)])
+    def test_one_lane_peak(self, kernel, bound):
+        h1, h2 = np.sin(np.pi * self.COORD.times()), np.zeros(4097)
+        call = {
+            "thm23": lambda: FN._shifted_pair_block(256, 3, self.COORD, self.SIN, h1, h2, lanes=1),
+            "prop21": lambda: FN._prop21_block(256, 3, self.COORD, self.SIN, lanes=1),
+            "decomposition": lambda: reversal._covariation_levels(256, 3, 2.0, [256, 1024, 4096], self.SIN, lanes=1),
+        }[kernel]
+        assert self._peak_mb(call) <= bound
+
+    def test_one_level_paths_lie_over_the_chunks_normals(self, monkeypatch):
+        scans = []
+
+        def recorded(*args, normals, **kwargs):
+            paths = block_paths_1d(*args, normals=normals, **kwargs)
+            scans.append(np.shares_memory(paths, normals))
+            return paths
+
+        monkeypatch.setattr(FN, "block_paths_1d", recorded)
+        want = FN._prop21_block(300, 3, self.COORD, self.SIN, lanes=2)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(want, FN._prop21_block(300, 3, self.COORD, self.SIN, lanes=2))
+        assert len(scans) == len(ousim.task_chunks(300, 4096)) and all(scans)
+
+    def test_only_the_finest_level_overwrites_the_normals(self, monkeypatch):
+        levels = []
+
+        def recorded(lam, m, *args, normals, **kwargs):
+            paths = block_paths_1d(lam, m, *args, normals=normals, **kwargs)
+            levels.append((m, np.shares_memory(paths, normals)))
+            return paths
+
+        monkeypatch.setattr(reversal, "block_paths_1d", recorded)
+        got = reversal._covariation_levels(300, 3, 2.0, [256, 1024, 4096], self.SIN, lanes=2)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, reversal._covariation_levels(300, 3, 2.0, [256, 1024, 4096], self.SIN,
+                                                                        lanes=2))
+        assert len(levels) == 3 * len(ousim.task_chunks(300, 4096))
+        assert all(over == (m == 4096) for m, over in levels)
 
 
 # the cases of a run's block boundaries: inside one block, a partial block alone,

@@ -298,18 +298,21 @@ class TestRecursionSampler:
     @pytest.mark.parametrize("m", [2, 31, 32, 33, 1000, 4096, 4097])
     def test_workspace_scan_is_the_allocating_scan(self, m):
         # a lane's workspace is sized for its largest chunk and reused by smaller ones, so the scan runs on
-        # a prefix of it: after a larger scan, with stale values in it, the bits must stay the allocating call's
-        normals, scan, paths = S._lane_arrays(16, m)
-        normals[...] = np.random.default_rng(m).standard_normal((16, m))
+        # a prefix of it: after a larger scan, with stale values in it, the bits must stay the allocating call's.
+        # A chunk's normals lie in the path buffer and its paths overwrite them, so each scan gets a fresh copy.
+        draws = np.random.default_rng(m).standard_normal((16, m))
+        scan, paths = S._lane_arrays(16, m)
         for rows in (16, 15, 1):
-            want = S._recursion_paths(0.8, m, normals[:rows].copy(), 0.5)
-            got = S._recursion_paths(0.8, m, normals[:rows], 0.5, out=paths[:rows], work=scan)
-            assert np.shares_memory(got, paths)
-            np.testing.assert_array_equal(got, want)
+            normals, out = S._chunk_views(paths, rows, m)
+            normals[...] = draws[:rows]
+            got = S._recursion_paths(0.8, m, normals, 0.5, out=out, work=scan)
+            assert np.shares_memory(got, paths) and np.shares_memory(got, normals)
+            np.testing.assert_array_equal(got, S._recursion_paths(0.8, m, draws[:rows], 0.5))
             rates = np.linspace(0.1, 30.0, rows)
-            np.testing.assert_array_equal(S._recursion_paths(rates, m, normals[:rows], 0.5, paths[:rows], scan),
-                                          S._recursion_paths(rates, m, normals[:rows], 0.5))
-        got = S.block_paths_1d(0.8, m, 5, 0, 3, rows=(16, 31), out=paths[:15], work=scan)
+            normals[...] = draws[:rows]
+            np.testing.assert_array_equal(S._recursion_paths(rates, m, normals, 0.5, out, scan),
+                                          S._recursion_paths(rates, m, draws[:rows], 0.5))
+        got = S.block_paths_1d(0.8, m, 5, 0, 3, rows=(16, 31), out=S._chunk_views(paths, 15, m)[1], work=scan)
         np.testing.assert_array_equal(got, S.block_paths_1d(0.8, m, 5, 0, 3, rows=(16, 31)))
 
     def test_row_slice_identity(self):
@@ -519,9 +522,10 @@ class TestDrawnChunks:
         seen = []
 
         def lane(rows, chunks):
-            normals = S._lane_arrays(rows, m)[0]
+            paths = S._lane_arrays(rows, m)[1]
             for blk, start, stop, at in chunks:
-                got = S.block_normals(5, component, blk, m, rows=(start, stop), out=normals[: stop - start])
+                normals = S._chunk_views(paths, stop - start, m)[0]
+                got = S.block_normals(5, component, blk, m, rows=(start, stop), out=normals)
                 seen.append((blk, start, stop, at, got.copy(), threading.current_thread()))
 
         S.run_lanes(count, m, lane, lanes=2)
@@ -630,11 +634,12 @@ class TestDrawnChunks:
             buffers = []
 
             def lane(rows, chunks):
-                normals = S._lane_arrays(rows, 4096)[0]
-                buffers.append(normals)
+                paths = S._lane_arrays(rows, 4096)[1]
+                buffers.append(paths)
                 for blk, start, stop, at in chunks:
                     assert threading.current_thread() is threading.main_thread()
-                    got = S.block_normals(5, 1, blk, 4096, rows=(start, stop), out=normals[: stop - start])
+                    normals = S._chunk_views(paths, stop - start, 4096)[0]
+                    got = S.block_normals(5, 1, blk, 4096, rows=(start, stop), out=normals)
                     np.testing.assert_array_equal(got, draws[blk][start:stop])
 
             S.run_lanes(count, 4096, lane, lanes=1)
