@@ -121,11 +121,13 @@ def _dphi_tanh(t, xi, out=None, omega=1.0):
 
 
 # pair profiles: pair(t, h1, h2) computes the factors that read only the
-# shifts once and returns apply(xi, out=None) = phi(t, xi + h1) -
+# shifts once and returns apply(xi, out=None, work=None) = phi(t, xi + h1) -
 # phi(t, xi + h2), h1 and h2 reading only t.  The smooth ones use an exact
 # identity that subtracts no two profile values, so a shift below the
 # spacing of floats near xi keeps its size.  out, when given, receives the
-# result and may be xi itself.
+# result and may be xi itself; work, a float64 array of the result's shape
+# that shares no memory with xi or out, is scratch for a profile that needs
+# a second array (tanh).
 
 
 def _shift_scaled(factor, x, shift, out=None):
@@ -142,7 +144,7 @@ def _pair_sum_to_product(t, h1, h2, omega=1.0, outer=np.cos, scale=2.0):
     """
     mid, factor = (h1 + h2) / 2.0, scale * np.sin(omega * (h1 - h2) / 2.0)
 
-    def apply(xi, out=None):
+    def apply(xi, out=None, work=None):
         y, out = _shift_scaled(omega, xi, mid, out)
         return np.multiply(outer(y, out=out), factor, out=out)
 
@@ -153,8 +155,8 @@ def _pair_tanh(t, h1, h2, omega=1.0):
     """tanh(omega (h1 - h2)) (1 - tanh(omega (xi + h1)) tanh(omega (xi + h2)))."""
     factor = np.tanh(omega * (h1 - h2))
 
-    def apply(xi, out=None):
-        y2, out2 = _shift_scaled(omega, xi, h2)  # before out, which may be xi, is written
+    def apply(xi, out=None, work=None):
+        y2, out2 = _shift_scaled(omega, xi, h2, work)  # before out, which may be xi, is written
         y1, out = _shift_scaled(omega, xi, h1, out)
         y = np.multiply(np.tanh(y1, out=out), np.tanh(y2, out=out2), out=out)
         return np.multiply(np.subtract(1.0, y, out=out), factor, out=out)
@@ -164,7 +166,7 @@ def _pair_tanh(t, h1, h2, omega=1.0):
 
 def _pair_plain(t, h1, h2, phi):
     """phi(t, xi + h1) - phi(t, xi + h2) by two evaluations of phi."""
-    def apply(xi, out=None):
+    def apply(xi, out=None, work=None):
         return np.subtract(np.asarray(phi(t, xi + h1), dtype=np.float64),
                            np.asarray(phi(t, xi + h2), dtype=np.float64), out=out)
 
@@ -237,10 +239,12 @@ class FunctionDescriptor:
     `pair(t, h1, h2)` prepares the pair profile for shifts h1, h2 that
     broadcast against t, the one entry point of the shift functionals:
     it computes the factors that read only the shifts once and returns
-    apply(xi, out=None) = phi(t, xi + h1) - phi(t, xi + h2).  sin, cos
-    and tanh evaluate it by an exact identity free of cancellation, every
-    other profile by two evaluations of phi.  out, a float64 array of the
-    result's shape, receives it and may be xi itself.  `vector_norm` is
+    apply(xi, out=None, work=None) = phi(t, xi + h1) - phi(t, xi + h2).
+    sin, cos and tanh evaluate it by an exact identity free of
+    cancellation, every other profile by two evaluations of phi.  out, a
+    float64 array of the result's shape, receives it and may be xi
+    itself; work, another such array, is scratch that tanh's identity
+    uses in place of a new array.  `vector_norm` is
     computed at its first use and kept.  Equality and hashing are by
     identity.
     """

@@ -255,15 +255,17 @@ def _start_decay(rate, m, horizon, x0):
 
 
 def _chunk_integrals(count, seed, coord: Coordinate, b, integrand, lanes):
-    """|int integrand(z) dt| |v| for paths z in [0, count), integrand a profile of the paths, in `lanes` lanes.
+    """|int integrand(z, work) dt| |v| for paths z in [0, count), integrand a profile of the paths, in `lanes` lanes.
 
     A lane allocates its workspace (ousim._lane_arrays) once, draws,
     samples, evaluates and reduces each row chunk it takes in it, and
     writes the chunk's values into the one result array.  A chunk's
-    paths overwrite its normals (ousim._chunk_views), integrand(z) may
-    overwrite z, and the trapezoid runs in the scan, so a lane works in
-    two arrays.  Each row's steps read only that row, so the values are
-    bitwise those of whole-block passes, one per block.
+    paths overwrite its normals (ousim._chunk_views), integrand(z, work)
+    may overwrite z and use work, the scan as an array of z's shape
+    (dead between the recursion and the trapezoid), and the trapezoid
+    runs in the scan, so a lane works in two arrays.  Each row's steps
+    read only that row, so the values are bitwise those of whole-block
+    passes, one per block.
     """
     m, dx, norm = coord.m, coord.horizon / coord.m, b.vector_norm
     out = np.empty(count)
@@ -275,7 +277,8 @@ def _chunk_integrals(count, seed, coord: Coordinate, b, integrand, lanes):
             normals, z = _chunk_views(paths, n, m)
             block_normals(seed, coord.component, blk, m, rows=(start, stop), out=normals)
             z = coord.paths(seed, blk, (start, stop), normals, z, scan)
-            out[at : at + n] = np.abs(_trapezoid_rows(integrand(z), dx, scan[: n * m].reshape(n, m))) * norm
+            y = integrand(z, scan[: z.size].reshape(z.shape))
+            out[at : at + n] = np.abs(_trapezoid_rows(y, dx, scan[: n * m].reshape(n, m))) * norm
 
     run_lanes(count, m, lane, lanes=lanes)
     return out
@@ -284,16 +287,17 @@ def _chunk_integrals(count, seed, coord: Coordinate, b, integrand, lanes):
 def _prop21_block(count, seed, coord: Coordinate, b, *, lanes):
     """|int b'(t, xi_t) dt| for paths [0, count), xi the coordinate's paths; b' is evaluated in place on the paths."""
     times = coord.times()
-    return _chunk_integrals(count, seed, coord, b, lambda z: b.profile_dx(times, z, z), lanes)
+    return _chunk_integrals(count, seed, coord, b, lambda z, work: b.profile_dx(times, z, z), lanes)
 
 
 def _shifted_pair_block(count, seed, coord: Coordinate, b, h1_vals, h2_vals, *, lanes):
     """|int [b(t, xi + h1) - b(t, xi + h2)] dt| for paths [0, count), h1_vals and h2_vals at coord.times().
 
-    The pair profile is prepared once and evaluated in place on the paths.
+    The pair profile is prepared once and evaluated in place on the
+    paths, with the lane's scan as its scratch.
     """
     pair = b.pair(coord.times(), h1_vals, h2_vals)
-    return _chunk_integrals(count, seed, coord, b, lambda z: pair(z, out=z), lanes)
+    return _chunk_integrals(count, seed, coord, b, lambda z, work: pair(z, out=z, work=work), lanes)
 
 
 def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):

@@ -240,13 +240,13 @@ def _lane_arrays(rows, m) -> tuple:
     """One lane's workspace for row chunks of up to `rows` rows on up to m steps: two flat arrays (scan, paths).
 
     scan holds the recursion's scan array (_recursion_paths' work) and
-    afterwards serves as scratch for up to rows * m values; paths, of
-    rows * (m + 1) values, holds a chunk's normals and then its paths
+    afterwards serves as scratch for up to rows * (m + 1) values; paths,
+    of rows * (m + 1) values, holds a chunk's normals and then its paths
     (_chunk_views).  A block kernel allocates them once per run and
     lane, and every chunk the lane takes, in any block, reuses them.
     """
     steps = min(SCAN_STEPS, m)
-    return np.empty(rows * steps * -(-m // steps)), np.empty(rows * (m + 1))
+    return np.empty(rows * max(steps * -(-m // steps), m + 1)), np.empty(rows * (m + 1))
 
 
 def _chunk_views(paths, n, m) -> tuple:

@@ -148,7 +148,10 @@ def _split_arrays(b: FunctionDescriptor, times, values, weights, work=None):
     values: (n, m+1); weights: _split_weights(lam, times); work: two
     work arrays of at least n * (m + 1) values and a flat scratch of at
     least n * m (a lane's scan, ousim._lane_arrays, free once the level's
-    paths exist), allocated here when None.  Returns (n, 5).  phi and
+    paths exist), allocated here when None.  Returns (n, 5).  A lane's
+    work arrays hold half a chunk, so it calls this on groups of a
+    chunk's rows (_covariation_levels); each row's values read only that
+    row, so a group's rows are bitwise those of the whole chunk.  phi and
     phi' are evaluated into the two work arrays (out, the profiles' third
     argument), as (n, m+1) arrays of the shape and layout of values.
     Once lhs is summed phi' is dead, and its array takes every product;
@@ -226,8 +229,12 @@ def _covariation_levels(count, seed, lam, m_list, b, *, lanes):
     (see covariation_check).  The lower levels' paths go to the lower
     buffer, sized for the largest of them, and the finest level, the
     last to read the normals, writes its paths over them.  The split's
-    phi and phi' arrays, sized for the finest level, and the lane's
-    scan serve every level, so a chunk allocates only its results.
+    phi and phi' arrays hold half a chunk at the finest level,
+    ceil(rows/2) * (m_max + 1) values each, and with the lane's scan
+    serve every level: level m splits its paths in consecutive groups
+    of as many rows as fit in them, so a level that fits whole runs as
+    one group and the finest as at most two.  A chunk allocates only
+    its results.
     """
     grids = [_grid(m, 1.0) for m in m_list]
     weights = [_split_weights(lam, times) for times in grids]
@@ -237,7 +244,8 @@ def _covariation_levels(count, seed, lam, m_list, b, *, lanes):
     def lane(rows, chunks):
         scan, paths = _lane_arrays(rows, m_max)
         lower = np.empty(rows * (max(m_list[:-1], default=-1) + 1))
-        work = (*np.empty((2, rows, m_max + 1)), scan)
+        half = -(-rows // 2) * (m_max + 1)  # values in half a chunk at the finest level
+        work = (*np.empty((2, half)), scan)
         for blk, start, stop, at in chunks:
             n = stop - start
             normals, top = _chunk_views(paths, n, m_max)
@@ -245,7 +253,10 @@ def _covariation_levels(count, seed, lam, m_list, b, *, lanes):
             for k, m in enumerate(m_list):
                 values = block_paths_1d(lam, m, seed, b.direction, blk, rows=(start, stop), normals=normals[:, :m],
                                         out=top if m == m_max else _chunk_views(lower, n, m)[1], work=scan)
-                out[at : at + n, k] = _split_arrays(b, grids[k], values, weights[k], work)
+                group = half // (m + 1)
+                for g in range(0, n, group):
+                    split = _split_arrays(b, grids[k], values[g : g + group], weights[k], work)
+                    out[at + g : at + g + len(split), k] = split
 
     run_lanes(count, m_max, lane, lanes=lanes)
     return out

@@ -851,12 +851,15 @@ class TestLanes:
 
 class TestLaneWorkspace:
     """A lane works in its workspace (ousim._lane_arrays) and a few work
-    arrays: a chunk's paths overwrite its normals, so one lane of 16-row
-    chunks at M = 4096 stays near two (one level) or four and a quarter
-    (decomposition) arrays of 16 x 4097 floats, 0.52 MB each."""
+    arrays: a chunk's paths overwrite its normals, tanh's pair profile
+    works in the scan, and the split runs in half-chunk row groups, so
+    one lane of 16-row chunks at M = 4096 stays near two (one level) or
+    three and a quarter (decomposition) arrays of 16 x 4097 floats,
+    0.52 MB each."""
 
     COORD = FN.Coordinate(2.0, 4096, 0)
     SIN = make_b_weighted([2.0], profile="sin")
+    TANH = make_b_weighted([2.0], profile="tanh")
 
     @staticmethod
     def _peak_mb(call):
@@ -869,16 +872,37 @@ class TestLaneWorkspace:
         finally:
             tracemalloc.stop()
 
-    # the bound of each kernel; 1.78, 2.14 and 3.99 MB when the normals had an array of their own and the split five
-    @pytest.mark.parametrize("kernel, bound", [("thm23", 1.4), ("prop21", 1.4), ("decomposition", 2.7)])
+    # the bound of each kernel; 1.78, 2.14 and 3.99 MB when the normals had an array of their own and the split five,
+    # 1.61 (tanh) when its pair profile allocated a second array, 2.55 and 2.75 MB when the split ran whole chunks
+    @pytest.mark.parametrize("kernel, bound", [("thm23", 1.4), ("thm23-tanh", 1.4), ("prop21", 1.4),
+                                               ("decomposition", 2.2), ("decomposition-3000", 2.4)])
     def test_one_lane_peak(self, kernel, bound):
         h1, h2 = np.sin(np.pi * self.COORD.times()), np.zeros(4097)
         call = {
             "thm23": lambda: FN._shifted_pair_block(256, 3, self.COORD, self.SIN, h1, h2, lanes=1),
+            "thm23-tanh": lambda: FN._shifted_pair_block(256, 3, self.COORD, self.TANH, h1, h2, lanes=1),
             "prop21": lambda: FN._prop21_block(256, 3, self.COORD, self.SIN, lanes=1),
             "decomposition": lambda: reversal._covariation_levels(256, 3, 2.0, [256, 1024, 4096], self.SIN, lanes=1),
+            "decomposition-3000": lambda: reversal._covariation_levels(256, 3, 2.0, [3000, 4096], self.SIN, lanes=1),
         }[kernel]
         assert self._peak_mb(call) <= bound
+
+    @pytest.mark.parametrize("m_list", [[3000, 4096], [33, 1000, 4097]], ids=["3000,4096", "33,1000,4097"])
+    @pytest.mark.parametrize("profile", ["sin", "tanh"])
+    def test_split_row_groups_are_the_whole_chunk_split(self, m_list, profile):
+        # 16-row chunks at 4096: levels 3000 and 4096 split in two groups; 15-row chunks at 4097: 8 + 7 rows there
+        b, count, seed = make_b_weighted([2.0], profile=profile), 300, 7
+        grids = [ousim._grid(m, 1.0) for m in m_list]
+        want = np.empty((count, len(m_list), 5))
+        for blk, start, stop, at in ousim.task_chunks(count, m_list[-1]):
+            normals = ousim.block_normals(seed, b.direction, blk, m_list[-1], rows=(start, stop))
+            for k, m in enumerate(m_list):
+                values = block_paths_1d(2.0, m, seed, b.direction, blk, rows=(start, stop), normals=normals[:, :m])
+                want[at : at + stop - start, k] = reversal._split_arrays(
+                    b, grids[k], values, reversal._split_weights(2.0, grids[k]), work=None)
+        for lanes in (1, 2, 3):
+            got = reversal._covariation_levels(count, seed, 2.0, m_list, b, lanes=lanes)
+            assert got.tobytes() == want.tobytes(), lanes
 
     def test_one_level_paths_lie_over_the_chunks_normals(self, monkeypatch):
         scans = []

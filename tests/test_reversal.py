@@ -311,7 +311,8 @@ class TestSharedDraw:
                 np.testing.assert_array_equal(runs[0], run, err_msg=f"count={count} lanes={lanes}")
 
     def test_profiles_are_evaluated_into_each_lanes_work_arrays(self):
-        # phi and phi' of every level and chunk go into arrays a lane allocates once, never into new ones
+        # phi and phi' of every level and row group go into arrays a lane allocates once, never into new ones;
+        # the arrays hold half a 16-row chunk at M = 4096, so that level splits each full chunk in two groups of 8
         b = make_b_weighted([2.0], profile="sin", omega=1.7)
         outs = []
 
@@ -330,7 +331,9 @@ class TestSharedDraw:
         traced = dataclasses.replace(b, profile=recorded(b.profile), profile_dx=recorded(b.profile_dx))
         got = R._covariation_levels(3 * 256 + 17, 61, 2.0, self.M_LIST, traced, lanes=2)
         np.testing.assert_array_equal(got, R._covariation_levels(3 * 256 + 17, 61, 2.0, self.M_LIST, b, lanes=2))
-        assert len(outs) == 2 * len(self.M_LIST) * len(ousim.task_chunks(3 * 256 + 17, self.M_LIST[-1]))
+        group = {m: 8 * 4097 // (m + 1) for m in self.M_LIST}
+        assert len(outs) == 2 * sum(-(-(stop - start) // group[m]) for _, start, stop, _ in
+                                    ousim.task_chunks(3 * 256 + 17, self.M_LIST[-1]) for m in self.M_LIST)
         assert all(out is not None for out in outs)
         assert len({id(root(out)) for out in outs}) == 2  # one set of work arrays per lane
 
