@@ -164,10 +164,8 @@ class RunConfig:
             return default
         return _check_count(self._parse(key, int, "an integer"), key, minimum)
 
-    def get_float(self, key, default=None):
+    def get_float(self, key):
         """The setting as a float, any float: the check that reads it owns its range."""
-        if default is not None and self.get(key) is None:
-            return default
         return self._parse(key, float, "a number")
 
     def get_floats(self, key):
@@ -324,10 +322,13 @@ def _payload(cfg: RunConfig, results, passed, seconds, seed=None, extra=None):
 
 
 def _dump_paths(cfg: RunConfig) -> int:
-    """Paths to dump (0 without --dump), validated before any sampling."""
+    """Paths to dump (0 without --dump), validated before any sampling: at most n, the paths the run draws."""
     if cfg.get("dump") is None:
         return 0
     k = _check_count(cfg.get_int("dump_paths"), "dump_paths", 1, BLOCK + 1)  # the rows of block 0
+    n = cfg.get_int("n", minimum=2)
+    if k > n:
+        raise ConfigError(f"dump_paths {k} exceeds n = {n}, the paths the run draws; lower dump_paths or raise n")
     m = cfg.get_int("m", minimum=2)
     if k * (m + 1) > MAX_DUMP_ROWS:
         raise ConfigError(f"dump of {k * (m + 1)} rows exceeds the {MAX_DUMP_ROWS} row cap; lower dump_paths or m")
@@ -523,15 +524,15 @@ def _sampling_flags(n="100000"):
         _format("json"),
         Flag("--seed", None, "RNG seed (required, 64-bit)"),
         Flag("--n", n, "number of Monte Carlo paths"),
-        Flag("--workers", "1", "lanes: p runs min(max(2, p), row chunks) lane threads in this one process; "
-                               "never changes results"),
+        Flag("--workers", "1", "lanes: p runs min(max(2, p), row chunks) lane threads in this one process, "
+                               "p at most 64; never changes results"),
     )
 
 
 # a command dumps exactly when it has these flags: --dump writes paths its check sampled
 _DUMP = (
     Flag("--dump", None, "also write sampled state values as CSV (path_id, component, t, value)"),
-    Flag("--dump-paths", "8", "paths in the dump (default 8, max 256)"),
+    Flag("--dump-paths", "8", "paths in the dump (default 8, max 256 and at most --n)"),
 )
 
 

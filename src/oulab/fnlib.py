@@ -88,29 +88,16 @@ def _into(value, out):
 # shape, receives the result, and may be xi itself
 
 
-def _phi_sin(t, xi, out=None, omega=1.0):
+def _phi_ufunc(t, xi, out=None, omega=1.0, *, fn):
+    """fn(omega xi), fn a ufunc: the sin, cos and tanh profiles."""
     y, out = _scaled(omega, xi, out)
-    return np.sin(y, out=out)
+    return fn(y, out=out)
 
 
-def _dphi_sin(t, xi, out=None, omega=1.0):
+def _dphi_ufunc(t, xi, out=None, omega=1.0, *, fn, sign=1.0):
+    """sign omega fn(omega xi): sin's derivative with fn = cos, cos's with fn = sin and sign = -1."""
     y, out = _scaled(omega, xi, out)
-    return _times(omega, np.cos(y, out=out))
-
-
-def _phi_cos(t, xi, out=None, omega=1.0):
-    y, out = _scaled(omega, xi, out)
-    return np.cos(y, out=out)
-
-
-def _dphi_cos(t, xi, out=None, omega=1.0):
-    y, out = _scaled(omega, xi, out)
-    return _times(-omega, np.sin(y, out=out))
-
-
-def _phi_tanh(t, xi, out=None, omega=1.0):
-    y, out = _scaled(omega, xi, out)
-    return np.tanh(y, out=out)
+    return _times(sign * omega, fn(y, out=out))
 
 
 def _dphi_tanh(t, xi, out=None, omega=1.0):
@@ -177,12 +164,11 @@ def _phi_sign(t, xi, out=None):
     return np.sign(np.asarray(xi, dtype=np.float64), out=out)
 
 
-def _phi_one(t, xi, out=None):
-    return np.ones_like(np.asarray(xi, dtype=np.float64)) if out is None else _into(1.0, out)
+def _phi_constant(t, xi, out=None, *, value):
+    return np.full_like(np.asarray(xi, dtype=np.float64), value) if out is None else _into(value, out)
 
 
-def _phi_zero(t, xi, out=None):
-    return np.zeros_like(np.asarray(xi, dtype=np.float64)) if out is None else _into(0.0, out)
+_ONE, _ZERO = partial(_phi_constant, value=1.0), partial(_phi_constant, value=0.0)
 
 
 def _phi_time_sin(t, xi, out=None):
@@ -195,13 +181,14 @@ def _phi_time_sin(t, xi, out=None):
 # name -> (phi, dphi or None, sup |dphi/dxi| at omega = 1 or None, sup |phi|, whether phi reads omega * xi,
 #          the pair profile's pair(t, h1, h2), taking omega where phi does)
 _PROFILES = {
-    "sin": (_phi_sin, _dphi_sin, 1.0, 1.0, True, _pair_sum_to_product),
-    "cos": (_phi_cos, _dphi_cos, 1.0, 1.0, True, partial(_pair_sum_to_product, outer=np.sin, scale=-2.0)),
-    "tanh": (_phi_tanh, _dphi_tanh, 1.0, 1.0, True, _pair_tanh),
+    "sin": (partial(_phi_ufunc, fn=np.sin), partial(_dphi_ufunc, fn=np.cos), 1.0, 1.0, True, _pair_sum_to_product),
+    "cos": (partial(_phi_ufunc, fn=np.cos), partial(_dphi_ufunc, fn=np.sin, sign=-1.0), 1.0, 1.0, True,
+            partial(_pair_sum_to_product, outer=np.sin, scale=-2.0)),
+    "tanh": (partial(_phi_ufunc, fn=np.tanh), _dphi_tanh, 1.0, 1.0, True, _pair_tanh),
     "sign": (_phi_sign, None, None, 1.0, False, partial(_pair_plain, phi=_phi_sign)),
-    "one": (_phi_one, _phi_zero, 0.0, 1.0, False, partial(_pair_plain, phi=_phi_one)),
-    "zero": (_phi_zero, _phi_zero, 0.0, 0.0, False, partial(_pair_plain, phi=_phi_zero)),
-    "time_sin": (_phi_time_sin, _phi_zero, 0.0, 1.0, False, partial(_pair_plain, phi=_phi_time_sin)),
+    "one": (_ONE, _ZERO, 0.0, 1.0, False, partial(_pair_plain, phi=_ONE)),
+    "zero": (_ZERO, _ZERO, 0.0, 0.0, False, partial(_pair_plain, phi=_ZERO)),
+    "time_sin": (_phi_time_sin, _ZERO, 0.0, 1.0, False, partial(_pair_plain, phi=_phi_time_sin)),
 }
 
 
@@ -497,12 +484,12 @@ def _check_window(r, u):
         raise DomainError("need 0 <= r < u <= 1")
 
 
-def shift_difference_norm(h1: ShiftDescriptor, h2: ShiftDescriptor, r=0.0, u=1.0, grid=SHIFT_SUP_GRID) -> float:
-    """Grid sup over t in [r, u] of |h1(t) - h2(t)|_H."""
+def shift_difference_norm(h1: ShiftDescriptor, h2: ShiftDescriptor, r=0.0, u=1.0) -> float:
+    """Sup over SHIFT_SUP_GRID points of [r, u] of |h1(t) - h2(t)|_H."""
     if h1.truncation != h2.truncation:
         raise DomainError("shift truncations differ")
     _check_window(r, u)
-    tgrid = np.linspace(r, u, grid)
+    tgrid = np.linspace(r, u, SHIFT_SUP_GRID)
     diff = h1.evaluate(tgrid) - h2.evaluate(tgrid)
     e = _exponent(diff)
     diff = np.ldexp(diff, -e)

@@ -21,9 +21,15 @@ identity whose rounding error is about eps (1 + omega |xi|) times
 floats near xi, and sin and cos take one transcendental per path-step.
 The other profiles take the difference of two evaluations.
 The caps hold by construction (b = phi v with |phi| <= sup|b| / |v|),
-so each check refuses an S above its cap once, before f is applied.
+so S is refused above its cap once, where it is drawn and before f is
+applied: check_prop21 refuses its S above sup|phi'| |v|, and
+_pair_values the shift functional's above 2 sup|b| l (l = 1 for thm23).
+Where h1 and h2 agree at every time of the coordinate's grid, as for a
+b that reads a component the shift leaves alone, _pair_values returns
+the functional's zeros and draws no path.
 judge() builds every row, a Verdict: the mean of f(S), its stderr, the
-one-sided CLT bound upper999, the limit L and the row's pass; a check
+one-sided CLT bound upper999, the limit L and the row's pass.  Every
+check returns a CheckResult, its statement, rows and coordinate, and
 passes when all its rows do.
 
 The last three are statements about one random variable,
@@ -128,10 +134,10 @@ def _in_range(values, cap) -> np.ndarray:
     return s
 
 
-def exp_moment(values, alpha, value_cap=math.inf) -> Verdict:
-    """The row of exp(alpha S_i^2) against EXP_BOUND, S_i >= 0 the per-path values, each at most value_cap."""
+def exp_moment(values, alpha) -> Verdict:
+    """The row of exp(alpha S_i^2) against EXP_BOUND, S_i >= 0 the per-path values."""
     alpha = _check_positive(alpha, "alpha")
-    s = _in_range(values, value_cap)
+    s = np.asarray(values, dtype=np.float64)
     return judge(np.exp(alpha * s * s), EXP_BOUND)
 
 
@@ -301,15 +307,20 @@ def _shifted_pair_block(count, seed, coord: Coordinate, b, h1_vals, h2_vals, *, 
 
 
 def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):
-    """|int_r^u [b(s, xi_s + h1(s)) - b(s, xi_s + h2(s))] ds| per path.
+    """|int_r^u [b(s, xi_s + h1(s)) - b(s, xi_s + h2(s))] ds| per path, refused above 2 sup|b| l.
 
-    xi is the coordinate (spec.coordinate) on its window [r, u]; h1 and
-    h2 map (component, absolute times) to shift values, as
-    ShiftDescriptor.component does.
+    xi is the coordinate (spec.coordinate) on its window [r, u] of length
+    l; h1 and h2 map (component, absolute times) to shift values, as
+    ShiftDescriptor.component does.  Where h1 and h2 agree at every time
+    of the grid the functional vanishes, and its zeros are returned with
+    no path drawn.
     """
     t_abs = coord.times()
-    args = (spec.seed, coord, spec.b, h1(coord.component, t_abs), h2(coord.component, t_abs))
-    return run_blocks(_shifted_pair_block, spec.n_paths, spec.workers, args)
+    h1_vals, h2_vals = h1(coord.component, t_abs), h2(coord.component, t_abs)
+    if np.array_equal(h1_vals, h2_vals):
+        return np.zeros(spec.n_paths)
+    values = run_blocks(_shifted_pair_block, spec.n_paths, spec.workers, (spec.seed, coord, spec.b, h1_vals, h2_vals))
+    return _in_range(values, 2.0 * spec.b.norm_inf * coord.horizon)
 
 
 # ----------------------------------------------------------------------
@@ -318,12 +329,24 @@ def _pair_values(spec: ExperimentSpec, coord: Coordinate, h1, h2):
 
 
 @dataclass(frozen=True)
-class Prop21Result:
+class CheckResult:
+    """What every check returns: its statement, its rows (Verdicts) and the coordinate it sampled.
+
+    The check passes when all its rows do.
+    """
+
     statement: str
-    alpha: float
-    rows: tuple  # one Verdict
-    passed: bool
+    rows: tuple
     coordinate: Coordinate
+
+    @property
+    def passed(self) -> bool:
+        return all(self.rows)
+
+
+@dataclass(frozen=True)
+class Prop21Result(CheckResult):
+    alpha: float
 
 
 def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, workers=1) -> Prop21Result:
@@ -334,22 +357,17 @@ def check_prop21(lam, b: FunctionDescriptor, m=4096, n_paths=100_000, *, seed, w
     lam = float(lam)
     a = _check_positive(alpha_of(lam), "alpha")  # alpha underflows to 0 above lam of about 373: refused before sampling
     coord = Coordinate(lam, _check_count(m, "m", 2), b.direction)
-    values = run_blocks(_prop21_block, n_paths, workers, (seed, coord, b))
-    cap = math.inf if b.profile_dx_sup is None else b.profile_dx_sup * b.vector_norm
-    rows = (exp_moment(values, a, cap),)
-    return Prop21Result(STATEMENT_PROP21, a, rows, all(rows), coord)
+    values = run_blocks(_prop21_block, _check_count(n_paths, "n_paths", 2), workers, (seed, coord, b))
+    values = _in_range(values, math.inf if b.profile_dx_sup is None else b.profile_dx_sup * b.vector_norm)
+    return Prop21Result(STATEMENT_PROP21, (exp_moment(values, a),), coord, a)
 
 
 @dataclass(frozen=True)
-class Thm23Result:
-    statement: str
+class Thm23Result(CheckResult):
     beta: float
     rate: float
     h_sup: float
     ell: float
-    rows: tuple  # one Verdict
-    passed: bool
-    coordinate: Coordinate
 
 
 def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Result:
@@ -371,23 +389,18 @@ def check_thm23(spec: ExperimentSpec, h: ShiftDescriptor, ell=1.0) -> Thm23Resul
     rate = _check_positive(rate, f"rate beta/sup|h|^2 = {beta_val:.6g}/{h.norm_inf:.6g}^2")
     coord = spec.coordinate(ell)
     values = _pair_values(spec, coord, h.component, lambda d, t: np.zeros_like(t))
-    rows = (exp_moment(values, rate, 2.0 * spec.b.norm_inf),)
-    return Thm23Result(STATEMENT_THM23, beta_val, rate, h.norm_inf, ell, rows, all(rows), coord)
+    return Thm23Result(STATEMENT_THM23, (exp_moment(values, rate),), coord, beta_val, rate, h.norm_inf, ell)
 
 
 @dataclass(frozen=True)
-class ConcentrationResult:
-    statement: str
+class ConcentrationResult(CheckResult):  # one row per eta
     beta: float
     ell: float
     diff_sup: float
     etas: tuple
     thresholds: tuple  # eta sqrt(l) sup|h1 - h2|, per eta
-    rows: tuple  # one Verdict per eta
     degenerate: bool
     note: str
-    passed: bool
-    coordinate: Coordinate
 
 
 def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescriptor, etas, r=0.0, u=1.0,
@@ -404,30 +417,23 @@ def concentration_tail(spec: ExperimentSpec, h1: ShiftDescriptor, h2: ShiftDescr
     beta_val = _beta(spec)
     ell = coord.horizon
     diff_sup = shift_difference_norm(h1, h2, r, u)
-    if diff_sup == 0.0:  # the functional vanishes: no sampling
-        values = np.zeros(spec.n_paths)
-    else:
-        values = _in_range(_pair_values(spec, coord, h1.component, h2.component), 2.0 * spec.b.norm_inf * ell)
+    values = _pair_values(spec, coord, h1.component, h2.component)
     thresholds = tuple(e * math.sqrt(ell) * diff_sup for e in etas)
     rows = tuple(judge(values > thr, 3.0 * math.exp(-beta_val * e * e)) for e, thr in zip(etas, thresholds))
     note = "h1 = h2 on the window: the functional vanishes and the statement is trivial" if diff_sup == 0.0 else ""
-    return ConcentrationResult(STATEMENT_CONCENTRATION, beta_val, ell, diff_sup, etas, thresholds, rows,
-                               diff_sup == 0.0, note, all(rows), coord)
+    return ConcentrationResult(STATEMENT_CONCENTRATION, rows, coord, beta_val, ell, diff_sup, etas, thresholds,
+                               diff_sup == 0.0, note)
 
 
 @dataclass(frozen=True)
-class MomentResult:
-    statement: str
+class MomentResult(CheckResult):  # one row per p
     beta: float
     ell: float
     separation: float
     ps: tuple
     bounds_stated: tuple  # the bound with beta^(+p/2), per p; each row's limit has beta^(-p/2)
-    rows: tuple  # one Verdict per p
     degenerate: bool
     note: str
-    passed: bool
-    coordinate: Coordinate
 
 
 def _moment_bound(p, ell, sep, beta_val, sign) -> float:
@@ -467,15 +473,11 @@ def moment_bound(spec: ExperimentSpec, x, y, ps, r=0.0, u=1.0, x0=None) -> Momen
     beta_val = _beta(spec)
     ell = coord.horizon
     sep = _norm(x - y)
-    if sep == 0.0:  # the functional vanishes: no sampling
-        values = np.zeros(spec.n_paths)
-    else:
-        values = _pair_values(spec, coord, lambda d, t: np.full_like(t, x[d]), lambda d, t: np.full_like(t, y[d]))
-        values = _in_range(values, 2.0 * spec.b.norm_inf * ell)
+    values = _pair_values(spec, coord, lambda d, t: np.full_like(t, x[d]), lambda d, t: np.full_like(t, y[d]))
     rows = tuple(judge(values**p, _moment_bound(p, ell, sep, beta_val, -1)) for p in ps)
     stated = tuple(_moment_bound(p, ell, sep, beta_val, 1) for p in ps)
     note = "x = y: the functional vanishes and every moment is zero" if sep == 0.0 else ""
-    return MomentResult(STATEMENT_MOMENTS, beta_val, ell, sep, ps, stated, rows, sep == 0.0, note, all(rows), coord)
+    return MomentResult(STATEMENT_MOMENTS, rows, coord, beta_val, ell, sep, ps, stated, sep == 0.0, note)
 
 
 def gamma_step_check(p_max=20):

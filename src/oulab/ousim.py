@@ -85,6 +85,7 @@ from .errors import DomainError, _check_count, _check_positive
 STREAM_CONTRACT = "philox-rowcounter-ziggurat-block256"
 
 BLOCK = 256  # paths per RNG block; fixed, worker-independent
+MAX_WORKERS = 64  # most lanes a run may ask for: each is a thread, and no count above two was ever measured
 
 DOMAIN_PATH = 0
 DOMAIN_AUX = 1
@@ -334,13 +335,13 @@ def run_lanes(count, m, lane, *, lanes):
 def run_blocks(worker, n_paths, workers, args) -> np.ndarray:
     """The (n_paths, ...) rows of worker(n_paths, *args, lanes=...), one call over all of a run's paths.
 
-    The package's one lane rule: a run of `workers` p deals its row
-    chunks to max(2, p) lanes of this one process (run_lanes, which runs
-    no more lanes than chunks); the lane count never changes a result.
-    worker(count, *args, lanes=...) returns the rows of paths [0, count)
-    and passes lanes to run_lanes.
+    The package's one lane rule: a run of `workers` p, 1 <= p <=
+    MAX_WORKERS, deals its row chunks to max(2, p) lanes of this one
+    process (run_lanes, which runs no more lanes than chunks); the lane
+    count never changes a result.  worker(count, *args, lanes=...)
+    returns the rows of paths [0, count) and passes lanes to run_lanes.
     """
-    workers = _check_count(workers, "workers", 1)
+    workers = _check_count(workers, "workers", 1, MAX_WORKERS + 1)
     return worker(_check_count(n_paths, "n_paths", 1), *args, lanes=max(2, workers))
 
 

@@ -98,7 +98,6 @@ class TestRunConfig:
         assert cfg.get_float("r") == 0.25
         assert cfg.get_ints("ps") == [1, 2]
         assert cfg.get_seed() == 9
-        assert cfg.get_float("absent", 1.5) == 1.5
 
     def test_getter_errors(self):
         cfg = RunConfig.build("x", {}, None, {"n": "zero", "r": "-1", "ps": "1.5", "seed": "-3"})
@@ -232,6 +231,7 @@ class TestExitCodes:
         ("concentration --h1 e1:sin_pi_t --r nan", "0 <= r < u <= 1"),
         ("verify-thm23 --ell 0", "ell"),
         ("verify-prop21 --lambda 1 --dump d.csv --dump-paths 257", "dump_paths must be below 257"),
+        ("verify-prop21 --lambda 1 --n 2 --M 8 --dump d.csv --dump-paths 5", "dump_paths 5 exceeds n = 2"),
         ("constants --lambda-grid lin:0:1:4", "rate must be positive"),
         ("constants --lambda-grid log:0:1:5", "log grid lo must be positive"),
     ]
@@ -274,6 +274,21 @@ class TestExitCodes:
         assert code == 0
         assert len(err.splitlines()) == 1 and err.startswith("PASS verify-prop21:")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-thm23", "--M", "16"),
+        ("decomposition", "--lambda", "1", "--m-list", "8,16"),
+    ], ids=lambda argv: argv[0])
+    def test_workers_above_the_limit_exit_two_before_a_lane_starts(self, capsys, monkeypatch, argv):
+        # each lane is a thread: --workers 100000 once asked for one per row chunk
+        def started(*args, **kwargs):
+            raise AssertionError("a lane started")
+
+        for module in (oulab.functionals, oulab.reversal):
+            monkeypatch.setattr(module, "run_lanes", started)
+        code, _, err = _run(capsys, *argv, "--seed", "1", "--n", "64", "--workers", "65")
+        assert code == 2
+        assert err == "error: workers must be below 65, got 65\n"
+
     def test_passing_run_exits_zero(self, capsys):
         code, out, err = _run(
             capsys, "verify-prop21", "--seed", "5", "--lambda", "1", "--n", "512", "--M", "64"
@@ -286,7 +301,8 @@ class TestExitCodes:
         real = cli.check_prop21
 
         def flipped(*a, **kw):
-            return dataclasses.replace(real(*a, **kw), passed=False)
+            res = real(*a, **kw)
+            return dataclasses.replace(res, rows=tuple(dataclasses.replace(row, passed=False) for row in res.rows))
 
         monkeypatch.setattr(cli, "check_prop21", flipped)
         code, _, err = _run(

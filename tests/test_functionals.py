@@ -80,16 +80,18 @@ class TestExpMoment:
         est = exp_moment(np.abs(g), alpha=0.25)
         assert abs(est.mean - math.sqrt(2.0)) <= 4.0 * est.stderr
 
+    # the certified cap is refused where S is drawn, by functionals._in_range
+
     def test_cap_trips_on_escape(self):
         values = np.array([0.1, 0.2, 5.0])
         with pytest.raises(RuntimeError, match="cap"):
-            exp_moment(values, alpha=1.0, value_cap=1.0)
+            FN._in_range(values, 1.0)
 
     def test_cap_allows_in_range(self):
         values = np.array([0.1, 0.2, 0.9])
-        row = exp_moment(values, alpha=1.0, value_cap=1.0)
+        row = exp_moment(FN._in_range(values, 1.0), alpha=1.0)
         assert row.max_summand <= math.exp(1.0)
-        assert exp_moment(np.array([0.1, 1.0 + 1e-12]), alpha=1.0, value_cap=1.0).n == 2
+        assert FN._in_range(np.array([0.1, 1.0 + 1e-12]), 1.0).size == 2
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # inf and NaN on purpose
     def test_rejects_bad_inputs(self):
@@ -104,7 +106,7 @@ class TestExpMoment:
         with pytest.raises(DomainError):
             exp_moment(np.array([1.0, np.inf]), alpha=1.0)
         with pytest.raises(DomainError):
-            exp_moment(np.array([1.0, np.nan]), alpha=1.0, value_cap=2.0)
+            FN._in_range(np.array([1.0, np.nan]), 2.0)
         with pytest.raises(DomainError, match="not finite"):
             exp_moment(np.array([1.0, 30.0]), alpha=1.0)  # exp(900) overflows
 
@@ -291,6 +293,12 @@ class TestCheckProp21:
         with pytest.raises(DomainError):
             check_prop21(1.0, bare, m=32, n_paths=16, seed=0)
 
+    def test_rejects_a_single_path_before_sampling(self, monkeypatch):
+        # an estimate needs two samples; judge refused the one path only after it was drawn
+        _refuse_sampling(monkeypatch)
+        with pytest.raises(DomainError, match="n_paths must be at least 2"):
+            check_prop21(1.0, make_b_weighted([1.0]), 8, 1, seed=1)
+
 
 class TestCheckThm23:
     H = make_h((1.0, 4.0), {0: "sin_pi_t"})
@@ -322,6 +330,14 @@ class TestCheckThm23:
         assert res.beta == pytest.approx(beta(DriftSpectrum((1.0, 4.0))), rel=1e-15)
         assert res.rate == pytest.approx(res.beta / self.H.norm_inf**2, rel=1e-15)
         assert res.h_sup == 1.0
+
+    def test_a_shift_off_bs_direction_draws_no_path(self, monkeypatch):
+        # b reads component 0 and h moves only component 1: the functional vanishes
+        _refuse_sampling(monkeypatch)
+        res = check_thm23(self._spec(), make_h((1.0, 4.0), {1: "sin_pi_t"}))
+        (row,) = res.rows
+        assert (row.mean, row.stderr, row.max_summand, row.n) == (1.0, 0.0, 1.0, 2048)
+        assert res.passed
 
     def test_rejects_missing_or_zero_shift(self, monkeypatch):
         _refuse_sampling(monkeypatch)
@@ -459,6 +475,12 @@ class TestMoments:
         # |x - y| = 1e-200 squares to 0 unscaled, which read as x = y
         res = self._run(ps=(1,), x=(1e-200, 0.0), y=(0.0, 0.0))
         assert res.separation == 1e-200 and not res.degenerate
+
+    def test_shifts_equal_along_bs_direction_draw_no_path(self, monkeypatch):
+        _refuse_sampling(monkeypatch)
+        res = self._run(ps=(1, 2), x=(0.5, 0.3), y=(0.5, 0.0))
+        assert res.separation == 0.3 and not res.degenerate and res.passed
+        assert all((row.mean, row.max_summand, row.n) == (0.0, 0.0, 2048) for row in res.rows)
 
     def test_equal_shifts_degenerate(self):
         res = self._run(ps=(1, 2), y=(0.5, 0.0))
@@ -736,7 +758,7 @@ def _lanes(monkeypatch, two):
         monkeypatch.setattr(module, "run_lanes", ousim.run_lanes if two else _one_lane)
 
 
-class TestDrawAheadKernels:
+class TestLaneKernels:
     """Each kernel deals its row chunks to two lanes (ousim.run_lanes),
     each drawing and computing whole chunks in its own workspace; its
     values must equal the single-thread whole-block formula bitwise, and
